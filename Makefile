@@ -9,6 +9,7 @@ install:
 
 test: trace-smoke bench-smoke chaos-smoke perf-smoke cache-smoke report-smoke leaderboard-smoke resilience-smoke ensemble-smoke tune-smoke
 	PYTHONPATH=src $(PYTHON) -m pytest tests/
+	PYTHONPATH=src $(PYTHON) -m pytest bench
 
 # end-to-end observability check: produce a ground-truth trace and
 # validate the Chrome trace-event JSON against the minimal schema
@@ -104,12 +105,13 @@ resilience-smoke:
 # vectorized-ensemble gate: advance 100 seeded captures in lockstep
 # through the batched engine and require >= 10x execution-phase
 # aggregate events/s over the scalar path, byte-identical per-run
-# traces, byte-equal cache artifacts on both sweep paths, and a full
-# hit on resweep (the replay-batching break-even is recorded, ungated)
+# traces, swept cache artifacts byte-equal to scalar execute_spec runs,
+# and a full hit on resweep.  The smoke run writes under benchmarks/out/;
+# the committed BENCH_ensemble.json is the number of record
 ensemble-smoke:
 	PYTHONPATH=src $(PYTHON) scripts/bench_ensemble.py \
-		--out BENCH_ensemble.json
-	$(PYTHON) scripts/check_ensemble.py BENCH_ensemble.json
+		--out benchmarks/out/ensemble-smoke.json
+	$(PYTHON) scripts/check_ensemble.py benchmarks/out/ensemble-smoke.json
 
 # autotuner recovery gate: run the attribution-driven autotuner on
 # Al-1000 at 32 threads on the simulated 32-core machine (the paper's

@@ -20,18 +20,14 @@ best of ``--reps`` repetitions with GC disabled, because the gate must
 hold on noisy shared machines.  Byte-identity is asserted on the
 pickled per-run traces.
 
-Two further sections prove the wiring and record the tradeoffs:
+A further section proves the sweep wiring:
 
-* **sweep** — two fresh caches swept end-to-end (``ensemble=False``
-  vs ``ensemble=True``): cached artifact bytes must match for every
-  spec, the resweep must hit for every spec, and the end-to-end
-  speedup (diluted by per-run build/prime/publication shared by both
-  paths) is reported alongside the gated execution-phase number;
-* **replay** — the fault-free DES replays batched through the k-way
-  merged event loop.  Result-identical but measured break-even (the
-  per-event Python dispatch is serial either way), which is why
-  ``routing.BATCH_REPLAYS`` defaults to off; the measurement is kept
-  here so that call stays evidence-based.
+* **sweep** — the seeds swept end-to-end into a fresh cache, where
+  they run as one ensemble batch: every cached artifact's bytes must
+  equal ``dumps_artifact(execute_spec(spec))``, the scalar reference
+  timed one spec at a time, and the resweep must hit for every spec.
+  The end-to-end speedup (diluted by per-run build/prime/publication)
+  is reported alongside the gated execution-phase number.
 
 The payload (schema ``repro.ensemble_bench/1``) is gated by
 ``scripts/check_ensemble.py`` (``make ensemble-smoke``): execution
@@ -46,6 +42,7 @@ import gc
 import json
 import os
 import pickle
+import platform
 import shutil
 import sys
 import tempfile
@@ -113,21 +110,33 @@ def timed_ensemble_capture(builder, n_runs, steps):
     return max(seconds, 1e-9), traces
 
 
-def timed_sweep(specs, cache_dir, ensemble):
+def timed_sweep(specs, cache_dir):
     from repro.runcache import RunCache, sweep
 
     cache = RunCache(cache_dir)
     t0 = time.perf_counter()
-    result = sweep(specs, cache, jobs=1, ensemble=ensemble)
+    result = sweep(specs, cache, jobs=1)
     seconds = max(time.perf_counter() - t0, 1e-9)
     return cache, result, seconds
+
+
+def timed_scalar_reference(specs):
+    """Each spec executed on its own, as scalar runs, pickled the way
+    the cache stores it."""
+    from repro.runcache import dumps_artifact, execute_spec
+
+    t0 = time.perf_counter()
+    blobs = [dumps_artifact(execute_spec(spec)) for spec in specs]
+    seconds = max(time.perf_counter() - t0, 1e-9)
+    return blobs, seconds
 
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument(
-        "--out", default="BENCH_ensemble.json",
-        help="output JSON path (default: repo-root artifact name)",
+        "--out", default="benchmarks/out/ensemble-smoke.json",
+        help="output JSON path (default %(default)s; the committed "
+        "number of record is BENCH_ensemble.json)",
     )
     parser.add_argument(
         "--workload", default="gas-8",
@@ -147,14 +156,6 @@ def main() -> int:
         help="comma-separated workloads measured once, ungated "
              "(default %(default)s; empty string to skip)",
     )
-    parser.add_argument(
-        "--replay-machine", default="i7-920",
-        help="simulated machine for the DES replay section",
-    )
-    parser.add_argument(
-        "--replay-threads", default="1,2,4,8",
-        help="comma-separated thread counts for the DES replay grid",
-    )
     from repro.telemetry.log import add_verbosity_flags, from_args
 
     add_verbosity_flags(parser)
@@ -167,27 +168,10 @@ def main() -> int:
         raise usage_error(f"--runs must be >= 2, got {args.runs}")
     if args.reps < 1:
         raise usage_error(f"--reps must be >= 1, got {args.reps}")
-    try:
-        replay_threads = [
-            int(t) for t in args.replay_threads.split(",") if t.strip()
-        ]
-    except ValueError:
-        raise usage_error(f"bad --replay-threads {args.replay_threads!r}")
-    if not replay_threads or any(t < 1 for t in replay_threads):
-        raise usage_error(f"bad --replay-threads {args.replay_threads!r}")
-
-    from repro.ensemble import routing
-    from repro.machine import MACHINES
     from repro.runcache import code_version_salt
-    from repro.runcache.key import RunSpec
     from repro.runcache.sweep import capture_spec
     from repro.workloads import BUILDERS, resolve_workload
 
-    if args.replay_machine not in MACHINES:
-        raise usage_error(
-            f"unknown machine {args.replay_machine!r} "
-            f"(choose from {', '.join(sorted(MACHINES))})"
-        )
     try:
         name = resolve_workload(args.workload)
     except KeyError:
@@ -254,59 +238,27 @@ def main() -> int:
         capture_spec(name, args.steps, seed=seed)
         for seed in range(args.runs)
     ]
-    replay_specs = [
-        RunSpec(
-            kind="chaos_ref", workload=name, steps=args.steps,
-            seed=seed, threads=threads, machine=args.replay_machine,
-        )
-        for seed in range(4)
-        for threads in replay_threads
-    ]
     tmp_root = tempfile.mkdtemp(prefix="repro-ensemble-bench-")
     try:
-        scalar_cache, _sc, sweep_scalar_seconds = timed_sweep(
-            specs, os.path.join(tmp_root, "scalar"), ensemble=False
-        )
+        reference, sweep_scalar_seconds = timed_scalar_reference(specs)
         ens_cache, ens_result, sweep_ens_seconds = timed_sweep(
-            specs, os.path.join(tmp_root, "ensemble"), ensemble=True
+            specs, os.path.join(tmp_root, "ensemble")
         )
         cache_identical = all(
-            scalar_cache.get_bytes(s) is not None
-            and scalar_cache.get_bytes(s) == ens_cache.get_bytes(s)
-            for s in specs
+            ens_cache.get_bytes(s) == blob
+            for s, blob in zip(specs, reference)
         )
         _, resweep, _ = timed_sweep(
-            specs, os.path.join(tmp_root, "ensemble"), ensemble=True
+            specs, os.path.join(tmp_root, "ensemble")
         )
         resweep_all_hits = resweep.hits == len(specs)
-
-        # -- replay section: the documented break-even ----------------
-        # BATCH_REPLAYS defaults to off; flip it here so the wired
-        # path is exercised and its cost stays measured.
-        rs_cache, _rs, rs_seconds = timed_sweep(
-            replay_specs,
-            os.path.join(tmp_root, "replay-scalar"),
-            ensemble=False,
-        )
-        routing.BATCH_REPLAYS = True
-        try:
-            re_cache, re_result, re_seconds = timed_sweep(
-                replay_specs,
-                os.path.join(tmp_root, "replay-ensemble"),
-                ensemble=True,
-            )
-        finally:
-            routing.BATCH_REPLAYS = False
-        replay_identical = all(
-            rs_cache.get_bytes(s) == re_cache.get_bytes(s)
-            for s in replay_specs
-        )
     finally:
         shutil.rmtree(tmp_root, ignore_errors=True)
 
     payload = {
         "schema": SCHEMA,
-        "machine": MACHINES[args.replay_machine].name,
+        # host wall time, not a simulated machine
+        "machine": f"host {platform.machine()} ({os.cpu_count()} CPUs)",
         "workload": name,
         "steps": args.steps,
         "n_runs": args.runs,
@@ -330,16 +282,6 @@ def main() -> int:
             "ensemble_batches": ens_result.ensemble_batches,
             "ensemble_runs": ens_result.ensemble_runs,
         },
-        "replay": {
-            "machine": MACHINES[args.replay_machine].name,
-            "threads": replay_threads,
-            "n_runs": len(replay_specs),
-            "scalar_seconds": rs_seconds,
-            "ensemble_seconds": re_seconds,
-            "speedup": rs_seconds / re_seconds,
-            "identical": bool(replay_identical),
-            "ensemble_runs": re_result.ensemble_runs,
-        },
     }
 
     out_dir = os.path.dirname(args.out)
@@ -353,12 +295,6 @@ def main() -> int:
         speedup=payload["sweep"]["speedup"],
         cache_identical=cache_identical,
         resweep_all_hits=resweep_all_hits,
-    )
-    log.info(
-        "replay batching",
-        runs=len(replay_specs),
-        speedup=payload["replay"]["speedup"],
-        identical=replay_identical,
     )
     log.info("summary", out=args.out)
     return 0

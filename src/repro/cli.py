@@ -548,7 +548,6 @@ def cmd_sweep(args) -> None:
         journal=args.journal,
         resume=args.resume,
         policy=policy,
-        ensemble=args.ensemble,
     )
 
     n_unique = len({s.encode() for s in specs})
@@ -1002,18 +1001,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--out", default=None,
         help="write a repro.sweepcli/1 summary as sweep.json here "
         "(directory created if missing)",
-    )
-    ens = p.add_mutually_exclusive_group()
-    ens.add_argument(
-        "--ensemble", dest="ensemble", action="store_true",
-        default=None,
-        help="force the vectorized ensemble path for homogeneous "
-        "miss-batches (default: automatic)",
-    )
-    ens.add_argument(
-        "--no-ensemble", dest="ensemble", action="store_false",
-        help="disable ensemble batching; every miss runs on the "
-        "scalar pool path",
     )
     _add_cache_flags(p)
     _add_telemetry_flag(p)

@@ -24,7 +24,6 @@ from repro.core.inspector import (
     reorder_system,
     spatial_order,
 )
-from repro.core.multiproc import ProcessParallelMDEngine
 from repro.core.parallel import ParallelMDEngine
 from repro.core.partition import (
     balanced_partition,
@@ -38,7 +37,6 @@ __all__ = [
     "CostParams",
     "MachineCostModel",
     "ParallelMDEngine",
-    "ProcessParallelMDEngine",
     "ReorderResult",
     "RunResult",
     "SimulatedParallelRun",

@@ -1,6 +1,6 @@
 """Vectorized ensemble execution: many independent runs per sweep.
 
-A parameter sweep over seeds replays the same physics pipeline dozens
+A parameter sweep over seeds repeats the same physics pipeline dozens
 to thousands of times on systems that differ only in their kinematic
 state.  Running each replica through the scalar engine pays the full
 per-call numpy/Python overhead per run — the dominant cost for the
@@ -12,22 +12,18 @@ small systems sweeps use.  This package batches the replicas instead:
   views so the two paths cannot drift — per-run step reports are
   byte-identical (pickle protocol 4) to scalar captures by
   construction, which keeps the content-addressed run cache sound.
-* :class:`~repro.ensemble.des.MultiSimulator` merges the event
-  processing of independent DES replays in global timestamp order
-  (:func:`~repro.ensemble.des.replay_batch`), sharing the pure
-  per-step cost plans between runs that differ only in seed/machine.
-* :func:`~repro.ensemble.routing.route_misses` is the sweep hook:
-  homogeneous cache-miss batches are detected and executed vectorized,
-  each run published under its own spec digest with the same journal
-  records a pool worker would write — cache/journal/leaderboard
-  consumers see no difference.
+* :mod:`~repro.ensemble.routing` tells the sweep supervisor which
+  capture misses form one batch.  A batch is one unit of work like any
+  single spec: the supervisor runs it in-process or in a pool worker,
+  and each run is published under its own spec digest with its own
+  journal records — cache/journal/leaderboard consumers see no
+  difference.
 
 Runs whose configuration the batched path cannot reproduce exactly
-raise :class:`~repro.ensemble.engine.EnsembleUnsupported` and fall
-back to the scalar path transparently.
+raise :class:`~repro.ensemble.engine.EnsembleUnsupported`; the
+supervisor then runs them one spec at a time.
 """
 
-from repro.ensemble.des import MultiSimulator, replay_batch
 from repro.ensemble.engine import (
     EnsembleMDEngine,
     EnsembleUnsupported,
@@ -40,7 +36,5 @@ __all__ = [
     "EnsembleState",
     "EnsembleUnsupported",
     "FlatSystemView",
-    "MultiSimulator",
     "ensemble_capture",
-    "replay_batch",
 ]

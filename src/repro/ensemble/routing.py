@@ -1,214 +1,72 @@
-"""Routing homogeneous sweep miss-batches through the batched engines.
+"""Which sweep misses run as one ensemble batch.
 
-:func:`route_misses` is called by :func:`repro.runcache.sweep.sweep`
-after cache dedup: it partitions the remaining misses into batches the
-vectorized paths can execute and the remainder the process pool keeps.
+The sweep supervisor (:func:`repro.runcache.resilience.supervise`)
+schedules units of work; :func:`plan_units` decides them.  Capture
+misses of the same workload family and step count, varying only in
+seed and with no fault plan, form one batch once there are
+``MIN_BATCH`` of them.  :func:`prepare_batch` builds the batch's
+:class:`~repro.ensemble.engine.EnsembleMDEngine`, one vectorized
+pipeline producing every run's scalar-identical trace.  Every other
+miss is a unit of its own.
 
-Two batch shapes are recognized:
-
-* **capture** — same workload family and step count, varying seed:
-  executed by :class:`~repro.ensemble.engine.EnsembleMDEngine`, one
-  vectorized pipeline producing every run's scalar-identical trace;
-* **chaos_ref** — fault-free DES replays of one (workload, steps)
-  capture, varying seed/threads/machine/params: executed by
-  :func:`~repro.ensemble.des.replay_batch`, which merges the runs'
-  event processing in timestamp order and shares the pure per-step
-  cost plans between runs priced identically.
-
-Only capture batches are routed by default (``BATCH_REPLAYS``):
-replay batching is result-identical but measured break-even at best
-(~0.9-1.0x — the per-event Python dispatch dominates and is serial
-either way; see the ``replay`` section of ``BENCH_ensemble.json``),
-so enabling it would tax replay-heavy sweeps for nothing.
-
-Publication is indistinguishable from the pool path: each run's
-artifact lands in the cache under its own spec digest, with the same
-``started``/``finished`` journal records a worker would write —
-resume, leaderboards and every other cache consumer see no
-difference.  Any batch the vectorized path cannot reproduce exactly
-(:class:`~repro.ensemble.engine.EnsembleUnsupported`) or that fails
-mid-flight falls back to the scalar path, the latter with ``failed``
-journal records so supervision accounting stays truthful.
+A batch is scheduled like any other unit and each of its runs is
+published under its own spec digest with its own journal records, so
+cache and journal consumers cannot tell the paths apart.  A batch the
+engine cannot reproduce exactly raises
+:class:`~repro.ensemble.engine.EnsembleUnsupported` while it is being
+built, and the supervisor splits it into single-spec units.
 """
 
 from __future__ import annotations
 
-import json
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.runcache.key import RunSpec, canonical_options
+from repro.runcache.key import RunSpec
 
-from repro.ensemble.engine import EnsembleMDEngine, EnsembleUnsupported
+from repro.ensemble.engine import EnsembleMDEngine
 
 #: a batch below this size gains nothing over the scalar path
 MIN_BATCH = 2
-
-#: batch fault-free replays through :func:`replay_batch`?  Off: the
-#: merged event loop is measured break-even (per-event Python dispatch
-#: dominates), so routing replays through it only adds heap overhead.
-#: The path stays wired — flip this to re-evaluate after DES changes.
-BATCH_REPLAYS = False
 
 Miss = Tuple[str, RunSpec]
 
 
 def _group_key(spec: RunSpec) -> Optional[tuple]:
-    """Batch key for a spec, or None when it must stay on the scalar
-    path.  Seeds (both kinds) and threads/machine/params (chaos_ref)
-    may vary within a batch; anything else must match."""
-    if spec.fault_plan is not None:
+    """Batch key for a spec, or None when it must run on its own."""
+    if spec.fault_plan is not None or spec.kind != "capture":
         return None
-    if spec.kind == "capture":
-        return ("capture", spec.workload, spec.steps)
-    if BATCH_REPLAYS and spec.kind == "chaos_ref":
-        return ("chaos_ref", spec.workload, spec.steps)
-    return None
+    return ("capture", spec.workload, spec.steps)
 
 
-def _prepare_capture(items: List[Miss]):
-    """Validate a capture batch and return its deferred executor.
-    Raises :class:`EnsembleUnsupported` before any journal record is
-    written when the workload cannot be batched."""
+def plan_units(misses: List[Miss]) -> List[List[Miss]]:
+    """Group ``misses`` into units, in order of first appearance."""
+    groups: Dict[tuple, List[Miss]] = {}
+    for key, spec in misses:
+        group = _group_key(spec) or ("single", key)
+        groups.setdefault(group, []).append((key, spec))
+    units: List[List[Miss]] = []
+    for group, items in groups.items():
+        if group[0] == "capture" and len(items) >= MIN_BATCH:
+            units.append(items)
+        else:
+            units.extend([item] for item in items)
+    return units
+
+
+def prepare_batch(specs: Sequence[RunSpec]) -> Callable[[], List[Any]]:
+    """Build a capture batch's engine and return its executor.  Raises
+    :class:`~repro.ensemble.engine.EnsembleUnsupported` before anything
+    runs when the workload cannot be batched."""
     from repro.workloads import BUILDERS
 
-    specs = [spec for _, spec in items]
-    workload, steps = specs[0].workload, specs[0].steps
     engines = [
-        BUILDERS[workload](seed=spec.seed).make_engine()
+        BUILDERS[spec.workload](seed=spec.seed).make_engine()
         for spec in specs
     ]
     eng = EnsembleMDEngine(engines)
 
     def execute() -> List[Any]:
         eng.prime()
-        return eng.run(steps)
+        return eng.run(specs[0].steps)
 
     return execute
-
-
-def _prepare_chaos_ref(items: List[Miss], cache):
-    """Build the armed replay batch for fault-free reference runs.
-    The capture trace is fetched once and shared; per-step cost plans
-    are shared between runs whose pricing inputs (threads + options +
-    params — never machine or seed) match."""
-    from repro.core.simulate import SimulatedParallelRun
-    from repro.ensemble.des import replay_batch
-    from repro.machine.machine import SimMachine
-    from repro.runcache.sweep import (
-        _machine_spec,
-        _run_kwargs,
-        cached_capture,
-    )
-    from repro.workloads import BUILDERS
-
-    specs = [spec for _, spec in items]
-    workload, steps = specs[0].workload, specs[0].steps
-    wl = BUILDERS[workload]()
-    trace = cached_capture(cache, workload, steps)
-    runs = []
-    plan_cache: Dict[str, list] = {}
-    for spec in specs:
-        machine = SimMachine(
-            _machine_spec(spec.machine), seed=spec.seed
-        )
-        run = SimulatedParallelRun(
-            trace, wl.system.n_atoms, machine, spec.threads,
-            name=wl.name, **_run_kwargs(spec),
-        )
-        plan_key = json.dumps(
-            {
-                "threads": spec.threads,
-                "options": canonical_options(spec.options),
-                "params": spec.params,
-            },
-            sort_keys=True,
-        )
-        shared = plan_cache.get(plan_key)
-        if shared is None:
-            plan_cache[plan_key] = run.plans()
-        else:
-            run.use_plans(shared)
-        runs.append(run)
-
-    def execute() -> List[Any]:
-        results = replay_batch(runs)
-        return [{"sim_seconds": res.sim_seconds} for res in results]
-
-    return execute
-
-
-def route_misses(
-    misses: List[Miss],
-    cache,
-    *,
-    journal,
-    artifacts: Dict[str, Any],
-    executed: List[str],
-    emitter,
-) -> Tuple[int, int, List[Miss]]:
-    """Execute the batchable subset of ``misses`` vectorized.
-
-    Returns ``(n_batches, n_runs, remaining)`` where ``remaining`` is
-    the miss list the caller's pool/serial path still owns.  For every
-    batched run: ``journal.started`` before execution, then
-    ``cache.put`` + ``artifacts[digest]`` + ``executed.append`` +
-    ``journal.finished`` — exactly the records a pool worker produces.
-    """
-    groups: Dict[tuple, List[Miss]] = {}
-    remaining: List[Miss] = []
-    for item in misses:
-        key = _group_key(item[1])
-        if key is None:
-            remaining.append(item)
-        else:
-            groups.setdefault(key, []).append(item)
-
-    n_batches = n_runs = 0
-    for key, items in groups.items():
-        kind = key[0]
-        if len(items) < MIN_BATCH:
-            remaining.extend(items)
-            continue
-        try:
-            if kind == "capture":
-                execute = _prepare_capture(items)
-            else:
-                execute = _prepare_chaos_ref(items, cache)
-        except EnsembleUnsupported as exc:
-            emitter.event(
-                "ensemble.fallback",
-                kind=kind, workload=key[1], steps=key[2],
-                runs=len(items), reason=str(exc),
-            )
-            remaining.extend(items)
-            continue
-        for digest, _spec in items:
-            journal.started(digest, attempt=1)
-        try:
-            with emitter.span(
-                "ensemble",
-                kind=kind, workload=key[1], steps=key[2],
-                runs=len(items),
-            ):
-                batch_artifacts = execute()
-        except Exception as exc:  # unexpected: scalar path retries
-            for digest, _spec in items:
-                journal.failed(
-                    digest, attempt=1, error=repr(exc), retryable=True
-                )
-            emitter.event(
-                "ensemble.error",
-                kind=kind, workload=key[1], steps=key[2],
-                runs=len(items), error=repr(exc),
-            )
-            remaining.extend(items)
-            continue
-        for (digest, spec), artifact in zip(items, batch_artifacts):
-            if cache is not None:
-                cache.put(spec, artifact)
-            artifacts[digest] = artifact
-            executed.append(digest)
-            journal.finished(digest, attempt=1)
-        n_batches += 1
-        n_runs += len(items)
-    return n_batches, n_runs, remaining

@@ -1,32 +1,44 @@
-"""Crash-safe sweep execution: journal, supervision, degradation.
+"""The sweep supervisor: the one way a sweep executes its cache misses.
 
-Three pieces turn :func:`repro.runcache.sweep` from fail-open into
-crash-safe:
+:func:`supervise` turns the misses :func:`repro.runcache.sweep` found
+into units of work and drives them through one submit / wait / retry
+loop.  A unit is a single spec, or a homogeneous capture batch the
+ensemble engine runs in one pass.  The loop owns submission, retries
+with decorrelated-jitter backoff, quarantine, the journal records and
+the ``shard`` spans; the only thing that varies is where a unit runs:
+
+* **in-process** when there is no cache, ``jobs=1`` or a single unit,
+  and after *degradation*: the pool could not start, or broke more
+  than ``pool_restart_limit`` times (each break halves it);
+* **in a** ``ProcessPoolExecutor`` **worker** otherwise.  A worker
+  publishes into the shared cache and the parent reloads the artifact;
+  an artifact missing on reload is a failed attempt re-run in-process.
+
+In-process units run through an executor that hands back completed
+futures, so both placements share the same ``wait()`` loop.
+
+Around the supervisor sit the pieces that make a sweep crash-safe:
 
 * :class:`SweepJournal` — a per-sweep append-only JSONL journal
   (``repro.sweepjournal/1``, one ``O_APPEND`` ``os.write`` per record,
-  the :mod:`repro.telemetry` idiom) recording every spec's submission,
-  start, finish, failure, and quarantine.  ``sweep(..., resume=dir)``
-  replays it: digests journaled *finished* and still present in the
-  cache are served without re-execution, so an interrupted campaign
-  re-runs only its tail.  A torn final line (the writer died mid-
-  record) is skipped, never fatal.
+  the :mod:`repro.telemetry` idiom) recording every unit's submission,
+  start, finish, failure, and quarantine, per spec digest.
+  ``sweep(..., resume=dir)`` replays it: digests journaled *finished*
+  and still present in the cache are served without re-execution, so
+  an interrupted campaign re-runs only its tail.  A torn final line
+  (the writer died mid-record) is skipped, never fatal.
 
-* :class:`SupervisionPolicy` — per-spec wall-clock timeouts, bounded
-  retries with decorrelated-jitter exponential backoff, and permanent-
-  failure quarantine: a poisoned spec is reported in
-  :attr:`SweepResult.quarantined` instead of being retried forever or
-  killing the sweep.
+* :class:`SupervisionPolicy` — per-attempt wall-clock timeouts (pool
+  workers only), bounded retries, and permanent-failure quarantine: a
+  poisoned spec is reported in :attr:`SweepResult.quarantined` instead
+  of being retried forever or killing the sweep.  Plain ``sweep()``
+  calls get :data:`PROPAGATE_POLICY`: one attempt, first error raises.
 
-* graceful degradation — each pool break (worker SIGKILL, timeout
-  kill) shrinks the pool by half and restarts it; past
-  ``pool_restart_limit`` the remaining misses run supervised in-process
-  serially.  The sweep *completes* unless the caller asked for
-  propagate semantics.
-
-Worker deaths are infrastructure failures: they are always retried
-(or degraded to serial), never quarantined — only exceptions raised by
-the spec's own execution can poison it.
+Worker deaths and lost publishes are infrastructure failures: they are
+always retried and never quarantined — only exceptions raised by the
+spec's own execution use up attempts or can poison it.  A batch
+that fails splits into single-spec units, so one bad run cannot take
+its batch-mates down.
 """
 
 from __future__ import annotations
@@ -34,13 +46,26 @@ from __future__ import annotations
 import json
 import os
 import random
+import shutil
+import tempfile
 import threading
 import time
+from collections import deque
+from concurrent.futures import (
+    FIRST_COMPLETED,
+    Future,
+    ProcessPoolExecutor,
+    wait,
+)
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Optional, Set, Tuple
+from typing import Any, Callable, Deque, Dict, List, Optional, Set, Tuple
 
 from repro.runcache.key import RunSpec
+from repro.telemetry import runtime as telemetry_runtime
+from repro.telemetry.emit import new_trace_id
+from repro.telemetry.merge import load_records, worker_cache_counts
 
 JOURNAL_SCHEMA = "repro.sweepjournal/1"
 JOURNAL_NAME = "sweep-journal.jsonl"
@@ -254,7 +279,8 @@ def journal_specs(state: JournalState) -> List[RunSpec]:
 class SupervisionPolicy:
     """How hard the sweep fights before giving up on a spec."""
 
-    #: total tries per spec (1 = no retry)
+    #: tries per spec that may fail in its own execution (1 = no
+    #: retry); worker deaths and lost publishes do not count
     max_attempts: int = 3
     #: per-attempt wall-clock limit in seconds; None = unlimited
     timeout: Optional[float] = None
@@ -263,7 +289,7 @@ class SupervisionPolicy:
     max_backoff: float = 2.0
     backoff_seed: int = 0
     #: pool rebuilds (each halving the worker count) before the
-    #: remaining misses degrade to supervised in-process serial
+    #: remaining units run in-process
     pool_restart_limit: int = 3
     #: True: exhausted/poisoned specs land in SweepResult.quarantined;
     #: False: the final error propagates (the historical semantics)
@@ -330,119 +356,139 @@ class Quarantined:
         }
 
 
-@dataclass
-class SupervisionStats:
-    """Counters the supervised executors fold into the SweepResult."""
 
+
+# -- the supervisor ----------------------------------------------------------
+
+
+@dataclass
+class Unit:
+    """One unit of work: a single spec, or a homogeneous capture batch
+    the ensemble engine runs in one pass (:mod:`repro.ensemble.routing`)."""
+
+    #: ``(digest, spec)`` pairs
+    items: List[Tuple[str, RunSpec]]
+    #: attempts submitted so far; the journal numbers each one
+    attempts: int = 0
+    #: attempts that failed in the spec's own execution; only these
+    #: count against ``SupervisionPolicy.max_attempts``
+    errors: int = 0
+    #: True once a worker's publish of the unit was lost: it reruns in
+    #: the parent, where the artifact comes back directly
+    inline: bool = False
+
+    @property
+    def specs(self) -> List[RunSpec]:
+        return [spec for _, spec in self.items]
+
+    @property
+    def label(self) -> str:
+        return self.items[0][1].label()
+
+
+@dataclass
+class Outcome:
+    """What supervising one sweep's misses produced."""
+
+    artifacts: Dict[str, Any] = field(default_factory=dict)
+    #: executed digests, in miss order
+    executed: List[str] = field(default_factory=list)
+    quarantined: List[Quarantined] = field(default_factory=list)
+    #: per process: ``{"hits": n, "misses": n}`` (pooled sweeps only)
+    worker_cache: Dict[str, Dict[str, int]] = field(default_factory=dict)
+    units: int = 0
+    fanout: bool = False
     retries: int = 0
     timeouts: int = 0
     pool_restarts: int = 0
     degraded: bool = False
-
-
-# -- supervised executors ----------------------------------------------------
+    ensemble_batches: int = 0
+    ensemble_runs: int = 0
 
 
 def _error_text(exc: BaseException) -> str:
     return f"{type(exc).__name__}: {exc}"
 
 
-def run_serial_supervised(
-    misses: List[Tuple[str, RunSpec]],
-    cache,
-    *,
-    policy: SupervisionPolicy,
-    journal,
-    stats: SupervisionStats,
-    artifacts: Dict[str, Any],
-    executed: List[str],
-    quarantined: List[Quarantined],
-    emitter,
-    sweep_id: Optional[str] = None,
-) -> Dict[str, Dict[str, int]]:
-    """Execute misses in-process under supervision (the serial path and
-    the post-degradation fallback).  Emits the same per-spec ``shard``
-    spans as pool workers; returns this process's cache hit/miss delta
-    keyed by pid, shaped like :attr:`SweepResult.worker_cache`."""
-    from repro.runcache.sweep import execute_spec, run_and_store
-
-    backoff = Backoff(policy)
-    hits0 = cache.session_hits if cache is not None else 0
-    misses0 = cache.session_misses if cache is not None else 0
-    for key, spec in misses:
-        if key in artifacts:
-            continue
-        attempts = 0
-        while True:
-            attempts += 1
-            journal.submitted(key, label=spec.label(), attempt=attempts)
-            journal.started(key, attempt=attempts)
-            try:
-                with emitter.span(
-                    "shard", label=spec.label(), kind=spec.kind,
-                    sweep=sweep_id, serial=True, attempt=attempts,
-                ):
-                    if cache is None:
-                        artifact = execute_spec(spec)
-                    else:
-                        artifact, _ = run_and_store(cache, spec)
-            except Exception as exc:
-                message = _error_text(exc)
-                can_retry = retryable(exc)
-                journal.failed(
-                    key, attempt=attempts, error=message,
-                    retryable=can_retry,
-                )
-                if can_retry and attempts < policy.max_attempts:
-                    stats.retries += 1
-                    emitter.event(
-                        "sweep.retry", digest=key[:12],
-                        label=spec.label(), attempt=attempts,
-                        error=message[:200],
-                    )
-                    policy.sleep(backoff.next())
-                    continue
-                if policy.quarantine:
-                    _quarantine(
-                        key, spec, attempts, message,
-                        journal, quarantined, emitter,
-                    )
-                    break
-                raise
-            else:
-                artifacts[key] = artifact
-                executed.append(key)
-                journal.finished(key, attempt=attempts)
-                break
-    if cache is None:
-        return {}
-    delta_h = cache.session_hits - hits0
-    delta_m = cache.session_misses - misses0
-    if delta_h == 0 and delta_m == 0:
-        return {}
-    return {str(os.getpid()): {"hits": delta_h, "misses": delta_m}}
+def _shard_attrs(specs: List[RunSpec], sweep_id, attempt: int) -> dict:
+    attrs = dict(
+        label=specs[0].label(), kind=specs[0].kind,
+        sweep=sweep_id, attempt=attempt,
+    )
+    if len(specs) > 1:
+        attrs["runs"] = len(specs)
+    return attrs
 
 
-def _quarantine(
-    key: str,
-    spec: RunSpec,
-    attempts: int,
-    error: str,
-    journal,
-    quarantined: List[Quarantined],
-    emitter,
-) -> None:
-    record = Quarantined(
-        digest=key, label=spec.label(), attempts=attempts, error=error
-    )
-    quarantined.append(record)
-    journal.quarantined(
-        key, label=record.label, attempts=attempts, error=error
-    )
-    emitter.event(
-        "sweep.quarantine", digest=key[:12], label=record.label,
-        attempts=attempts, error=error[:200],
-    )
+def _begin(specs: List[RunSpec], digests: List[str], journal, attempt: int):
+    """Prepare a unit and journal its start.  A batch the ensemble
+    engine cannot run raises ``EnsembleUnsupported`` here, before any
+    ``started`` record is written."""
+    from repro.runcache.sweep import prepare_unit
+
+    execute = prepare_unit(specs)
+    for digest in digests:
+        journal.started(digest, attempt=attempt)
+    return execute
+
+
+def _pool_worker(args) -> List[str]:
+    """Run one unit in a pool worker, publishing into the shared
+    on-disk cache; returns the digests the parent reloads.
+
+    The worker joins the parent's telemetry run: it wraps the execution
+    in a ``shard`` span parented to the fan-out and publishes its cache
+    hit/miss counts as sweep-labeled counters the parent folds into
+    :attr:`SweepResult.worker_cache`.  The ``started`` records precede
+    the process-fault hook, so a killed worker leaves a started-but-
+    never-finished trail.
+    """
+    from repro.runcache.store import RunCache
+
+    (specs, digests, root, max_bytes, tel_root, sweep_id, journal_root,
+     attempt) = args
+    cache = RunCache(root, max_bytes=max_bytes)
+    journal = SweepJournal(journal_root) if journal_root else NULL_JOURNAL
+    try:
+        execute = _begin(specs, digests, journal, attempt)
+        if "REPRO_PROCESS_FAULTS" in os.environ:  # chaos harness only
+            from repro.faults import process as process_faults
+
+            for spec in specs:
+                process_faults.worker_started(spec.label())
+        emitter = telemetry_runtime.activate(tel_root, parent_id=sweep_id)
+        try:
+            attrs = _shard_attrs(specs, sweep_id, attempt)
+            with emitter.span("shard", **attrs):
+                execute(cache)
+            worker = str(os.getpid())
+            emitter.counter(
+                "worker_cache_hits", cache.session_hits,
+                sweep=sweep_id, worker=worker,
+            )
+            emitter.counter(
+                "worker_cache_misses", cache.session_misses,
+                sweep=sweep_id, worker=worker,
+            )
+        finally:
+            telemetry_runtime.deactivate()
+    finally:
+        journal.close()
+    return digests
+
+
+class _InlineExecutor:
+    """In-process placement: runs a call at submit time and returns an
+    already-completed future, so one ``wait()`` loop drives both
+    placements."""
+
+    def submit(self, fn, *args) -> Future:
+        fut: Future = Future()
+        try:
+            fut.set_result(fn(*args))
+        except Exception as exc:
+            fut.set_exception(exc)
+        return fut
 
 
 def _kill_pool_processes(pool) -> None:
@@ -458,256 +504,356 @@ def _kill_pool_processes(pool) -> None:
             pass
 
 
-def run_pool_supervised(
+class _Supervisor:
+    """The submit / wait / retry loop over one sweep's units."""
+
+    def __init__(self, cache, policy: SupervisionPolicy, journal, emitter):
+        self.cache = cache
+        self.policy = policy
+        self.journal = journal
+        self.emitter = emitter
+        self.out = Outcome()
+        self.backoff = Backoff(policy)
+        self.sweep_id: Optional[str] = None
+        self.tel_root: Optional[str] = None
+        self.queue: Deque[Unit] = deque()
+        #: future -> (unit, True when it runs in a pool worker)
+        self.pending: Dict[Future, Tuple[Unit, bool]] = {}
+        self.deadlines: Dict[Future, float] = {}
+        self.timed_out: Set[Future] = set()
+        self.inline = _InlineExecutor()
+        self.pool = None
+        self.workers = 0
+        self.restarts = 0
+
+    # -- placement -----------------------------------------------------
+
+    def _open_pool(self) -> None:
+        try:
+            self.pool = ProcessPoolExecutor(max_workers=self.workers)
+        except (OSError, PermissionError, ValueError):
+            self._degrade()
+
+    def _shutdown(self) -> None:
+        try:
+            self.pool.shutdown(wait=False, cancel_futures=True)
+        except Exception:  # a broken pool may fail to wind down cleanly
+            pass
+
+    def _degrade(self) -> None:
+        """The pool is gone for good: the remaining units run in-process."""
+        self.pool = None
+        self.out.degraded = True
+        self.emitter.event(
+            "sweep.degraded", remaining=len(self.queue),
+            restarts=self.restarts,
+        )
+
+    def _rebuild(self) -> None:
+        """Replace a broken pool with one half its size; past
+        ``pool_restart_limit``, degrade to in-process."""
+        # every sibling future of a broken pool is doomed
+        for fut, (unit, pooled) in list(self.pending.items()):
+            if pooled:
+                del self.pending[fut]
+                self.deadlines.pop(fut, None)
+                self._lost(unit, self._death(fut, "pool broke while pending"))
+        self.timed_out.clear()
+        self._shutdown()
+        self.restarts += 1
+        self.out.pool_restarts += 1
+        self.workers = max(1, self.workers // 2)
+        self.emitter.event(
+            "sweep.pool_restart", restarts=self.restarts,
+            workers=self.workers,
+        )
+        if self.restarts > self.policy.pool_restart_limit:
+            self._degrade()
+            return
+        self.policy.sleep(self.backoff.next())
+        self._open_pool()
+
+    def _run_inline(self, unit: Unit, attempt: int) -> List[Any]:
+        execute = _begin(
+            unit.specs, [key for key, _ in unit.items], self.journal, attempt
+        )
+        with self.emitter.span(
+            "shard", serial=True,
+            **_shard_attrs(unit.specs, self.sweep_id, attempt),
+        ):
+            return execute(self.cache)
+
+    def _fill(self) -> None:
+        """Submit queued units: every one bound for the pool, then at
+        most one in-process, whose result is handled before anything
+        else runs (so a propagating error stops the sweep there)."""
+        while self.queue:
+            unit = self.queue[0]
+            attempt = unit.attempts + 1
+            pooled = self.pool is not None and not unit.inline
+            # journaled first, so no worker's start can precede it
+            for key, spec in unit.items:
+                self.journal.submitted(
+                    key, label=spec.label(), attempt=attempt
+                )
+            if not pooled:
+                fut = self.inline.submit(self._run_inline, unit, attempt)
+            else:
+                payload = (
+                    unit.specs, [key for key, _ in unit.items],
+                    str(self.cache.root), self.cache.max_bytes,
+                    self.tel_root, self.sweep_id,
+                    str(self.journal.root) if self.journal.active else None,
+                    attempt,
+                )
+                try:
+                    fut = self.pool.submit(_pool_worker, payload)
+                except Exception:  # the pool broke or shut down under us
+                    if not any(p for _, p in self.pending.values()):
+                        self._rebuild()  # no broken future will report it
+                    return
+            self.queue.popleft()
+            unit.attempts = attempt
+            self.pending[fut] = (unit, pooled)
+            if not pooled:
+                return
+            if self.policy.timeout is not None:
+                self.deadlines[fut] = time.monotonic() + self.policy.timeout
+
+    # -- outcomes --------------------------------------------------------
+
+    def _journal_failed(
+        self, unit: Unit, message: str, can_retry: bool
+    ) -> None:
+        for key, _spec in unit.items:
+            self.journal.failed(
+                key, attempt=unit.attempts, error=message,
+                retryable=can_retry,
+            )
+
+    def _retry(self, unit: Unit, message: str) -> None:
+        self.out.retries += 1
+        self.emitter.event(
+            "sweep.retry", digest=unit.items[0][0][:12], label=unit.label,
+            attempt=unit.attempts, error=message[:200],
+        )
+        self.queue.append(unit)
+
+    def _failed(self, unit: Unit, exc: Exception) -> bool:
+        """An execution error; False when it must propagate."""
+        message = _error_text(exc)
+        can_retry = retryable(exc)
+        unit.errors += 1
+        self._journal_failed(unit, message, can_retry)
+        if len(unit.items) > 1:
+            # one bad run must not take its batch-mates down: retry
+            # them one by one, each on its own remaining attempts
+            self.emitter.event(
+                "ensemble.error", label=unit.label, runs=len(unit.items),
+                error=message[:200],
+            )
+            self.queue.extend(
+                Unit([item], attempts=unit.attempts, errors=unit.errors)
+                for item in unit.items
+            )
+            return True
+        # the retry decision: only the spec's own errors use up attempts
+        if can_retry and unit.errors < self.policy.max_attempts:
+            self.policy.sleep(self.backoff.next())
+            self._retry(unit, message)
+            return True
+        if not self.policy.quarantine:
+            return False
+        key, spec = unit.items[0]
+        record = Quarantined(
+            digest=key, label=spec.label(), attempts=unit.attempts,
+            error=message,
+        )
+        self.out.quarantined.append(record)
+        self.journal.quarantined(
+            key, label=record.label, attempts=unit.attempts, error=message
+        )
+        self.emitter.event(
+            "sweep.quarantine", digest=key[:12], label=record.label,
+            attempts=unit.attempts, error=message[:200],
+        )
+        return True
+
+    def _lost(self, unit: Unit, message: str) -> None:
+        """An infrastructure failure — a worker death, a timeout kill, a
+        lost publish — is always retried and never quarantined.  It uses
+        up no attempts: each death breaks the pool, so
+        ``pool_restart_limit`` bounds them."""
+        self._journal_failed(unit, message, True)
+        self._retry(unit, message)
+
+    def _split(self, unit: Unit, exc: Exception) -> None:
+        """The ensemble engine cannot run this batch: its runs go back
+        as single-spec units under the same attempt number."""
+        self.emitter.event(
+            "ensemble.fallback", label=unit.label, runs=len(unit.items),
+            reason=str(exc),
+        )
+        self.queue.extend(
+            Unit([item], unit.attempts - 1, unit.errors)
+            for item in unit.items
+        )
+
+    def _finished(self, unit: Unit, result: List[Any], pooled: bool) -> None:
+        lost = []
+        for (key, spec), value in zip(unit.items, result):
+            # a pool worker returns digests: reload what it published
+            artifact = self.cache.get(spec) if pooled else value
+            if artifact is None:
+                lost.append((key, spec))
+                continue
+            self.out.artifacts[key] = artifact
+            self.journal.finished(key, attempt=unit.attempts)
+        if len(unit.items) > 1:
+            self.out.ensemble_batches += 1
+            self.out.ensemble_runs += len(unit.items)
+        if lost:
+            # the worker's cache write was absorbed (e.g. ENOSPC): a
+            # failed attempt, re-run in-process where the artifact
+            # comes back directly
+            self._lost(
+                Unit(lost, unit.attempts, unit.errors, inline=True),
+                "artifact missing after publish",
+            )
+
+    def _death(self, fut: Future, message: str) -> str:
+        if fut in self.timed_out:
+            return f"timeout after {self.policy.timeout}s (worker killed)"
+        return message
+
+    def _expire(self) -> None:
+        """Kill the workers of timed-out attempts; the broken pool then
+        surfaces on the next wait (one hang counts one timeout)."""
+        now = time.monotonic()
+        expired = [fut for fut, dl in self.deadlines.items() if now >= dl]
+        for fut in expired:
+            del self.deadlines[fut]
+            self.timed_out.add(fut)
+            self.out.timeouts += 1
+            unit = self.pending[fut][0]
+            self.emitter.event(
+                "sweep.timeout", digest=unit.items[0][0][:12],
+                label=unit.label, attempt=unit.attempts,
+                timeout=self.policy.timeout,
+            )
+        if expired:
+            _kill_pool_processes(self.pool)
+
+    # -- the loop ----------------------------------------------------------
+
+    def run(self, units: List[Unit], workers: int = 0) -> None:
+        from repro.ensemble.engine import EnsembleUnsupported
+
+        self.queue.extend(units)
+        if workers:
+            self.workers = workers
+            self._open_pool()
+        try:
+            while self.queue or self.pending:
+                self._fill()
+                if not self.pending:
+                    continue
+                timeout = None
+                if self.deadlines:
+                    timeout = max(
+                        0.0, min(self.deadlines.values()) - time.monotonic()
+                    )
+                done, _ = wait(
+                    set(self.pending), timeout=timeout,
+                    return_when=FIRST_COMPLETED,
+                )
+                if not done:
+                    self._expire()
+                    continue
+                broken = False
+                for fut in done:
+                    unit, pooled = self.pending.pop(fut)
+                    self.deadlines.pop(fut, None)
+                    try:
+                        result = fut.result()
+                    except BrokenProcessPool:
+                        broken = True
+                        self._lost(unit, self._death(
+                            fut, "worker process died before completing"
+                        ))
+                    except EnsembleUnsupported as exc:
+                        self._split(unit, exc)
+                    except Exception as exc:
+                        if not self._failed(unit, exc):
+                            raise
+                    else:
+                        self._finished(unit, result, pooled)
+                if broken:
+                    self._rebuild()
+        finally:
+            if self.pool is not None:
+                self._shutdown()
+
+
+def supervise(
     misses: List[Tuple[str, RunSpec]],
     cache,
     jobs: int,
     *,
-    tel_root: str,
-    sweep_id: str,
     policy: SupervisionPolicy,
     journal,
-    stats: SupervisionStats,
-    artifacts: Dict[str, Any],
-    executed: List[str],
-    quarantined: List[Quarantined],
     emitter,
-) -> Optional[bool]:
-    """Fan misses over a supervised ProcessPoolExecutor.
+) -> Outcome:
+    """Execute a sweep's cache misses; the one way a sweep runs work.
 
-    Returns True when the pool executed (possibly degrading to serial
-    for a tail of misses after repeated pool breaks), or None when a
-    pool could not be created at all (the caller runs the serial path).
-    Artifacts are *not* loaded here — the caller reloads them from the
-    cache, which also covers workers that published before dying.
+    Misses group into units (:func:`repro.ensemble.routing.plan_units`).
+    The units run in-process when there is no cache, ``jobs`` is 1 or
+    there is only one unit; otherwise under a ``fanout`` span across a
+    ``ProcessPoolExecutor`` of ``min(jobs, units)`` workers that
+    publish into the shared store, degrading to in-process when the
+    pool cannot start or breaks too often.  With a telemetry run active
+    the workers emit into it; otherwise into a scratch directory kept
+    only long enough to fold their cache counts.  The parent's own
+    lookups (reloads, in-process units) join those counts under its pid.
     """
-    try:
-        from concurrent.futures import (
-            FIRST_COMPLETED,
-            ProcessPoolExecutor,
-            wait,
-        )
-        from concurrent.futures.process import BrokenProcessPool
-    except ImportError:  # pragma: no cover - stdlib always has it
-        return None
-    from repro.runcache.sweep import _pool_worker
+    from repro.ensemble.routing import plan_units
 
-    state: Dict[str, dict] = {
-        key: {"spec": spec, "attempts": 0, "done": False}
-        for key, spec in misses
-    }
-    backoff = Backoff(policy)
-    workers = min(jobs, len(misses))
-    restarts = 0
-
-    try:
-        pool = ProcessPoolExecutor(max_workers=workers)
-    except (OSError, PermissionError, ValueError):
-        return None
-
-    pending: Dict[Any, str] = {}
-    deadlines: Dict[Any, float] = {}
-    timed_out: Set[Any] = set()
-
-    def submit(key: str) -> bool:
-        """Submit one attempt; False when the pool refused (it broke
-        or shut down underneath us) — the key stays unsubmitted and is
-        either resubmitted after the restart or executed serially as
-        leftover."""
-        info = state[key]
-        spec = info["spec"]
-        attempt = info["attempts"] + 1
-        payload = (
-            spec, str(cache.root), cache.max_bytes, tel_root, sweep_id,
-            str(journal.root) if journal.active else None,
-            attempt,
-        )
-        try:
-            fut = pool.submit(_pool_worker, payload)
-        except Exception:  # BrokenProcessPool / shut-down RuntimeError
-            return False
-        info["attempts"] = attempt
-        journal.submitted(key, label=spec.label(), attempt=attempt)
-        pending[fut] = key
-        if policy.timeout is not None:
-            deadlines[fut] = time.monotonic() + policy.timeout
-        return True
-
-    def record_death(key: str, message: str) -> bool:
-        """Journal a worker death; True when the key should resubmit.
-        Deaths never quarantine: past max attempts the key joins the
-        degraded-serial leftover instead."""
-        info = state[key]
-        journal.failed(
-            key, attempt=info["attempts"], error=message, retryable=True
-        )
-        if info["attempts"] >= policy.max_attempts:
-            return False
-        stats.retries += 1
-        emitter.event(
-            "sweep.retry", digest=key[:12],
-            label=info["spec"].label(), attempt=info["attempts"],
-            error=message[:200],
-        )
-        return True
-
-    try:
-        for key in state:
-            submit(key)
-        while pending:
-            timeout = None
-            if deadlines:
-                timeout = max(
-                    0.0, min(deadlines.values()) - time.monotonic()
-                )
-            done, _ = wait(
-                set(pending), timeout=timeout,
-                return_when=FIRST_COMPLETED,
-            )
-            if not done:
-                now = time.monotonic()
-                expired = [
-                    fut for fut, dl in deadlines.items()
-                    if fut in pending and now >= dl
-                ]
-                if not expired:
-                    continue
-                # a running future cannot be cancelled: kill the
-                # workers, let the broken pool surface on the next wait
-                # (dropping the deadline so one hang counts one timeout)
-                for fut in expired:
-                    key = pending[fut]
-                    deadlines.pop(fut, None)
-                    stats.timeouts += 1
-                    timed_out.add(fut)
-                    emitter.event(
-                        "sweep.timeout", digest=key[:12],
-                        label=state[key]["spec"].label(),
-                        attempt=state[key]["attempts"],
-                        timeout=policy.timeout,
-                    )
-                _kill_pool_processes(pool)
-                continue
-            broken = False
-            resubmit: List[str] = []
-            for fut in done:
-                key = pending.pop(fut)
-                deadlines.pop(fut, None)
-                info = state[key]
-                try:
-                    fut.result()
-                except BrokenProcessPool:
-                    broken = True
-                    message = (
-                        f"timeout after {policy.timeout}s (worker killed)"
-                        if fut in timed_out
-                        else "worker process died before completing"
-                    )
-                    if record_death(key, message):
-                        resubmit.append(key)
-                except Exception as exc:
-                    message = _error_text(exc)
-                    can_retry = retryable(exc)
-                    journal.failed(
-                        key, attempt=info["attempts"], error=message,
-                        retryable=can_retry,
-                    )
-                    if can_retry and info["attempts"] < policy.max_attempts:
-                        stats.retries += 1
-                        emitter.event(
-                            "sweep.retry", digest=key[:12],
-                            label=info["spec"].label(),
-                            attempt=info["attempts"],
-                            error=message[:200],
-                        )
-                        policy.sleep(backoff.next())
-                        if broken or not submit(key):
-                            resubmit.append(key)
-                    elif policy.quarantine:
-                        info["done"] = True
-                        _quarantine(
-                            key, info["spec"], info["attempts"],
-                            message, journal, quarantined, emitter,
-                        )
-                    else:
-                        raise
-                else:
-                    info["done"] = True
-                    journal.finished(key, attempt=info["attempts"])
-            if broken:
-                # every sibling future of a broken pool is doomed —
-                # drain them now and rebuild smaller
-                for fut in list(pending):
-                    key = pending.pop(fut)
-                    deadlines.pop(fut, None)
-                    message = (
-                        f"timeout after {policy.timeout}s (worker killed)"
-                        if fut in timed_out
-                        else "pool broke while pending"
-                    )
-                    if record_death(key, message):
-                        resubmit.append(key)
-                timed_out.clear()
-                try:
-                    pool.shutdown(wait=False, cancel_futures=True)
-                except Exception:
-                    pass
-                restarts += 1
-                stats.pool_restarts += 1
-                workers = max(1, workers // 2)
-                emitter.event(
-                    "sweep.pool_restart", restarts=restarts,
-                    workers=workers,
-                )
-                if restarts > policy.pool_restart_limit:
-                    break
-                policy.sleep(backoff.next())
-                try:
-                    pool = ProcessPoolExecutor(max_workers=workers)
-                except (OSError, PermissionError, ValueError):
-                    break
-                for key in resubmit:
-                    submit(key)
-            elif resubmit:
-                # the pool refused a retry without a visible break
-                # (it broke under a submit); failures stay unsubmitted
-                # and run serially as leftover
-                for key in resubmit:
-                    submit(key)
-    finally:
-        try:
-            pool.shutdown(wait=False, cancel_futures=True)
-        except Exception:
-            pass
-
-    leftover = [
-        (key, state[key]["spec"])
-        for key, _spec in misses
-        if not state[key]["done"] and key not in artifacts
-    ]
-    # a worker may have published to the cache before its pool broke —
-    # don't re-run those serially
-    still_missing = []
-    for key, spec in leftover:
-        artifact = cache.get(spec)
-        if artifact is not None:
-            artifacts[key] = artifact
-            executed.append(key)
-            journal.finished(key, attempt=state[key]["attempts"])
-            state[key]["done"] = True
+    units = [Unit(items) for items in plan_units(misses)]
+    sup = _Supervisor(cache, policy, journal, emitter)
+    sup.out.units = len(units)
+    workers = min(jobs, len(units))
+    if cache is None or workers < 2:
+        sup.run(units)
+    else:
+        ephemeral = None
+        if telemetry_runtime.active():
+            sup.tel_root = str(emitter.run.root)
         else:
-            still_missing.append((key, spec))
-    if still_missing:
-        stats.degraded = True
-        emitter.event(
-            "sweep.degraded", remaining=len(still_missing),
-            restarts=restarts,
-        )
-        run_serial_supervised(
-            still_missing, cache,
-            policy=policy, journal=journal, stats=stats,
-            artifacts=artifacts, executed=executed,
-            quarantined=quarantined, emitter=emitter,
-            sweep_id=sweep_id,
-        )
-    return True
+            ephemeral = tempfile.mkdtemp(prefix="repro-telemetry-")
+            sup.tel_root = ephemeral
+        hits0, misses0 = cache.session_hits, cache.session_misses
+        try:
+            with emitter.span(
+                "fanout", n_misses=len(misses), jobs=workers
+            ) as fanout_span:
+                sup.sweep_id = fanout_span.span_id or new_trace_id()[:12]
+                sup.run(units, workers)
+            records, _skipped = load_records(sup.tel_root)
+            counts = worker_cache_counts(records, sup.sweep_id)
+        finally:
+            if ephemeral is not None:
+                shutil.rmtree(ephemeral, ignore_errors=True)
+        delta_h = cache.session_hits - hits0
+        delta_m = cache.session_misses - misses0
+        if delta_h or delta_m:
+            mine = counts.setdefault(
+                str(os.getpid()), {"hits": 0, "misses": 0}
+            )
+            mine["hits"] += delta_h
+            mine["misses"] += delta_m
+        sup.out.worker_cache = counts
+        sup.out.fanout = True
+    sup.out.executed = [
+        key for key, _ in misses if key in sup.out.artifacts
+    ]
+    return sup.out

@@ -1,11 +1,13 @@
-"""Executing run specs — serially, through the cache, or across a pool.
+"""Executing run specs — one at a time, through the cache, or a sweep.
 
 :func:`execute_spec` is the single place a :class:`RunSpec` is turned
 back into a live simulation; :func:`run_and_store` memoizes it through
-a :class:`RunCache`; :func:`sweep` takes a whole list of specs, dedupes
-them against the cache, and fans the misses out over a process pool
-(``jobs`` workers, default ``os.cpu_count()``, degrading gracefully to
-serial on 1-CPU boxes or when the pool cannot start).
+a :class:`RunCache`; :func:`prepare_unit` wraps one spec, or one
+homogeneous capture batch for the ensemble engine, as a unit of work.
+:func:`sweep` takes a whole list of specs, dedupes them against the
+cache, and hands the misses to the supervisor
+(:func:`repro.runcache.resilience.supervise`), the one executor every
+sweep uses — in-process, or across a process pool of ``jobs`` workers.
 
 On top sit the two sweep assemblers the benchmark scripts use:
 :func:`attribution_sweep` (the ``BENCH_attribution.json`` payload) and
@@ -18,11 +20,10 @@ wall-clock, never results.
 from __future__ import annotations
 
 import os
-import shutil
 import tempfile
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.runcache import resilience
 from repro.runcache.key import RunSpec, _as_params
@@ -30,13 +31,10 @@ from repro.runcache.resilience import (
     NULL_JOURNAL,
     Quarantined,
     SupervisionPolicy,
-    SupervisionStats,
     SweepJournal,
 )
 from repro.runcache.store import RunCache
 from repro.telemetry import runtime as telemetry_runtime
-from repro.telemetry.emit import new_trace_id
-from repro.telemetry.merge import load_records, worker_cache_counts
 
 #: artifact schema stamp stored alongside trace-kind artifacts
 TRACE_ARTIFACT_KEYS = ("files", "summary", "n_trace_events")
@@ -442,6 +440,46 @@ def run_and_store(
     return artifact, False
 
 
+def prepare_unit(
+    specs: Sequence[RunSpec],
+) -> Callable[[Optional[RunCache]], List[Any]]:
+    """A unit of work as a deferred ``execute(cache) -> artifacts``.
+
+    One spec runs through :func:`run_and_store` (or plain
+    :func:`execute_spec` without a cache).  Several specs are a capture
+    batch for the ensemble engine, built here so a batch it cannot run
+    raises :class:`~repro.ensemble.engine.EnsembleUnsupported` before
+    anything executes; each run is stored under its own digest.
+    """
+    if len(specs) == 1:
+        (spec,) = specs
+
+        def execute(cache: Optional[RunCache]) -> List[Any]:
+            if cache is None:
+                return [execute_spec(spec)]
+            return [run_and_store(cache, spec)[0]]
+
+        return execute
+
+    from repro.ensemble import routing
+
+    run_batch = routing.prepare_batch(specs)
+
+    def execute_batch(cache: Optional[RunCache]) -> List[Any]:
+        if "REPRO_PROCESS_FAULTS" in os.environ:  # chaos harness only
+            from repro.faults import process as process_faults
+
+            for spec in specs:
+                process_faults.execution_fault(spec.label())
+        artifacts = run_batch()
+        if cache is not None:
+            for spec, artifact in zip(specs, artifacts):
+                cache.put(spec, artifact)
+        return artifacts
+
+    return execute_batch
+
+
 # -- the orchestrator --------------------------------------------------------
 
 
@@ -457,7 +495,7 @@ class SweepResult:
     #: distinct digests actually executed (cache misses after dedup)
     executed: List[str] = field(default_factory=list)
     #: True when the misses ran under a fan-out span — across the
-    #: process pool, or serially after the pool degraded
+    #: process pool, or in-process after the pool degraded
     fanout: bool = False
     #: per pool worker: ``{"hits": n, "misses": n}`` against the shared
     #: store, folded out of the workers' telemetry by the merge step
@@ -469,12 +507,12 @@ class SweepResult:
     retries: int = 0
     timeouts: int = 0
     pool_restarts: int = 0
-    #: True when repeated pool breaks forced in-process serial execution
+    #: True when pool failures moved work in-process
     degraded: bool = False
     #: cache hits that were also journaled complete by the interrupted
     #: run this sweep resumed (served with zero re-execution)
     resumed: int = 0
-    #: homogeneous miss-batches routed through the vectorized ensemble
+    #: homogeneous capture batches run by the vectorized ensemble
     #: engine, and the runs they covered (see :mod:`repro.ensemble`)
     ensemble_batches: int = 0
     ensemble_runs: int = 0
@@ -513,55 +551,6 @@ class SweepResult:
         raise KeyError(f"spec not in sweep: {spec.label()}")
 
 
-def _pool_worker(args) -> str:
-    """Execute one spec in a subprocess, publishing into the shared
-    on-disk cache; returns the digest the parent reloads.
-
-    The payload carries the parent's telemetry run directory and
-    fan-out span id, so the worker joins the parent's trace: it opens
-    its own JSONL file in the run, wraps the execution in a ``shard``
-    span parented to the fan-out, and publishes its cache hit/miss
-    counts as sweep-labeled counter samples the parent folds back into
-    :attr:`SweepResult.worker_cache`.  With a journal active it also
-    appends a ``started`` record *before* executing — the proof the
-    chaos harness uses that resumed sweeps never re-enter completed
-    specs.
-    """
-    spec, root, max_bytes, tel_root, sweep_id, journal_root, attempt = args
-    cache = RunCache(root, max_bytes=max_bytes)
-    digest = cache.digest(spec)
-    journal = (
-        SweepJournal(journal_root) if journal_root else NULL_JOURNAL
-    )
-    journal.started(digest, attempt=attempt)
-    if "REPRO_PROCESS_FAULTS" in os.environ:  # chaos harness only
-        from repro.faults import process as process_faults
-
-        # may SIGKILL or hang this worker — after the journal record,
-        # so the parent sees a started-but-never-finished entry
-        process_faults.worker_started(spec.label())
-    emitter = telemetry_runtime.activate(tel_root, parent_id=sweep_id)
-    try:
-        with emitter.span(
-            "shard", label=spec.label(), kind=spec.kind,
-            sweep=sweep_id, attempt=attempt,
-        ):
-            run_and_store(cache, spec)
-        worker = str(os.getpid())
-        emitter.counter(
-            "worker_cache_hits", cache.session_hits,
-            sweep=sweep_id, worker=worker,
-        )
-        emitter.counter(
-            "worker_cache_misses", cache.session_misses,
-            sweep=sweep_id, worker=worker,
-        )
-    finally:
-        telemetry_runtime.deactivate()
-        journal.close()
-    return digest
-
-
 def default_jobs() -> int:
     """Worker-pool width: the CPUs *this process may run on*.
 
@@ -583,16 +572,17 @@ def sweep(
     journal: Optional[os.PathLike] = None,
     resume: Optional[os.PathLike] = None,
     policy: Optional[SupervisionPolicy] = None,
-    ensemble: Optional[bool] = None,
 ) -> SweepResult:
     """Dedupe ``specs`` against the cache and execute the misses.
 
-    Without a cache every *distinct* spec executes serially in-process
-    (duplicates still dedupe).  With a cache, misses run across a
-    ``ProcessPoolExecutor`` of ``jobs`` workers (default
-    ``os.cpu_count()``) that publish into the shared store; a 1-CPU
-    box, a single miss, or a pool that fails to start all degrade to
-    the serial path.
+    Without a cache every *distinct* spec executes in-process
+    (duplicates still dedupe).  The misses go to the supervisor
+    (:func:`repro.runcache.resilience.supervise`) as units of work — a
+    homogeneous capture batch runs through the vectorized ensemble
+    engine as one unit.  With a cache and more than one unit they run
+    across a ``ProcessPoolExecutor`` of ``jobs`` workers (default
+    :func:`default_jobs`) that publish into the shared store; a pool
+    that cannot start degrades to in-process.
 
     Crash safety (see :mod:`repro.runcache.resilience`):
 
@@ -603,20 +593,11 @@ def sweep(
       re-execution, previously quarantined digests stay quarantined
       (unless ``policy.retry_quarantined``), and journaling continues
       into the same file;
-    * ``policy`` sets retries/timeout/quarantine.  Defaults preserve
-      the historical semantics for plain calls (first error
+    * ``policy`` sets retries/timeout/quarantine.  Plain calls get
+      :data:`~repro.runcache.resilience.PROPAGATE_POLICY` (first error
       propagates); journaled or resumed sweeps default to the
       supervised :class:`SupervisionPolicy` (bounded retries,
       quarantine instead of raise).
-
-    ``ensemble`` controls the vectorized batch path (see
-    :mod:`repro.ensemble`): ``None`` (auto, the default) and ``True``
-    route homogeneous miss-batches — same workload family and step
-    count, varying seed/threads/machine — through the batched engine
-    before the pool sees them; ``False`` disables routing.  Either way
-    every run's artifact is published under its own spec digest with
-    identical journal records, so cache/journal consumers see no
-    difference.
     """
     if resume is not None and journal is not None and (
         Path(resume) != Path(journal)
@@ -640,7 +621,6 @@ def sweep(
 
     jobs = default_jobs() if jobs is None else max(1, jobs)
     emitter = telemetry_runtime.current()
-    stats = SupervisionStats()
     quarantined: List[Quarantined] = []
     resumed = 0
     try:
@@ -704,184 +684,52 @@ def sweep(
                 resumed=resume is not None,
             )
 
-            executed: List[str] = []
-            worker_cache: Dict[str, Dict[str, int]] = {}
-            fanout = False
-            ensemble_batches = ensemble_runs = 0
-            if misses and ensemble is not False and (
-                # the process-fault chaos harness injects faults into
-                # pool workers; keep its misses on the process path
-                "REPRO_PROCESS_FAULTS" not in os.environ
-            ):
-                from repro.ensemble.routing import route_misses
-
-                ensemble_batches, ensemble_runs, misses = route_misses(
-                    misses, cache,
-                    journal=jrnl, artifacts=artifacts,
-                    executed=executed, emitter=emitter,
+            outcome = (
+                resilience.supervise(
+                    misses, cache, jobs,
+                    policy=policy, journal=jrnl, emitter=emitter,
                 )
-            if misses:
-                pool_counts = None
-                pooled = (
-                    cache is not None and jobs > 1 and len(misses) > 1
-                )
-                if pooled:
-                    pool_counts = _sweep_parallel(
-                        misses, cache, jobs, artifacts, executed,
-                        policy=policy, journal=jrnl, stats=stats,
-                        quarantined=quarantined, emitter=emitter,
-                    )
-                if pool_counts is None:
-                    # deliberate serial (no cache / 1 job / 1 miss), or
-                    # degraded: the pool could not be created at all
-                    if pooled:
-                        stats.degraded = True
-                        with emitter.span(
-                            "fanout", n_misses=len(misses), jobs=1,
-                            degraded=True,
-                        ) as fanout_span:
-                            sweep_id = (
-                                fanout_span.span_id
-                                or new_trace_id()[:12]
-                            )
-                            emitter.event(
-                                "sweep.degraded",
-                                remaining=len(misses), restarts=0,
-                            )
-                            worker_cache = (
-                                resilience.run_serial_supervised(
-                                    misses, cache, policy=policy,
-                                    journal=jrnl, stats=stats,
-                                    artifacts=artifacts,
-                                    executed=executed,
-                                    quarantined=quarantined,
-                                    emitter=emitter, sweep_id=sweep_id,
-                                )
-                            )
-                        fanout = True
-                    else:
-                        resilience.run_serial_supervised(
-                            misses, cache, policy=policy,
-                            journal=jrnl, stats=stats,
-                            artifacts=artifacts, executed=executed,
-                            quarantined=quarantined, emitter=emitter,
-                        )
-                else:
-                    fanout = True
-                    worker_cache = pool_counts
+                if misses
+                else resilience.Outcome()
+            )
+            artifacts.update(outcome.artifacts)
+            quarantined.extend(outcome.quarantined)
+            result = SweepResult(
+                specs=list(specs),
+                artifacts=[artifacts.get(k) for k in keys],
+                hit_flags=[hit_by_key[k] for k in keys],
+                jobs=jobs if outcome.units > 1 else 1,
+                executed=outcome.executed,
+                fanout=outcome.fanout,
+                worker_cache=outcome.worker_cache,
+                quarantined=quarantined,
+                retries=outcome.retries,
+                timeouts=outcome.timeouts,
+                pool_restarts=outcome.pool_restarts,
+                degraded=outcome.degraded,
+                resumed=resumed,
+                ensemble_batches=outcome.ensemble_batches,
+                ensemble_runs=outcome.ensemble_runs,
+            )
             if sweep_span.span_id is not None:
                 sweep_span.attrs.update(
                     unique=len(unique),
-                    misses=len(misses),
-                    fanout=fanout,
-                    retries=stats.retries,
+                    misses=result.misses,
+                    fanout=result.fanout,
+                    retries=result.retries,
                     quarantined=len(quarantined),
-                    degraded=stats.degraded,
+                    degraded=result.degraded,
                     resumed_hits=resumed,
-                    ensemble_batches=ensemble_batches,
-                    ensemble_runs=ensemble_runs,
+                    ensemble_batches=result.ensemble_batches,
+                    ensemble_runs=result.ensemble_runs,
                 )
         jrnl.end(
-            executed=len(executed), quarantined=len(quarantined),
+            executed=len(result.executed), quarantined=len(quarantined),
             resumed=resumed,
         )
     finally:
         jrnl.close()
-
-    return SweepResult(
-        specs=list(specs),
-        artifacts=[artifacts.get(k) for k in keys],
-        hit_flags=[hit_by_key[k] for k in keys],
-        jobs=jobs if len(misses) > 1 else 1,
-        executed=executed,
-        fanout=fanout,
-        worker_cache=worker_cache,
-        quarantined=quarantined,
-        retries=stats.retries,
-        timeouts=stats.timeouts,
-        pool_restarts=stats.pool_restarts,
-        degraded=stats.degraded,
-        resumed=resumed,
-        ensemble_batches=ensemble_batches,
-        ensemble_runs=ensemble_runs,
-    )
-
-
-def _sweep_parallel(
-    misses: List[Tuple[str, RunSpec]],
-    cache: RunCache,
-    jobs: int,
-    artifacts: Dict[str, Any],
-    executed: List[str],
-    *,
-    policy: SupervisionPolicy,
-    journal,
-    stats: SupervisionStats,
-    quarantined: List[Quarantined],
-    emitter,
-) -> Optional[Dict[str, Dict[str, int]]]:
-    """Fan cache misses out over a supervised process pool.
-
-    Returns the per-worker cache hit/miss counts folded out of the
-    workers' telemetry, or ``None`` when a pool could not be created
-    at all (the caller falls back to the serial path).  With a
-    telemetry run active the workers emit straight into it; otherwise
-    they emit into an ephemeral directory that exists only long enough
-    to fold the counts, so :attr:`SweepResult.worker_cache` is
-    populated either way.  If supervision degraded part of the work to
-    in-process serial, the parent's own hit/miss delta joins the counts
-    under its pid.
-    """
-    ephemeral: Optional[str] = None
-    if telemetry_runtime.active():
-        tel_root = str(emitter.run.root)
-    else:
-        ephemeral = tempfile.mkdtemp(prefix="repro-telemetry-")
-        tel_root = ephemeral
-    parent_hits = cache.session_hits
-    parent_misses = cache.session_misses
-    try:
-        with emitter.span(
-            "fanout", n_misses=len(misses), jobs=min(jobs, len(misses))
-        ) as fanout_span:
-            sweep_id = fanout_span.span_id or new_trace_id()[:12]
-            ran = resilience.run_pool_supervised(
-                misses, cache, jobs,
-                tel_root=tel_root, sweep_id=sweep_id,
-                policy=policy, journal=journal, stats=stats,
-                artifacts=artifacts, executed=executed,
-                quarantined=quarantined, emitter=emitter,
-            )
-            if ran is None:
-                return None
-        records, _skipped = load_records(tel_root)
-        counts = worker_cache_counts(records, sweep_id)
-    finally:
-        if ephemeral is not None:
-            shutil.rmtree(ephemeral, ignore_errors=True)
-    done_keys = set(executed) | set(artifacts)
-    quarantined_keys = {q.digest for q in quarantined}
-    for key, spec in misses:
-        if key in quarantined_keys:
-            continue
-        if key in artifacts:
-            continue
-        artifact = cache.get(spec)
-        if artifact is None:  # worker died before publishing
-            artifact, _ = run_and_store(cache, spec)
-        artifacts[key] = artifact
-        if key not in done_keys:
-            executed.append(key)
-    # the parent's own lookups (reloads + degraded serial execution)
-    # count as one more worker so fan-out accounting stays conserved
-    delta_h = cache.session_hits - parent_hits
-    delta_m = cache.session_misses - parent_misses
-    if delta_h or delta_m:
-        me = str(os.getpid())
-        mine = counts.setdefault(me, {"hits": 0, "misses": 0})
-        mine["hits"] += delta_h
-        mine["misses"] += delta_m
-    return counts
+    return result
 
 
 # -- sweep assemblers --------------------------------------------------------

@@ -249,6 +249,36 @@ def test_sigkilled_pool_worker_does_not_cost_the_sweep(
     ]
 
 
+def test_worker_deaths_use_up_no_attempts(cache, arm, tmp_path):
+    """A spec whose worker dies still gets every attempt the policy
+    grants its own execution: death, two flaky failures, then success."""
+    arm(
+        kill_labels=("observe:salt:s1:x1:*",), kill_starts=1,
+        flaky_labels=("observe:salt:s1:x1:*",), flaky_failures=2,
+    )
+    specs = _specs(2)
+    result = sweep(
+        specs, cache, jobs=2,
+        journal=tmp_path / "journal",
+        policy=SupervisionPolicy(max_attempts=3, **NOSLEEP),
+    )
+    assert result.ok
+    if not result.fanout:  # pragma: no cover - single-CPU / no-pool box
+        pytest.skip("process pool unavailable; no worker to kill")
+    state = load_journal(tmp_path / "journal")
+    digest = cache.digest(specs[0])
+    trail = [
+        (r["kind"], r["attempt"], r.get("error", "").startswith("Injected"))
+        for r in state.records
+        if r.get("digest") == digest and r["kind"] in ("failed", "finished")
+    ]
+    assert trail == [
+        ("failed", 1, False),  # the worker died
+        ("failed", 2, True),
+        ("failed", 3, True),
+        ("finished", 4, False),
+    ]
+
 def test_degraded_serial_path_reports_like_the_pooled_path(
     cache, tmp_path, monkeypatch
 ):
@@ -258,9 +288,10 @@ def test_degraded_serial_path_reports_like_the_pooled_path(
     from repro.telemetry import runtime as telemetry_runtime
     from repro.telemetry.merge import load_records
 
-    monkeypatch.setattr(
-        resilience, "run_pool_supervised", lambda *a, **k: None
-    )
+    def no_pool(*_args, **_kwargs):
+        raise OSError("process pools are unavailable")
+
+    monkeypatch.setattr(resilience, "ProcessPoolExecutor", no_pool)
     telemetry_runtime.activate(tmp_path / "tel", label="degraded")
     try:
         result = sweep(_specs(2), cache, jobs=2)
@@ -282,6 +313,47 @@ def test_degraded_serial_path_reports_like_the_pooled_path(
         r.get("kind") == "event" and r["name"] == "sweep.degraded"
         for r in records
     )
+
+
+def test_lost_publish_reruns_under_supervision(cache, arm, tmp_path):
+    """A worker's absorbed cache write (ENOSPC) is a failed attempt: the
+    re-run is journaled and traced like every other execution."""
+    from repro.telemetry import runtime as telemetry_runtime
+    from repro.telemetry.merge import load_records
+
+    arm(enospc_kinds=("observe",), enospc_puts=1)
+    specs = _specs(2)
+    telemetry_runtime.activate(tmp_path / "tel", label="enospc")
+    try:
+        result = sweep(
+            specs, cache, jobs=2,
+            journal=tmp_path / "journal",
+            policy=SupervisionPolicy(**NOSLEEP),
+        )
+    finally:
+        telemetry_runtime.deactivate()
+    assert result.ok
+    if not result.fanout:  # pragma: no cover - single-CPU / no-pool box
+        pytest.skip("process pool unavailable; no publish to lose")
+
+    records, _ = load_records(tmp_path / "tel")
+    executions = [
+        r for r in records
+        if r.get("kind") == "event"
+        and r["name"] in ("cache.put", "cache.put_failed")
+        and r["attrs"].get("kind") == "observe"
+    ]
+    shards = [
+        r for r in records
+        if r.get("kind") == "span" and r["name"] == "shard"
+        and r["attrs"].get("kind") == "observe"
+    ]
+    state = load_journal(tmp_path / "journal")
+    assert len(executions) == len(specs) + 1
+    assert sum(state.started.values()) == len(executions)
+    assert len(shards) == len(executions)
+    failed = [r for r in state.records if r["kind"] == "failed"]
+    assert len(failed) == 1 and failed[0]["retryable"]
 
 
 # ------------------------------------------- the resume soundness property
@@ -322,3 +394,4 @@ def test_property_resumed_sweep_matches_uninterrupted(
     assert [dumps_artifact(a) for a in resumed.artifacts] == [
         dumps_artifact(a) for a in reference.artifacts
     ]
+

@@ -226,3 +226,32 @@ def test_default_jobs_empty_mask_degrades_to_cpu_count(monkeypatch):
     )
     monkeypatch.setattr(sweep_mod.os, "cpu_count", lambda: 3)
     assert sweep_mod.default_jobs() == 3
+
+
+# ------------------------------------------------------ the sweep span
+
+
+def test_sweep_span_reports_the_result_misses(tmp_path):
+    """The span's ``misses`` is SweepResult.misses, also when the misses
+    run as one ensemble batch — which never starts a pool."""
+    from repro.telemetry import runtime as telemetry_runtime
+    from repro.telemetry.merge import load_records
+
+    specs = [capture_spec("gas-8", 2, seed=s) for s in range(4)]
+    telemetry_runtime.activate(tmp_path / "tel", label="span")
+    try:
+        result = sweep(specs, RunCache(tmp_path / "store"), jobs=2)
+    finally:
+        telemetry_runtime.deactivate()
+
+    assert result.misses == 4 and result.ensemble_runs == 4
+    assert not result.fanout and result.jobs == 1
+    records, _ = load_records(tmp_path / "tel")
+    (span,) = [
+        r for r in records
+        if r.get("kind") == "span" and r["name"] == "sweep"
+    ]
+    assert span["attrs"]["misses"] == result.misses
+    assert not any(
+        r.get("kind") == "span" and r["name"] == "fanout" for r in records
+    )
