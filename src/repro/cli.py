@@ -816,7 +816,7 @@ def _add_cache_flags(p, jobs: bool = True) -> None:
         p.add_argument(
             "--jobs", type=_positive_int, default=None,
             help="process-pool width for cache misses "
-            "(default: os.cpu_count())",
+            "(default: the CPUs in this process's affinity mask)",
         )
 
 

@@ -48,6 +48,7 @@ from repro.runcache.sweep import (
     capture_spec,
     default_jobs,
     execute_spec,
+    nested_capture,
     observe_spec,
     run_and_store,
     sweep,
@@ -78,6 +79,7 @@ __all__ = [
     "execute_spec",
     "journal_specs",
     "load_journal",
+    "nested_capture",
     "observe_spec",
     "run_and_store",
     "spec_digest",

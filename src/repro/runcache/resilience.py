@@ -17,6 +17,16 @@ the ``shard`` spans; the only thing that varies is where a unit runs:
 In-process units run through an executor that hands back completed
 futures, so both placements share the same ``wait()`` loop.
 
+Each nested physics capture is computed once per sweep.  The first
+pending pool unit that needs a capture
+(:func:`repro.runcache.sweep.nested_capture`, or a capture spec's own)
+*claims* it.  A later unit needing the same capture, not yet in the
+cache, is held back: it stays queued, with no ``submitted`` record,
+until the claimant leaves ``pending`` — it finished, failed, was lost,
+or was dropped with a broken pool — and a free worker takes the next
+ready unit meanwhile.  Captures still run nested inside the first
+dependent's ``shard``, so journals, spans and artifacts are unchanged.
+
 Around the supervisor sit the pieces that make a sweep crash-safe:
 
 * :class:`SweepJournal` — a per-sweep append-only JSONL journal
@@ -522,6 +532,8 @@ class _Supervisor:
         self.deadlines: Dict[Future, float] = {}
         self.timed_out: Set[Future] = set()
         self.inline = _InlineExecutor()
+        #: item digest -> ``(digest, spec)`` of the capture it needs
+        self.captures: Dict[str, Tuple[str, RunSpec]] = {}
         self.pool = None
         self.workers = 0
         self.restarts = 0
@@ -583,12 +595,51 @@ class _Supervisor:
         ):
             return execute(self.cache)
 
+    def _needs(self, unit: Unit) -> List[Tuple[str, RunSpec]]:
+        """``(digest, spec)`` of each capture the unit computes: a
+        capture spec's own, else its :func:`nested_capture`."""
+        from repro.runcache.sweep import nested_capture
+
+        needs = []
+        for key, spec in unit.items:
+            if key not in self.captures:
+                dep = nested_capture(spec)
+                self.captures[key] = (
+                    (key, spec) if dep is None
+                    else (self.cache.digest(dep), dep)
+                )
+            needs.append(self.captures[key])
+        return needs
+
+    def _held(self, unit: Unit, claimed: Set[str]) -> bool:
+        """A capture another pending pool unit is computing, and that
+        is not stored yet, holds the unit back."""
+        return any(
+            digest in claimed and not self.cache.contains(dep)
+            for digest, dep in self._needs(unit)
+        )
+
     def _fill(self) -> None:
-        """Submit queued units: every one bound for the pool, then at
-        most one in-process, whose result is handled before anything
-        else runs (so a propagating error stops the sweep there)."""
-        while self.queue:
-            unit = self.queue[0]
+        """Submit queued units: every ready one bound for the pool,
+        then at most one in-process, whose result is handled before anything
+        else runs (so a propagating error stops the sweep there).
+
+        The first pending pool unit that needs a capture *claims* it;
+        later units needing it stay queued, unsubmitted, until the
+        claimant leaves ``pending``, unless the capture is stored
+        first.  So each capture is computed once, and a free worker
+        takes the next ready unit instead."""
+        claimed = {
+            digest
+            for unit, pooled in self.pending.values() if pooled
+            for digest, _ in self._needs(unit)
+        }
+        i = 0
+        while i < len(self.queue):
+            unit = self.queue[i]
+            if claimed and self._held(unit, claimed):
+                i += 1
+                continue
             attempt = unit.attempts + 1
             pooled = self.pool is not None and not unit.inline
             # journaled first, so no worker's start can precede it
@@ -612,11 +663,12 @@ class _Supervisor:
                     if not any(p for _, p in self.pending.values()):
                         self._rebuild()  # no broken future will report it
                     return
-            self.queue.popleft()
+            del self.queue[i]
             unit.attempts = attempt
             self.pending[fut] = (unit, pooled)
             if not pooled:
                 return
+            claimed.update(digest for digest, _ in self._needs(unit))
             if self.policy.timeout is not None:
                 self.deadlines[fut] = time.monotonic() + self.policy.timeout
 

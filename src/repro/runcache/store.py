@@ -239,8 +239,11 @@ class RunCache:
         )
 
     def contains(self, spec: RunSpec) -> bool:
-        pkl, _meta = self._paths(self.digest(spec))
-        return pkl.exists()
+        """Whether a complete entry is stored: uncounted, never
+        unpickled.  The meta lands after the artifact, so an entry
+        mid-put does not count yet."""
+        pkl, meta = self._paths(self.digest(spec))
+        return meta.exists() and pkl.exists()
 
     # -- writes ----------------------------------------------------------
 

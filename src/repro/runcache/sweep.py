@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import os
 import tempfile
+from contextvars import ContextVar
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
@@ -204,22 +205,48 @@ def _run_kwargs(spec: RunSpec) -> Dict[str, Any]:
     return kwargs
 
 
+def nested_capture(spec: RunSpec) -> Optional[RunSpec]:
+    """The capture spec a non-capture spec's executor loads (its one
+    nested dependency); None for a capture spec.
+
+    The supervisor schedules against this too, so a sweep computes each
+    nested capture once (see :mod:`repro.runcache.resilience`)."""
+    if spec.kind == "capture":
+        return None
+    return capture_spec(spec.workload, spec.steps)
+
+
+#: per no-cache sweep: capture encoding -> trace, so a sweep without a
+#: cache captures each nested dependency once; None outside such a sweep
+_SWEEP_CAPTURES: ContextVar[Optional[Dict[str, Any]]] = ContextVar(
+    "repro_sweep_captures", default=None
+)
+
+
+def _load_capture(cache: Optional[RunCache], spec: RunSpec):
+    """A capture artifact through the cache, or — without one — the
+    current no-cache sweep's memo, else a fresh capture."""
+    if cache is not None:
+        return run_and_store(cache, spec)[0]
+    memo = _SWEEP_CAPTURES.get()
+    if memo is None:
+        return _execute_capture(spec)
+    key = spec.encode()
+    if key not in memo:
+        memo[key] = _execute_capture(spec)
+    return memo[key]
+
+
 def cached_capture(
     cache: Optional[RunCache], workload: str, steps: int
 ):
     """The captured physics trace for a workload, through the cache.
 
-    ``cache=None`` degrades to a plain :func:`capture_trace` call, so
-    callers need no branching.
+    ``cache=None`` degrades to a plain :func:`capture_trace` call
+    (memoized inside a no-cache :func:`sweep`), so callers need no
+    branching.
     """
-    from repro.core.simulate import capture_trace
-    from repro.workloads import BUILDERS, resolve_workload
-
-    name = resolve_workload(workload)
-    if cache is None:
-        return capture_trace(BUILDERS[name](), steps)
-    artifact, _hit = run_and_store(cache, capture_spec(name, steps))
-    return artifact
+    return _load_capture(cache, capture_spec(workload, steps))
 
 
 def _execute_capture(spec: RunSpec):
@@ -234,7 +261,7 @@ def _execute_observe(spec: RunSpec, cache: Optional[RunCache]):
     from repro.workloads import BUILDERS
 
     wl = BUILDERS[spec.workload]()
-    trace = cached_capture(cache, spec.workload, spec.steps)
+    trace = _load_capture(cache, nested_capture(spec))
     obs = observe_run(
         trace,
         wl.system.n_atoms,
@@ -270,7 +297,7 @@ def _execute_trace(spec: RunSpec, cache: Optional[RunCache]) -> dict:
 
     machine_spec = _machine_spec(spec.machine)
     wl = BUILDERS[spec.workload]()
-    trace = cached_capture(cache, spec.workload, spec.steps)
+    trace = _load_capture(cache, nested_capture(spec))
     machine = SimMachine(machine_spec, seed=spec.seed)
     tracer = Tracer().attach(machine.sim)
     run = SimulatedParallelRun(
@@ -341,7 +368,7 @@ def _execute_chaos_ref(spec: RunSpec, cache: Optional[RunCache]) -> dict:
     from repro.workloads import BUILDERS
 
     wl = BUILDERS[spec.workload]()
-    trace = cached_capture(cache, spec.workload, spec.steps)
+    trace = _load_capture(cache, nested_capture(spec))
     machine = SimMachine(_machine_spec(spec.machine), seed=spec.seed)
     kwargs = _run_kwargs(spec)
     ref = SimulatedParallelRun(
@@ -358,7 +385,7 @@ def _execute_chaos_case(spec: RunSpec, cache: Optional[RunCache]) -> dict:
     from repro.workloads import BUILDERS
 
     wl = BUILDERS[spec.workload]()
-    trace = cached_capture(cache, spec.workload, spec.steps)
+    trace = _load_capture(cache, nested_capture(spec))
     plan = (
         FaultPlan.from_dict(spec.fault_plan)
         if spec.fault_plan is not None
@@ -386,7 +413,7 @@ def _execute_toolerror(spec: RunSpec, cache: Optional[RunCache]) -> dict:
     from repro.obs.leaderboard import toolerror_cell
 
     _machine_spec(spec.machine)  # validate before the expensive part
-    trace = cached_capture(cache, spec.workload, spec.steps)
+    trace = _load_capture(cache, nested_capture(spec))
     periods = tuple(spec.options.get("periods") or (1.0, 0.005))
     return toolerror_cell(
         spec.workload,
@@ -582,7 +609,11 @@ def sweep(
     engine as one unit.  With a cache and more than one unit they run
     across a ``ProcessPoolExecutor`` of ``jobs`` workers (default
     :func:`default_jobs`) that publish into the shared store; a pool
-    that cannot start degrades to in-process.
+    that cannot start degrades to in-process.  A unit whose
+    :func:`nested_capture` another pending pool unit is computing is
+    held back until that unit ends or the capture is stored, so each
+    capture is computed once; without a cache the sweep memoizes its
+    nested captures in memory for its own lifetime.
 
     Crash safety (see :mod:`repro.runcache.resilience`):
 
@@ -684,14 +715,20 @@ def sweep(
                 resumed=resume is not None,
             )
 
-            outcome = (
-                resilience.supervise(
-                    misses, cache, jobs,
-                    policy=policy, journal=jrnl, emitter=emitter,
+            # without a cache, each nested capture is memoized for the
+            # lifetime of this sweep only
+            memo = _SWEEP_CAPTURES.set({} if cache is None else None)
+            try:
+                outcome = (
+                    resilience.supervise(
+                        misses, cache, jobs,
+                        policy=policy, journal=jrnl, emitter=emitter,
+                    )
+                    if misses
+                    else resilience.Outcome()
                 )
-                if misses
-                else resilience.Outcome()
-            )
+            finally:
+                _SWEEP_CAPTURES.reset(memo)
             artifacts.update(outcome.artifacts)
             quarantined.extend(outcome.quarantined)
             result = SweepResult(

@@ -7,6 +7,8 @@ result.
 """
 
 import json
+import signal
+from contextlib import contextmanager
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -354,6 +356,99 @@ def test_lost_publish_reruns_under_supervision(cache, arm, tmp_path):
     assert len(shards) == len(executions)
     failed = [r for r in state.records if r["kind"] == "failed"]
     assert len(failed) == 1 and failed[0]["retryable"]
+
+
+# ------------------------------------------------ nested capture claims
+
+
+@contextmanager
+def _wall_clock_guard(seconds):
+    """Fail instead of hanging: a claim that is never released would
+    hold its dependents back forever."""
+
+    def expired(_signum, _frame):
+        raise TimeoutError(f"sweep still running after {seconds}s")
+
+    previous = signal.signal(signal.SIGALRM, expired)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+#: the ways a pending unit's claim on its nested capture ends early
+CLAIM_ENDS = {
+    # the claimant's worker dies before executing
+    "killed": dict(kill_labels=("observe:salt:*",), kill_starts=1),
+    # the claimant fails before capturing
+    "failed": dict(flaky_labels=("observe:salt:*",), flaky_failures=1),
+    # the claimant captures but its put is absorbed, so the next
+    # dependent must claim and capture itself
+    "absorbed": dict(enospc_kinds=("capture",), enospc_puts=1),
+}
+
+
+@pytest.mark.parametrize("end", sorted(CLAIM_ENDS))
+def test_claims_are_released_however_the_claimant_ends(
+    cache, arm, tmp_path, end
+):
+    from repro.telemetry import runtime as telemetry_runtime
+    from repro.telemetry.merge import load_records
+
+    arm(**CLAIM_ENDS[end])
+    specs = _specs(3, "salt") + _specs(2, "nanocar")
+    telemetry_runtime.activate(tmp_path / "tel", label=end)
+    try:
+        with _wall_clock_guard(120):
+            result = sweep(
+                specs, cache, jobs=2,
+                journal=tmp_path / "journal",
+                policy=SupervisionPolicy(**NOSLEEP),
+            )
+    finally:
+        telemetry_runtime.deactivate()
+    deactivate()
+    assert result.ok and len(result.executed) == len(specs)
+    if not result.fanout:  # pragma: no cover - single-CPU / no-pool box
+        pytest.skip("process pool unavailable; no claim to release")
+
+    # every retry follows one failed attempt; every started attempt
+    # ends once, and each spec finishes on an attempt that started
+    state = load_journal(tmp_path / "journal")
+
+    def attempts(*kinds):
+        return [
+            (r["digest"], r["attempt"]) for r in state.records
+            if r["kind"] in kinds
+        ]
+
+    started = attempts("started")
+    assert len(set(started)) == len(started)
+    assert result.retries == len(attempts("failed"))
+    assert set(started) <= set(attempts("failed", "finished"))
+    finished = attempts("finished")
+    assert {d for d, _ in finished} == {cache.digest(s) for s in specs}
+    assert len(finished) == len(specs) and set(finished) <= set(started)
+    if end != "killed":  # the broken pool may drop a bystander unstarted
+        assert sum(state.started.values()) == len(specs) + result.retries
+
+    # each workload's capture is stored once; only the absorbed put
+    # costs a second computation
+    records, _ = load_records(tmp_path / "tel")
+    puts = [
+        r["name"] for r in records
+        if r.get("kind") == "event" and r["attrs"].get("kind") == "capture"
+        and r["name"] in ("cache.put", "cache.put_failed")
+    ]
+    assert puts.count("cache.put") == 2
+    assert puts.count("cache.put_failed") == (end == "absorbed")
+
+    reference = sweep(specs, RunCache(tmp_path / "ref"), jobs=1)
+    assert [dumps_artifact(a) for a in result.artifacts] == [
+        dumps_artifact(a) for a in reference.artifacts
+    ]
 
 
 # ------------------------------------------- the resume soundness property

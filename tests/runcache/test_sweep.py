@@ -15,9 +15,11 @@ from repro.runcache import (
     capture_spec,
     dumps_artifact,
     execute_spec,
+    nested_capture,
     observe_spec,
     run_and_store,
     sweep,
+    toolerror_spec,
     trace_spec,
 )
 
@@ -255,3 +257,99 @@ def test_sweep_span_reports_the_result_misses(tmp_path):
     assert not any(
         r.get("kind") == "span" and r["name"] == "fanout" for r in records
     )
+
+
+# ------------------------------------------- the nested capture dependency
+
+
+def _one_spec_per_replay_kind():
+    from repro.runcache.key import KINDS, RunSpec
+
+    chaos = dict(
+        workload="salt", steps=1, threads=2, machine="i7-920",
+        options={"gc_model": "chaos"},
+    )
+    specs = [
+        observe_spec("salt", 1, 2, "i7-920"),
+        trace_spec("salt", 1, 2, "i7-920"),
+        toolerror_spec("salt", 1, 2, "i7-920"),
+        RunSpec(kind="chaos_ref", **chaos),
+        RunSpec(kind="chaos_case", **chaos),
+    ]
+    assert {s.kind for s in specs} == set(KINDS) - {"capture"}
+    return specs
+
+
+def test_executors_load_exactly_their_nested_capture(cache, monkeypatch):
+    """The scheduler and the executors share one definition of the
+    dependency: an executor's only lookup is its nested capture."""
+    lookups = []
+    real_get = RunCache.get
+
+    def recording_get(self, spec):
+        lookups.append(self.digest(spec))
+        return real_get(self, spec)
+
+    monkeypatch.setattr(RunCache, "get", recording_get)
+    assert nested_capture(capture_spec("salt", 1)) is None
+    for spec in _one_spec_per_replay_kind():
+        lookups.clear()
+        execute_spec(spec, cache)
+        assert lookups == [cache.digest(nested_capture(spec))], spec.kind
+
+
+def test_no_cache_sweep_captures_each_workload_once(monkeypatch):
+    """Without a cache a sweep still computes each nested capture once,
+    and only for its own lifetime; the bytes are unchanged."""
+    from repro.core import simulate
+
+    specs = [
+        observe_spec(w, 1, n, "i7-920")
+        for w in ("salt", "nanocar") for n in (1, 2, 4)
+    ]
+    fresh = [dumps_artifact(execute_spec(spec)) for spec in specs]
+    calls = []
+    real_capture = simulate.capture_trace
+
+    def counting_capture(*args, **kwargs):
+        calls.append(args)
+        return real_capture(*args, **kwargs)
+
+    monkeypatch.setattr(simulate, "capture_trace", counting_capture)
+    result = sweep(specs, None)
+    assert len(calls) == 2
+    assert [dumps_artifact(a) for a in result.artifacts] == fresh
+    sweep(specs[:1], None)
+    assert len(calls) == 3  # nothing outlives the sweep
+
+
+def test_parallel_sweep_computes_each_nested_capture_once(tmp_path):
+    """Two workers starting two specs of one workload must not both
+    capture it: the second waits for the first's claim."""
+    from repro.telemetry import runtime as telemetry_runtime
+    from repro.telemetry.merge import load_records
+
+    specs = [
+        observe_spec(w, 2, n, "i7-920")
+        for w in ("salt", "nanocar", "Al-1000") for n in (1, 2, 3, 4)
+    ]
+    telemetry_runtime.activate(tmp_path / "tel", label="race")
+    try:
+        result = sweep(specs, RunCache(tmp_path / "cold"), jobs=2)
+    finally:
+        telemetry_runtime.deactivate()
+    assert result.ok and len(result.executed) == len(specs)
+    if not result.fanout:  # pragma: no cover - single-CPU / no-pool box
+        pytest.skip("process pool unavailable; sweep fell back to serial")
+
+    records, _ = load_records(tmp_path / "tel")
+    capture_puts = [
+        r for r in records
+        if r.get("kind") == "event" and r["name"] == "cache.put"
+        and r["attrs"].get("kind") == "capture"
+    ]
+    assert len(capture_puts) == 3
+    reference = sweep(specs, RunCache(tmp_path / "ref"), jobs=1)
+    assert [dumps_artifact(a) for a in result.artifacts] == [
+        dumps_artifact(a) for a in reference.artifacts
+    ]
