@@ -19,15 +19,17 @@ trace-smoke:
 	$(PYTHON) scripts/check_trace.py benchmarks/out/trace-smoke/trace.json \
 		--min-spans 20
 
-# end-to-end attribution check: regenerate the speedup-loss bench,
-# produce the Al-1000 flamegraph, and validate both (buckets must
-# conserve the gap; LJ work inflation must dominate Al-1000)
+# end-to-end attribution check: rerun the speedup-loss bench, produce
+# the Al-1000 flamegraph, and validate both (buckets must conserve the
+# gap; LJ work inflation must dominate Al-1000).  The smoke run writes
+# under benchmarks/out/; the committed BENCH_attribution.json is the
+# number of record
 bench-smoke:
 	PYTHONPATH=src $(PYTHON) scripts/bench_attribution.py \
-		--out BENCH_attribution.json
+		--out benchmarks/out/bench-smoke.json
 	PYTHONPATH=src $(PYTHON) -m repro attribute --workload al1000 \
 		--threads 4 --steps 4 --out benchmarks/out/attr-smoke
-	$(PYTHON) scripts/check_bench.py BENCH_attribution.json \
+	$(PYTHON) scripts/check_bench.py benchmarks/out/bench-smoke.json \
 		--expect-lj-dominant \
 		--folded benchmarks/out/attr-smoke/flamegraph.folded
 
@@ -58,13 +60,15 @@ perf-smoke:
 		benchmarks/out/throughput-smoke.json \
 		--min-speedup 0 --max-overhead -1
 
-# run-cache effectiveness gate: regenerate BENCH_runcache.json (cold
-# sweep into a fresh store, identical warm sweep, sampled byte-identity
-# verify) and require warm-over-cold >= 5x with hit rate >= 0.9
+# run-cache effectiveness gate: rerun the run-cache bench (cold sweep
+# into a fresh store, identical warm sweep, sampled byte-identity
+# verify) into benchmarks/out/ and require warm-over-cold >= 5x with
+# hit rate >= 0.9; the committed BENCH_runcache.json is the number of
+# record
 cache-smoke:
 	PYTHONPATH=src $(PYTHON) scripts/bench_runcache.py \
-		--out BENCH_runcache.json
-	$(PYTHON) scripts/check_runcache.py BENCH_runcache.json
+		--out benchmarks/out/cache-smoke.json
+	$(PYTHON) scripts/check_runcache.py benchmarks/out/cache-smoke.json
 
 # end-to-end runtime-telemetry check: run the attribution sweep with a
 # telemetry run active (12 workload x thread configs, warm after
@@ -82,31 +86,37 @@ report-smoke:
 # ground truth over the 3x3 workload x machine grid (cold + warm cached
 # sweeps), render the telemetry run, and require >= 8 ranked tools,
 # JXPerf's top wasteful site on the Vector3 temp churn, a measurable
-# timer-placement distortion gap, and a warm hit rate >= 0.9
+# timer-placement distortion gap, and a warm hit rate >= 0.9.  The
+# smoke run writes under benchmarks/out/; the committed
+# BENCH_toolerror.json is the number of record
 leaderboard-smoke:
 	rm -rf benchmarks/out/leaderboard-smoke
 	PYTHONPATH=src $(PYTHON) scripts/bench_toolerror.py \
 		--telemetry benchmarks/out/leaderboard-smoke \
-		--out BENCH_toolerror.json
+		--out benchmarks/out/leaderboard-smoke/BENCH_toolerror.json
 	PYTHONPATH=src $(PYTHON) -m repro report benchmarks/out/leaderboard-smoke
-	$(PYTHON) scripts/check_toolerror.py BENCH_toolerror.json
+	$(PYTHON) scripts/check_toolerror.py \
+		benchmarks/out/leaderboard-smoke/BENCH_toolerror.json
 
 # crash-safety gate: real-process chaos against the sweep orchestrator
 # (SIGKILLed pool workers, ENOSPC'd + truncated cache writes, a hung
 # shard killed on timeout, a mid-campaign SIGKILL of a journaled
 # `repro sweep` subprocess).  Requires byte-identical recovery, zero
 # re-execution of journaled-complete specs on --resume, and CLI exit
-# codes that distinguish partial success (3) from full success (0)
+# codes that distinguish partial success (3) from full success (0).
+# The smoke run writes under benchmarks/out/; the committed
+# BENCH_resilience.json is the number of record
 resilience-smoke:
 	PYTHONPATH=src $(PYTHON) scripts/bench_resilience.py \
-		--out BENCH_resilience.json
-	$(PYTHON) scripts/check_resilience.py BENCH_resilience.json
+		--out benchmarks/out/resilience-smoke.json
+	$(PYTHON) scripts/check_resilience.py \
+		benchmarks/out/resilience-smoke.json
 
-# vectorized-ensemble gate: advance 100 seeded captures in lockstep
-# through the batched engine and require >= 10x execution-phase
-# aggregate events/s over the scalar path, byte-identical per-run
-# traces, swept cache artifacts byte-equal to scalar execute_spec runs,
-# and a full hit on resweep.  The smoke run writes under benchmarks/out/;
+# lockstep-batch gate: advance 100 seeded captures in lockstep through
+# one engine and require >= 10x execution-phase aggregate events/s over
+# 100 one-run engines, byte-identical per-run traces, swept cache
+# artifacts byte-equal to one-run execute_spec runs, and a full hit on
+# resweep.  The smoke run writes under benchmarks/out/;
 # the committed BENCH_ensemble.json is the number of record
 ensemble-smoke:
 	PYTHONPATH=src $(PYTHON) scripts/bench_ensemble.py \
@@ -118,15 +128,18 @@ ensemble-smoke:
 # worst scaling case), render the telemetry run with the tuner
 # search-trajectory section, and require the tuned config to strictly
 # beat the fixed-queue baseline's speedup with a strictly lower
-# latch-idle share and exactly-conserved buckets (incl. steal_overhead)
+# latch-idle share and exactly-conserved buckets (incl. steal_overhead).
+# The smoke run writes under benchmarks/out/; the committed
+# BENCH_autotune.json is the number of record
 tune-smoke:
 	rm -rf benchmarks/out/tune-smoke
 	PYTHONPATH=src $(PYTHON) scripts/bench_autotune.py \
 		--telemetry benchmarks/out/tune-smoke \
-		--out BENCH_autotune.json \
+		--out benchmarks/out/tune-smoke/BENCH_autotune.json \
 		--config-out benchmarks/out/tune-smoke/winning_config.json
 	PYTHONPATH=src $(PYTHON) -m repro report benchmarks/out/tune-smoke
-	$(PYTHON) scripts/check_autotune.py BENCH_autotune.json
+	$(PYTHON) scripts/check_autotune.py \
+		benchmarks/out/tune-smoke/BENCH_autotune.json
 
 bench:
 	PYTHONPATH=src $(PYTHON) -m pytest benchmarks/ --benchmark-only

@@ -1,21 +1,20 @@
 #!/usr/bin/env python
-"""Gate the vectorized ensemble engine: throughput and byte-identity.
+"""Gate lockstep seed batches: throughput and byte-identity.
 
 Measures ``--runs`` seeded physics captures of one workload (default
-gas-8 at 40 steps, 100 runs — the overhead-bound sweep regime the
-ensemble engine targets) two ways:
+gas-8 at 40 steps, 100 runs — the overhead-bound sweep regime seed
+batches target) two ways, both on :class:`~repro.md.engine.MDEngine`:
 
-* **scalar** — each run steps on its own
-  :class:`~repro.md.engine.MDEngine`, one run at a time (exactly what
-  the sweep's pool workers execute per miss);
-* **ensemble** — all runs advance in lockstep through one
-  :class:`~repro.ensemble.engine.EnsembleMDEngine`.
+* **scalar** — R one-run engines, each stepped on its own, one run at
+  a time (exactly what the sweep's pool workers execute per miss);
+* **ensemble** — the same R engines joined by
+  :meth:`~repro.md.engine.MDEngine.lockstep` into one R-run engine.
 
 The gated metric is aggregate *execution* throughput in events per
 second — one event is one priced work term (a force pair / bonded term
 / rebuild candidate / per-atom integrator update) summed over every
 step of every run — with engine construction and neighbor-list priming
-excluded (both paths pay them identically, per run).  Timings take the
+excluded (both pay them identically, per run).  Timings take the
 best of ``--reps`` repetitions with GC disabled, because the gate must
 hold on noisy shared machines.  Byte-identity is asserted on the
 pickled per-run traces.
@@ -24,7 +23,7 @@ A further section proves the sweep wiring:
 
 * **sweep** — the seeds swept end-to-end into a fresh cache, where
   they run as one ensemble batch: every cached artifact's bytes must
-  equal ``dumps_artifact(execute_spec(spec))``, the scalar reference
+  equal ``dumps_artifact(execute_spec(spec))``, the one-run reference
   timed one spec at a time, and the resweep must hit for every spec.
   The end-to-end speedup (diluted by per-run build/prime/publication)
   is reported alongside the gated execution-phase number.
@@ -76,9 +75,9 @@ def trace_events(trace) -> int:
 
 
 def timed_scalar_capture(builder, n_runs, steps):
-    """Best-effort scalar baseline: engines built and primed untimed,
-    then every run's step loop timed in one block (the same per-run
-    work ``execute_spec`` does for a capture miss)."""
+    """Best-effort baseline of R one-run engines: built and primed
+    untimed, then every run's step loop timed in one block (the same
+    per-run work ``execute_spec`` does for a capture miss)."""
     engines = []
     for seed in range(n_runs):
         eng = builder(seed=seed).make_engine()
@@ -94,17 +93,18 @@ def timed_scalar_capture(builder, n_runs, steps):
 
 
 def timed_ensemble_capture(builder, n_runs, steps):
-    """Ensemble counterpart: construction + prime untimed, the
-    vectorized step loop timed."""
-    from repro.ensemble.engine import EnsembleMDEngine
+    """Lockstep counterpart: the same engines joined into one,
+    construction + prime untimed, the lockstep step loop timed."""
+    from repro.md.engine import MDEngine
 
-    engines = [builder(seed=seed).make_engine() for seed in range(n_runs)]
-    ens = EnsembleMDEngine(engines)
+    ens = MDEngine.lockstep(
+        [builder(seed=seed).make_engine() for seed in range(n_runs)]
+    )
     ens.prime()
     gc.collect()
     gc.disable()
     t0 = time.perf_counter()
-    traces = ens.run(steps)
+    traces = ens.run_all(steps)
     seconds = time.perf_counter() - t0
     gc.enable()
     return max(seconds, 1e-9), traces
@@ -121,7 +121,7 @@ def timed_sweep(specs, cache_dir):
 
 
 def timed_scalar_reference(specs):
-    """Each spec executed on its own, as scalar runs, pickled the way
+    """Each spec executed on its own one-run engine, pickled the way
     the cache stores it."""
     from repro.runcache import dumps_artifact, execute_spec
 

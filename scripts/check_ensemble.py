@@ -1,7 +1,8 @@
 #!/usr/bin/env python
-"""Gate BENCH_ensemble.json: the vectorized ensemble engine must be
-a >=10x execution-phase win over the scalar path with byte-identical
-per-run traces and unchanged sweep semantics.
+"""Gate BENCH_ensemble.json: one lockstep R-run engine must be a >=10x
+execution-phase win over R one-run engines (the payload's "scalar"
+figures) with byte-identical per-run traces and unchanged sweep
+semantics.
 
 Checks (stdlib only, exit 0 pass / 1 fail / 2 usage):
 
@@ -9,8 +10,8 @@ Checks (stdlib only, exit 0 pass / 1 fail / 2 usage):
 * ``n_runs`` >= ``--min-runs`` (default 100) and one entry per run;
 * execution speedup >= ``--min-speedup`` (default 10) and the
   events/s figures consistent with it;
-* every run byte-identical between scalar and ensemble execution;
-* sweep wiring: every cached artifact byte-equal to a scalar
+* every run byte-identical between one-run and lockstep execution;
+* sweep wiring: every cached artifact byte-equal to a one-run
   ``execute_spec`` run, resweep all hits, every run executed by the
   ensemble in at least one batch.
 """
@@ -58,7 +59,7 @@ def main() -> int:
     broken = [r["seed"] for r in runs if not r["identical"]]
     if broken or not payload["identical"]:
         return fail(
-            f"ensemble traces diverge from scalar for seeds {broken}"
+            f"lockstep traces diverge from one-run for seeds {broken}"
         )
 
     speedup = payload["speedup"]

@@ -1,7 +1,7 @@
 """Replaying captured work traces on the simulated machine.
 
-``capture_trace`` runs the *real* serial engine and keeps each step's
-work counts; :class:`SimulatedParallelRun` then replays those counts as
+``capture_trace`` runs the *real* MD engine (one run) and keeps each
+step's work counts; :class:`SimulatedParallelRun` then replays those counts as
 the §II-B parallel execution — master thread dispatching per-thread
 tasks phase by phase through a :class:`SimExecutorService`, closing
 each phase with a countdown latch — on a :class:`SimMachine`.  One
@@ -36,8 +36,8 @@ from repro.md.engine import StepReport
 
 
 def capture_trace(workload, n_steps: int) -> List[StepReport]:
-    """Run the serial engine for ``n_steps`` and return its reports
-    (the physics runs once; replays are pure timing)."""
+    """Run ``workload``'s one-run engine for ``n_steps`` and return its
+    reports (the physics runs once; replays are pure timing)."""
     engine = workload.make_engine()
     engine.prime()
     return engine.run(n_steps)

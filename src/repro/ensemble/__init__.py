@@ -1,17 +1,16 @@
-"""Vectorized ensemble execution: many independent runs per sweep.
+"""Many independent runs per sweep, through one engine.
 
 A parameter sweep over seeds repeats the same physics pipeline dozens
 to thousands of times on systems that differ only in their kinematic
-state.  Running each replica through the scalar engine pays the full
-per-call numpy/Python overhead per run — the dominant cost for the
-small systems sweeps use.  This package batches the replicas instead:
+state.  Stepping each run on its own pays the full per-call
+numpy/Python overhead per run — the dominant cost for the small systems
+sweeps use.  The MD engine (:class:`~repro.md.engine.MDEngine`) can
+instead advance ``R`` runs in lockstep on ``(R, N, 3)`` stacks; this
+package puts seed batches through it:
 
-* :class:`~repro.ensemble.engine.EnsembleMDEngine` advances ``R`` runs
-  at once on ``(n_runs, n_atoms, 3)`` structure-of-arrays stacks,
-  reusing the *scalar* integrator/boundary/kernel code on flattened
-  views so the two paths cannot drift — per-run step reports are
-  byte-identical (pickle protocol 4) to scalar captures by
-  construction, which keeps the content-addressed run cache sound.
+* :func:`~repro.ensemble.engine.ensemble_capture` captures one trace
+  per seed, each byte-identical (pickle protocol 4) to that seed's
+  one-run capture, which keeps the content-addressed run cache sound.
 * :mod:`~repro.ensemble.routing` tells the sweep supervisor which
   capture misses form one batch.  A batch is one unit of work like any
   single spec: the supervisor runs it in-process or in a pool worker,
@@ -19,22 +18,14 @@ small systems sweeps use.  This package batches the replicas instead:
   journal records — cache/journal/leaderboard consumers see no
   difference.
 
-Runs whose configuration the batched path cannot reproduce exactly
-raise :class:`~repro.ensemble.engine.EnsembleUnsupported`; the
-supervisor then runs them one spec at a time.
+Runs that cannot share one pipeline raise
+:class:`~repro.md.engine.EnsembleUnsupported`; the supervisor then
+runs them one spec at a time.
 """
 
-from repro.ensemble.engine import (
-    EnsembleMDEngine,
-    EnsembleUnsupported,
-    ensemble_capture,
-)
-from repro.ensemble.system import EnsembleState, FlatSystemView
+from repro.ensemble.engine import EnsembleUnsupported, ensemble_capture
 
 __all__ = [
-    "EnsembleMDEngine",
-    "EnsembleState",
     "EnsembleUnsupported",
-    "FlatSystemView",
     "ensemble_capture",
 ]

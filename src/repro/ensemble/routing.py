@@ -4,17 +4,17 @@ The sweep supervisor (:func:`repro.runcache.resilience.supervise`)
 schedules units of work; :func:`plan_units` decides them.  Capture
 misses of the same workload family and step count, varying only in
 seed and with no fault plan, form one batch once there are
-``MIN_BATCH`` of them.  :func:`prepare_batch` builds the batch's
-:class:`~repro.ensemble.engine.EnsembleMDEngine`, one vectorized
-pipeline producing every run's scalar-identical trace.  Every other
-miss is a unit of its own.
+``MIN_BATCH`` of them.  :func:`prepare_batch` joins the batch's
+engines into one lockstep :class:`~repro.md.engine.MDEngine`, one
+pipeline producing every run's trace, each byte-identical to its
+one-run capture.  Every other miss is a unit of its own.
 
 A batch is scheduled like any other unit and each of its runs is
 published under its own spec digest with its own journal records, so
-cache and journal consumers cannot tell the paths apart.  A batch the
-engine cannot reproduce exactly raises
-:class:`~repro.ensemble.engine.EnsembleUnsupported` while it is being
-built, and the supervisor splits it into single-spec units.
+cache and journal consumers cannot tell a batched run from a single
+one.  A batch whose runs cannot share one pipeline raises
+:class:`~repro.md.engine.EnsembleUnsupported` while it is being built,
+and the supervisor splits it into single-spec units.
 """
 
 from __future__ import annotations
@@ -23,9 +23,9 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.runcache.key import RunSpec
 
-from repro.ensemble.engine import EnsembleMDEngine
+from repro.md.engine import MDEngine
 
-#: a batch below this size gains nothing over the scalar path
+#: a batch below this size gains nothing over single runs
 MIN_BATCH = 2
 
 Miss = Tuple[str, RunSpec]
@@ -55,18 +55,17 @@ def plan_units(misses: List[Miss]) -> List[List[Miss]]:
 
 def prepare_batch(specs: Sequence[RunSpec]) -> Callable[[], List[Any]]:
     """Build a capture batch's engine and return its executor.  Raises
-    :class:`~repro.ensemble.engine.EnsembleUnsupported` before anything
-    runs when the workload cannot be batched."""
+    :class:`~repro.md.engine.EnsembleUnsupported` before anything runs
+    when the workload cannot be batched."""
     from repro.workloads import BUILDERS
 
-    engines = [
+    engine = MDEngine.lockstep([
         BUILDERS[spec.workload](seed=spec.seed).make_engine()
         for spec in specs
-    ]
-    eng = EnsembleMDEngine(engines)
+    ])
 
     def execute() -> List[Any]:
-        eng.prime()
-        return eng.run(specs[0].steps)
+        engine.prime()
+        return engine.run_all(specs[0].steps)
 
     return execute

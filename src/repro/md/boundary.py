@@ -37,9 +37,9 @@ class ReflectiveBox(Boundary):
     """Hard walls: atoms reflect elastically off the box faces."""
 
     def apply(self, positions: np.ndarray, velocities: np.ndarray) -> None:
-        # indexed as [..., axis] so the same code serves scalar (n, 3)
-        # systems and ensemble (n_runs, n, 3) stacks (with a per-run
-        # (n_runs, 1, 3) box)
+        # indexed as [..., axis] so the same code serves one system's
+        # (n, 3) arrays and (n_runs, n, 3) stacks (with a shared (3,)
+        # box or a per-run (n_runs, 1, 3) one)
         box = self.box
         for axis in range(3):
             p = positions[..., axis]

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple, Union
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -34,11 +34,13 @@ class ForceResult:
     bytes_regular: float
 
     @staticmethod
-    def empty(shape: Union[int, Tuple[int, ...]]) -> "ForceResult":
-        """A zero result (no terms evaluated).  ``shape`` is the
-        per-atom-work shape: ``n_atoms`` for a scalar system, or a
-        tuple such as ``(n_runs, n_atoms)`` for an ensemble stack."""
-        return ForceResult(0.0, 0, np.zeros(shape), 0.0, 0.0, 0.0)
+    def empty(n_atoms: int) -> "ForceResult":
+        """A zero result (no terms evaluated) over ``n_atoms`` atoms."""
+        return ForceResult(0.0, 0, np.zeros(n_atoms), 0.0, 0.0, 0.0)
+
+
+#: the ``(owner, e_terms)`` of a kernel call in which no term survived
+NO_TERMS = (np.zeros(0, dtype=np.int64), np.zeros(0))
 
 
 #: read-only constant-weight buffers for :func:`owner_counts`, keyed by
@@ -67,6 +69,47 @@ def owner_counts(owner: np.ndarray, n_atoms: int, weight: float = 1.0) -> np.nda
     return np.bincount(owner, weights=buf[:m], minlength=n_atoms)
 
 
+def segment_sums(e_terms: np.ndarray, seg: List[int]) -> List[float]:
+    """Per-run energy: the sum of each run's contiguous slice of a
+    run-major term array, ``seg[r]`` terms for run ``r``.
+
+    When every run has the same term count (no rebuild divergence —
+    the common case), one ``reshape(R, m).sum(axis=1)`` replaces R
+    separate ``.sum()`` dispatches.  Bit-identical by construction:
+    reducing a C-contiguous 2-D array over its last axis applies the
+    same pairwise summation to each row that ``row.sum()`` applies to
+    the identical slice of memory.
+    """
+    m = seg[0] if seg else 0
+    if m and all(v == m for v in seg):
+        return e_terms.reshape(len(seg), m).sum(axis=1).tolist()
+    offs = np.concatenate(([0], np.cumsum(seg))).tolist()
+    return [
+        float(e_terms[offs[r]:offs[r + 1]].sum()) if seg[r] else 0.0
+        for r in range(len(seg))
+    ]
+
+
+def split_runs(
+    owner: np.ndarray,
+    e_terms: np.ndarray,
+    n_runs: int,
+    n_atoms: int,
+    weight: float = 1.0,
+) -> Tuple[List[Tuple[int, float]], np.ndarray]:
+    """Cut the terms of a run-major ``n_runs``-run kernel call into
+    runs: per-run ``(terms, energy)`` and the ``(n_runs, n_atoms)``
+    per-atom work (``weight`` per owned term).  Row ``r`` of the work
+    array pickles exactly like a one-run tally of run ``r``'s terms."""
+    counts = owner_counts(owner, n_runs * n_atoms, weight)
+    if n_runs == 1:
+        seg = [len(owner)]
+    else:
+        seg = np.bincount(owner // n_atoms, minlength=n_runs).tolist()
+    runs = list(zip(seg, segment_sums(e_terms, seg)))
+    return runs, counts.reshape(n_runs, n_atoms)
+
+
 def scatter_forces(forces_out, indices, vectors) -> None:
     """Accumulate per-term force vectors onto their atoms.
 
@@ -78,9 +121,9 @@ def scatter_forces(forces_out, indices, vectors) -> None:
     accumulate in exactly the same sequence (block by block, term
     order within each block), so the sums are bitwise identical while
     avoiding ``ufunc.at``'s per-element dispatch — the difference
-    between the scalar and the merged-ensemble scatter being a wash
-    or a ~6x win.  The same call on the flattened ``(n_runs·n, 3)``
-    ensemble view reproduces every run's scalar scatter exactly,
+    between a one-run and a many-run scatter being a wash or a ~6x
+    win.  The same call on the run-major ``(n_runs·n, 3)`` view of
+    several runs reproduces every run's one-run scatter exactly,
     because run-offset indices keep each run's additions in their own
     bins and in the same order."""
     idx = indices[0] if len(indices) == 1 else np.concatenate(indices)
@@ -106,6 +149,33 @@ class Force(abc.ABC):
     ) -> ForceResult:
         """Accumulate forces (eV/Å) into ``forces_out`` and return the
         result record.  Must be additive: callers zero the buffer."""
+
+    def compute_runs(
+        self,
+        system: AtomSystem,
+        boundary: Boundary,
+        neighbors: Optional[NeighborList],
+        forces_out: np.ndarray,
+        n_runs: int,
+    ) -> List[ForceResult]:
+        """:meth:`compute` over ``n_runs`` runs of one system laid out
+        run-major in ``system`` (run ``r`` owns atoms
+        ``[r·n, (r+1)·n)``), using a copy from :meth:`replicate`;
+        returns one result per run, each exactly what :meth:`compute`
+        returns for that run alone.  Forces without a many-run form
+        run one run at a time."""
+        if n_runs != 1:
+            raise NotImplementedError(
+                f"{type(self).__name__} computes one run at a time"
+            )
+        return [self.compute(system, boundary, neighbors, forces_out)]
+
+    def replicate(self, n_runs: int, n_atoms: int) -> "Force":
+        """A copy for :meth:`compute_runs` over ``n_runs`` run-major
+        copies of an ``n_atoms``-atom system: stored atom indices are
+        repeated with run offsets and per-term parameters tiled.
+        Forces that store no atom indices return themselves."""
+        return self
 
     def uses_neighbor_list(self) -> bool:
         """Whether this force consumes the Verlet list (phase-fusion

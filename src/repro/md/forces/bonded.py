@@ -14,7 +14,7 @@ irregular — bond endpoints are scattered through the atom array.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import List, Optional
 
 import numpy as np
 
@@ -22,8 +22,8 @@ from repro.md.boundary import Boundary
 from repro.md.forces.base import (
     Force,
     ForceResult,
-    owner_counts,
     scatter_forces,
+    split_runs,
 )
 from repro.md.neighbors import NeighborList
 from repro.md.system import AtomSystem
@@ -48,10 +48,92 @@ def _per_term(value, m: int, name: str) -> np.ndarray:
     return out
 
 
-class RadialBondForce(Force):
+class _BondedForce(Force):
+    """What the three bonded kernels share: a term list stored as an
+    ``(M, width)`` atom-index array plus per-term parameter arrays
+    (named by ``_fields``, in constructor order), each term owned by
+    its first atom."""
+
+    #: constructor-order attribute names: the index array, then the
+    #: per-term parameters
+    _fields: tuple = ()
+    #: cost-model constants per term
+    flops_per_term: float = 0.0
+    lines_per_term: int = 0
+    #: per-atom work weight of one owned term
+    work_weight: float = 1.0
+
+    def _with(self, index: np.ndarray, keep=slice(None)) -> "_BondedForce":
+        """A copy over ``index`` with the parameters cut to ``keep``."""
+        params = (getattr(self, name)[keep] for name in self._fields[1:])
+        return type(self)(index, *params)
+
+    @property
+    def _index(self) -> np.ndarray:
+        return getattr(self, self._fields[0])
+
+    def restrict(self, lo: int, hi: int) -> "_BondedForce":
+        """Copy with only the terms owned (first atom) in [lo, hi)."""
+        keep = (self._index[:, 0] >= lo) & (self._index[:, 0] < hi)
+        return self._with(self._index[keep], keep)
+
+    def remap(self, mapping: np.ndarray) -> "_BondedForce":
+        """Copy with the term atoms renumbered through ``mapping``."""
+        return self._with(np.asarray(mapping)[self._index])
+
+    def replicate(self, n_runs: int, n_atoms: int) -> "_BondedForce":
+        """Copy holding every run's terms with run-offset atoms."""
+        index = np.concatenate(
+            [self._index + r * n_atoms for r in range(n_runs)]
+        )
+        params = (np.tile(getattr(self, name), n_runs)
+                  for name in self._fields[1:])
+        return type(self)(index, *params)
+
+    def compute(
+        self,
+        system: AtomSystem,
+        boundary: Boundary,
+        neighbors: Optional[NeighborList],
+        forces_out: np.ndarray,
+    ) -> ForceResult:
+        return self.compute_runs(system, boundary, neighbors, forces_out, 1)[0]
+
+    def compute_runs(
+        self,
+        system: AtomSystem,
+        boundary: Boundary,
+        neighbors: Optional[NeighborList],
+        forces_out: np.ndarray,
+        n_runs: int,
+    ) -> List[ForceResult]:
+        n = system.n_atoms // n_runs
+        if len(self._index) == 0:
+            return [ForceResult.empty(n) for _ in range(n_runs)]
+        owner, e_terms = self._bundle(system, boundary, forces_out)
+        runs, per_atom = split_runs(
+            owner, e_terms, n_runs, n, weight=self.work_weight
+        )
+        return [
+            ForceResult(
+                energy=energy,
+                terms=m,
+                per_atom_work=per_atom[r],
+                flops=self.flops_per_term * m,
+                bytes_irregular=self.lines_per_term * LINE_BYTES * m,
+                bytes_regular=0.0,
+            )
+            for r, (m, energy) in enumerate(runs)
+        ]
+
+
+class RadialBondForce(_BondedForce):
     """Harmonic stretch: U = ½ k (r - r0)²."""
 
     name = "bond-radial"
+    _fields = ("bonds", "k", "r0")
+    flops_per_term = RADIAL_FLOPS
+    lines_per_term = 2
 
     def __init__(self, bonds, k, r0):
         self.bonds = _as_index_array(bonds, 2, "bonds")
@@ -63,21 +145,10 @@ class RadialBondForce(Force):
     def n_bonds(self) -> int:
         return len(self.bonds)
 
-    def restrict(self, lo: int, hi: int) -> "RadialBondForce":
-        """Copy with only the bonds owned (first atom) in [lo, hi)."""
-        keep = (self.bonds[:, 0] >= lo) & (self.bonds[:, 0] < hi)
-        return RadialBondForce(self.bonds[keep], self.k[keep], self.r0[keep])
-
-    def remap(self, mapping: np.ndarray) -> "RadialBondForce":
-        """Copy with bond endpoints renumbered through ``mapping``."""
-        return RadialBondForce(
-            np.asarray(mapping)[self.bonds], self.k, self.r0
-        )
-
     def _bundle(self, system: AtomSystem, boundary: Boundary, forces_out):
         """Term math + scatter; returns ``(owner, e_terms)``.  Indexes
-        only through ``self.bonds``, so a merged run-offset copy works
-        on the flattened ensemble view (see ``repro.ensemble``)."""
+        only through ``self.bonds``, so a :meth:`replicate` copy serves
+        every run of a run-major system in one call."""
         a, b = self.bonds[:, 0], self.bonds[:, 1]
         dr = boundary.displacement(system.positions[a] - system.positions[b])
         r = np.sqrt(np.einsum("ij,ij->i", dr, dr))
@@ -88,33 +159,15 @@ class RadialBondForce(Force):
         scatter_forces(forces_out, (a, b), (fvec, -fvec))
         return a, 0.5 * self.k * stretch * stretch
 
-    def compute(
-        self,
-        system: AtomSystem,
-        boundary: Boundary,
-        neighbors: Optional[NeighborList],
-        forces_out: np.ndarray,
-    ) -> ForceResult:
-        n = system.n_atoms
-        if self.n_bonds == 0:
-            return ForceResult.empty(n)
-        a, e_terms = self._bundle(system, boundary, forces_out)
-        energy = float(np.sum(e_terms))
-        per_atom = owner_counts(a, n)
-        return ForceResult(
-            energy=energy,
-            terms=self.n_bonds,
-            per_atom_work=per_atom,
-            flops=RADIAL_FLOPS * self.n_bonds,
-            bytes_irregular=2 * LINE_BYTES * self.n_bonds,
-            bytes_regular=0.0,
-        )
 
-
-class AngularBondForce(Force):
+class AngularBondForce(_BondedForce):
     """Harmonic bend: U = ½ k (θ - θ0)², vertex is the middle atom."""
 
     name = "bond-angular"
+    _fields = ("triples", "k", "theta0")
+    flops_per_term = ANGULAR_FLOPS
+    lines_per_term = 3
+    work_weight = 2.0
 
     def __init__(self, triples, k, theta0):
         self.triples = _as_index_array(triples, 3, "triples")
@@ -127,19 +180,6 @@ class AngularBondForce(Force):
     @property
     def n_angles(self) -> int:
         return len(self.triples)
-
-    def restrict(self, lo: int, hi: int) -> "AngularBondForce":
-        """Copy with only the angles owned (first atom) in [lo, hi)."""
-        keep = (self.triples[:, 0] >= lo) & (self.triples[:, 0] < hi)
-        return AngularBondForce(
-            self.triples[keep], self.k[keep], self.theta0[keep]
-        )
-
-    def remap(self, mapping: np.ndarray) -> "AngularBondForce":
-        """Copy with angle atoms renumbered through ``mapping``."""
-        return AngularBondForce(
-            np.asarray(mapping)[self.triples], self.k, self.theta0
-        )
 
     def _bundle(self, system: AtomSystem, boundary: Boundary, forces_out):
         """Term math + scatter; returns ``(owner, e_terms)`` (see
@@ -169,33 +209,15 @@ class AngularBondForce(Force):
         dtheta = theta - self.theta0
         return a, 0.5 * self.k * dtheta * dtheta
 
-    def compute(
-        self,
-        system: AtomSystem,
-        boundary: Boundary,
-        neighbors: Optional[NeighborList],
-        forces_out: np.ndarray,
-    ) -> ForceResult:
-        n = system.n_atoms
-        if self.n_angles == 0:
-            return ForceResult.empty(n)
-        a, e_terms = self._bundle(system, boundary, forces_out)
-        energy = float(np.sum(e_terms))
-        per_atom = owner_counts(a, n, weight=2.0)
-        return ForceResult(
-            energy=energy,
-            terms=self.n_angles,
-            per_atom_work=per_atom,
-            flops=ANGULAR_FLOPS * self.n_angles,
-            bytes_irregular=3 * LINE_BYTES * self.n_angles,
-            bytes_regular=0.0,
-        )
 
-
-class TorsionalBondForce(Force):
+class TorsionalBondForce(_BondedForce):
     """Cosine dihedral: U = ½ V (1 + cos(n φ - φ0)) over atom quads."""
 
     name = "bond-torsional"
+    _fields = ("quads", "v", "periodicity", "phi0")
+    flops_per_term = TORSIONAL_FLOPS
+    lines_per_term = 4
+    work_weight = 3.0
 
     def __init__(self, quads, v, periodicity=1, phi0=0.0):
         self.quads = _as_index_array(quads, 4, "quads")
@@ -211,47 +233,6 @@ class TorsionalBondForce(Force):
     @property
     def n_torsions(self) -> int:
         return len(self.quads)
-
-    def restrict(self, lo: int, hi: int) -> "TorsionalBondForce":
-        """Copy with only the torsions owned (first atom) in [lo, hi)."""
-        keep = (self.quads[:, 0] >= lo) & (self.quads[:, 0] < hi)
-        return TorsionalBondForce(
-            self.quads[keep],
-            self.v[keep],
-            self.periodicity[keep],
-            self.phi0[keep],
-        )
-
-    def remap(self, mapping: np.ndarray) -> "TorsionalBondForce":
-        """Copy with quad atoms renumbered through ``mapping``."""
-        return TorsionalBondForce(
-            np.asarray(mapping)[self.quads],
-            self.v,
-            self.periodicity,
-            self.phi0,
-        )
-
-    def compute(
-        self,
-        system: AtomSystem,
-        boundary: Boundary,
-        neighbors: Optional[NeighborList],
-        forces_out: np.ndarray,
-    ) -> ForceResult:
-        n = system.n_atoms
-        if self.n_torsions == 0:
-            return ForceResult.empty(n)
-        a, e_terms = self._bundle(system, boundary, forces_out)
-        energy = float(np.sum(e_terms))
-        per_atom = owner_counts(a, n, weight=3.0)
-        return ForceResult(
-            energy=energy,
-            terms=self.n_torsions,
-            per_atom_work=per_atom,
-            flops=TORSIONAL_FLOPS * self.n_torsions,
-            bytes_irregular=4 * LINE_BYTES * self.n_torsions,
-            bytes_regular=0.0,
-        )
 
     def _bundle(self, system: AtomSystem, boundary: Boundary, forces_out):
         """Term math + scatter; returns ``(owner, e_terms)`` (see

@@ -22,7 +22,7 @@ is heavy — the compute-bound profile.
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -30,8 +30,8 @@ from repro.md.boundary import Boundary
 from repro.md.forces.base import (
     Force,
     ForceResult,
-    owner_counts,
     scatter_forces,
+    split_runs,
 )
 from repro.md.neighbors import NeighborList
 from repro.md.system import AtomSystem
@@ -119,11 +119,7 @@ class CoulombForce(Force):
         forces_out: np.ndarray,
     ):
         """Interaction math + scatter for an already-enumerated and
-        filtered owner/partner pair list; returns ``(gi, e_terms)``.
-        Split from :meth:`compute` because the ring enumeration is
-        *per run*: the ensemble engine builds run-offset pair indices
-        itself (pairing charged atoms across runs would be wrong
-        physics) and calls this once on the flattened view."""
+        filtered owner/partner pair list; returns ``(gi, e_terms)``."""
         dr = boundary.displacement(system.positions[gi] - system.positions[gj])
         r2 = np.einsum("ij,ij->i", dr, dr)
         np.maximum(r2, self.min_distance**2, out=r2)
@@ -141,29 +137,45 @@ class CoulombForce(Force):
         neighbors: Optional[NeighborList],
         forces_out: np.ndarray,
     ) -> ForceResult:
-        n = system.n_atoms
+        return self.compute_runs(system, boundary, neighbors, forces_out, 1)[0]
+
+    def compute_runs(
+        self,
+        system: AtomSystem,
+        boundary: Boundary,
+        neighbors: Optional[NeighborList],
+        forces_out: np.ndarray,
+        n_runs: int,
+    ) -> List[ForceResult]:
+        """The ring is enumerated over one run's charged atoms and
+        repeated with run offsets: pairing charged atoms of different
+        runs would be wrong physics."""
+        n = system.n_atoms // n_runs
         charged = system.charged
-        m = len(charged)
-        if m < 2:
-            return ForceResult.empty(n)
+        m = len(charged) // n_runs  # every run shares the charges
         ii, jj = self._pairs(m)
         gi, gj = charged[ii], charged[jj]
         keep = system.movable[gi] | system.movable[gj]
         if self.owner_range is not None:
             lo, hi = self.owner_range
             keep &= (gi >= lo) & (gi < hi)
-        gi, gj = gi[keep], gj[keep]
-        if len(gi) == 0:
-            return ForceResult.empty(n)
-        gi, e_terms = self._pair_bundle(system, boundary, gi, gj, forces_out)
-        energy = float(np.sum(e_terms))
-        n_terms = len(gi)
-        per_atom = owner_counts(gi, n)
-        return ForceResult(
-            energy=energy,
-            terms=n_terms,
-            per_atom_work=per_atom,
-            flops=FLOPS_PER_PAIR * n_terms,
-            bytes_irregular=0.0,
-            bytes_regular=REGULAR_BYTES_PER_ATOM * m,
+        if not keep.any():
+            return [ForceResult.empty(n) for _ in range(n_runs)]
+        offsets = np.arange(n_runs, dtype=np.int64)[:, None] * n
+        gi = (gi[keep] + offsets).ravel()
+        gj = (gj[keep] + offsets).ravel()
+        owner, e_terms = self._pair_bundle(
+            system, boundary, gi, gj, forces_out
         )
+        runs, per_atom = split_runs(owner, e_terms, n_runs, n)
+        return [
+            ForceResult(
+                energy=energy,
+                terms=terms,
+                per_atom_work=per_atom[r],
+                flops=FLOPS_PER_PAIR * terms,
+                bytes_irregular=0.0,
+                bytes_regular=REGULAR_BYTES_PER_ATOM * m,
+            )
+            for r, (terms, energy) in enumerate(runs)
+        ]

@@ -13,16 +13,17 @@ simulation space, though not necessarily near one another in memory"
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import List, Optional
 
 import numpy as np
 
 from repro.md.boundary import Boundary
 from repro.md.forces.base import (
+    NO_TERMS,
     Force,
     ForceResult,
-    owner_counts,
     scatter_forces,
+    split_runs,
 )
 from repro.md.neighbors import NeighborList
 from repro.md.system import AtomSystem
@@ -97,6 +98,18 @@ class LennardJonesForce(Force):
             owner_range=self.owner_range,
         )
 
+    def replicate(self, n_runs: int, n_atoms: int) -> "LennardJonesForce":
+        """Copy with the exclusion pairs repeated for every run."""
+        ex = self.exclusions
+        if ex is not None:
+            ex = np.concatenate([ex + r * n_atoms for r in range(n_runs)])
+        return LennardJonesForce(
+            self.cutoff_factor,
+            exclusions=ex,
+            skip_fixed_pairs=self.skip_fixed_pairs,
+            owner_range=self.owner_range,
+        )
+
     def uses_neighbor_list(self) -> bool:
         return True
 
@@ -107,12 +120,12 @@ class LennardJonesForce(Force):
         neighbors: Optional[NeighborList],
         forces_out: np.ndarray,
     ):
-        """Core of :meth:`compute`: filter the candidate pairs,
+        """Core of :meth:`compute_runs`: filter the candidate pairs,
         accumulate forces into ``forces_out`` and return
         ``(owner, e_terms)`` — the owning atom index and shifted energy
         of every evaluated pair — or ``None`` when no pair survives.
-        Index-agnostic: the ensemble engine calls it once on the
-        flattened ``(n_runs·n, 3)`` view with run-offset pair indices."""
+        Index-agnostic, so one call serves every run of a run-major
+        system with a run-offset pair list."""
         if neighbors is None or not neighbors.built:
             raise RuntimeError("LJ force requires a built neighbor list")
         i, j, dr = neighbors.pairs_within(system.positions, boundary)
@@ -162,20 +175,30 @@ class LennardJonesForce(Force):
         neighbors: Optional[NeighborList],
         forces_out: np.ndarray,
     ) -> ForceResult:
-        n = system.n_atoms
-        bundle = self._bundle(system, boundary, neighbors, forces_out)
-        if bundle is None:
-            return ForceResult.empty(n)
-        i, e_terms = bundle
-        n_terms = len(i)
-        energy = float(np.sum(e_terms))
-        per_atom = owner_counts(i, n)
-        owners = int((per_atom > 0).sum())
-        return ForceResult(
-            energy=energy,
-            terms=n_terms,
-            per_atom_work=per_atom,
-            flops=FLOPS_PER_PAIR * n_terms,
-            bytes_irregular=IRREGULAR_BYTES_PER_PAIR * n_terms,
-            bytes_regular=REGULAR_BYTES_PER_ATOM * owners,
+        return self.compute_runs(system, boundary, neighbors, forces_out, 1)[0]
+
+    def compute_runs(
+        self,
+        system: AtomSystem,
+        boundary: Boundary,
+        neighbors: Optional[NeighborList],
+        forces_out: np.ndarray,
+        n_runs: int,
+    ) -> List[ForceResult]:
+        n = system.n_atoms // n_runs
+        owner, e_terms = (
+            self._bundle(system, boundary, neighbors, forces_out) or NO_TERMS
         )
+        runs, per_atom = split_runs(owner, e_terms, n_runs, n)
+        owners = (per_atom > 0).sum(axis=1).tolist()
+        return [
+            ForceResult(
+                energy=energy,
+                terms=m,
+                per_atom_work=per_atom[r],
+                flops=FLOPS_PER_PAIR * m,
+                bytes_irregular=IRREGULAR_BYTES_PER_PAIR * m,
+                bytes_regular=REGULAR_BYTES_PER_ATOM * owners[r],
+            )
+            for r, (m, energy) in enumerate(runs)
+        ]

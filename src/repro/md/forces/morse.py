@@ -11,16 +11,17 @@ the inspector/executor, and reports the same work counts.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import List, Optional
 
 import numpy as np
 
 from repro.md.boundary import Boundary
 from repro.md.forces.base import (
+    NO_TERMS,
     Force,
     ForceResult,
-    owner_counts,
     scatter_forces,
+    split_runs,
 )
 from repro.md.neighbors import NeighborList
 from repro.md.system import AtomSystem
@@ -89,8 +90,8 @@ class MorseForce(Force):
         neighbors: Optional[NeighborList],
         forces_out: np.ndarray,
     ):
-        """Core of :meth:`compute`; returns ``(owner, e_terms)`` or
-        ``None`` (see :meth:`LennardJonesForce._bundle`)."""
+        """Core of :meth:`compute_runs`; returns ``(owner, e_terms)``
+        or ``None`` (see :meth:`LennardJonesForce._bundle`)."""
         if neighbors is None or not neighbors.built:
             raise RuntimeError("Morse force requires a built neighbor list")
         i, j, dr = neighbors.pairs_within(system.positions, boundary)
@@ -129,19 +130,29 @@ class MorseForce(Force):
         forces_out: np.ndarray,
     ) -> ForceResult:
         """Accumulate Morse forces; see :class:`Force`."""
-        n = system.n_atoms
-        bundle = self._bundle(system, boundary, neighbors, forces_out)
-        if bundle is None:
-            return ForceResult.empty(n)
-        i, e_terms = bundle
-        n_terms = len(i)
-        energy = float(np.sum(e_terms))
-        per_atom = owner_counts(i, n)
-        return ForceResult(
-            energy=energy,
-            terms=n_terms,
-            per_atom_work=per_atom,
-            flops=FLOPS_PER_PAIR * n_terms,
-            bytes_irregular=IRREGULAR_BYTES_PER_PAIR * n_terms,
-            bytes_regular=0.0,
+        return self.compute_runs(system, boundary, neighbors, forces_out, 1)[0]
+
+    def compute_runs(
+        self,
+        system: AtomSystem,
+        boundary: Boundary,
+        neighbors: Optional[NeighborList],
+        forces_out: np.ndarray,
+        n_runs: int,
+    ) -> List[ForceResult]:
+        n = system.n_atoms // n_runs
+        owner, e_terms = (
+            self._bundle(system, boundary, neighbors, forces_out) or NO_TERMS
         )
+        runs, per_atom = split_runs(owner, e_terms, n_runs, n)
+        return [
+            ForceResult(
+                energy=energy,
+                terms=m,
+                per_atom_work=per_atom[r],
+                flops=FLOPS_PER_PAIR * m,
+                bytes_irregular=IRREGULAR_BYTES_PER_PAIR * m,
+                bytes_regular=0.0,
+            )
+            for r, (m, energy) in enumerate(runs)
+        ]

@@ -42,9 +42,9 @@ class TaylorPredictorCorrector:
         to an atom range so threads can process disjoint partitions.
 
         All three methods index the kinematic arrays as ``[..., sl, :]``
-        so they operate unchanged on both scalar ``(n, 3)`` systems and
-        stacked ``(n_runs, n, 3)`` ensemble systems (the atom axis is
-        always second-from-last)."""
+        so they operate unchanged on one system's ``(n, 3)`` arrays and
+        on the engine's stacked ``(n_runs, n, 3)`` arrays (the atom
+        axis is always second-from-last)."""
         dt = self.dt
         sl = slice(lo, hi)
         mv = system.movable[sl]
@@ -72,10 +72,11 @@ class TaylorPredictorCorrector:
 
     def prime(self, system: AtomSystem) -> None:
         """Initialize accelerations from current forces (call once after
-        the first force evaluation, before stepping)."""
+        the first force evaluation, before stepping).  Writes in place,
+        so views of the acceleration array stay live."""
         mv = system.movable
-        a = np.zeros_like(system.accelerations)
+        a = system.accelerations
+        a[...] = 0.0
         a[..., mv, :] = (
             system.forces[..., mv, :] / system.masses[mv, None] * ACCEL_UNIT
         )
-        system.accelerations = a

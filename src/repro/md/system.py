@@ -9,12 +9,21 @@ layout — and its cache consequences — is modelled separately in
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import List, Optional, Sequence
 
 import numpy as np
 
 from repro.md.elements import ELEMENT_IDS, ELEMENTS, Element
 from repro.md.units import ACCEL_UNIT, kinetic_to_kelvin, thermal_velocity
+
+
+def kinetic_energies(
+    masses: np.ndarray, velocities: np.ndarray
+) -> List[float]:
+    """Kinetic energy in eV (½ m v² / ACCEL_UNIT) of each run of an
+    ``(n_runs, n_atoms, 3)`` velocity stack."""
+    v2 = np.einsum("rij,rij->ri", velocities, velocities)
+    return [float(0.5 * np.dot(masses, row) / ACCEL_UNIT) for row in v2]
 
 
 class AtomSystem:
@@ -116,8 +125,7 @@ class AtomSystem:
 
     def kinetic_energy(self) -> float:
         """Total kinetic energy in eV (½ m v² / ACCEL_UNIT)."""
-        v2 = np.einsum("ij,ij->i", self.velocities, self.velocities)
-        return float(0.5 * np.dot(self.masses, v2) / ACCEL_UNIT)
+        return kinetic_energies(self.masses, self.velocities[None])[0]
 
     def temperature(self) -> float:
         """Instantaneous temperature of the movable atoms, in K."""

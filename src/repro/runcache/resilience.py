@@ -2,8 +2,8 @@
 
 :func:`supervise` turns the misses :func:`repro.runcache.sweep` found
 into units of work and drives them through one submit / wait / retry
-loop.  A unit is a single spec, or a homogeneous capture batch the
-ensemble engine runs in one pass.  The loop owns submission, retries
+loop.  A unit is a single spec, or a homogeneous capture batch one
+lockstep MD engine runs in one pass.  The loop owns submission, retries
 with decorrelated-jitter backoff, quarantine, the journal records and
 the ``shard`` spans; the only thing that varies is where a unit runs:
 
@@ -374,7 +374,7 @@ class Quarantined:
 @dataclass
 class Unit:
     """One unit of work: a single spec, or a homogeneous capture batch
-    the ensemble engine runs in one pass (:mod:`repro.ensemble.routing`)."""
+    one lockstep engine runs in one pass (:mod:`repro.ensemble.routing`)."""
 
     #: ``(digest, spec)`` pairs
     items: List[Tuple[str, RunSpec]]
@@ -740,8 +740,8 @@ class _Supervisor:
         self._retry(unit, message)
 
     def _split(self, unit: Unit, exc: Exception) -> None:
-        """The ensemble engine cannot run this batch: its runs go back
-        as single-spec units under the same attempt number."""
+        """The batch's runs cannot share one lockstep engine: they go
+        back as single-spec units under the same attempt number."""
         self.emitter.event(
             "ensemble.fallback", label=unit.label, runs=len(unit.items),
             reason=str(exc),

@@ -3,7 +3,7 @@
 :func:`execute_spec` is the single place a :class:`RunSpec` is turned
 back into a live simulation; :func:`run_and_store` memoizes it through
 a :class:`RunCache`; :func:`prepare_unit` wraps one spec, or one
-homogeneous capture batch for the ensemble engine, as a unit of work.
+homogeneous capture batch for one lockstep engine, as a unit of work.
 :func:`sweep` takes a whole list of specs, dedupes them against the
 cache, and hands the misses to the supervisor
 (:func:`repro.runcache.resilience.supervise`), the one executor every
@@ -45,11 +45,11 @@ TRACE_ARTIFACT_KEYS = ("files", "summary", "n_trace_events")
 
 
 def capture_spec(workload: str, steps: int, seed: int = 0) -> RunSpec:
-    """Spec for one serial physics capture (the expensive part).
+    """Spec for one physics capture (the expensive part).
 
     ``seed`` seeds the workload builder, so one workload family yields
-    arbitrarily many independent runs — the ensemble engine's unit of
-    batching."""
+    arbitrarily many independent runs — what a lockstep engine
+    batches."""
     from repro.workloads import resolve_workload
 
     return RunSpec(
@@ -474,9 +474,10 @@ def prepare_unit(
 
     One spec runs through :func:`run_and_store` (or plain
     :func:`execute_spec` without a cache).  Several specs are a capture
-    batch for the ensemble engine, built here so a batch it cannot run
-    raises :class:`~repro.ensemble.engine.EnsembleUnsupported` before
-    anything executes; each run is stored under its own digest.
+    batch for one lockstep engine, built here so a batch whose runs
+    cannot share one raises
+    :class:`~repro.md.engine.EnsembleUnsupported` before anything
+    executes; each run is stored under its own digest.
     """
     if len(specs) == 1:
         (spec,) = specs
@@ -539,8 +540,8 @@ class SweepResult:
     #: cache hits that were also journaled complete by the interrupted
     #: run this sweep resumed (served with zero re-execution)
     resumed: int = 0
-    #: homogeneous capture batches run by the vectorized ensemble
-    #: engine, and the runs they covered (see :mod:`repro.ensemble`)
+    #: homogeneous capture batches run by one lockstep engine each,
+    #: and the runs they covered (see :mod:`repro.ensemble`)
     ensemble_batches: int = 0
     ensemble_runs: int = 0
 
@@ -605,8 +606,8 @@ def sweep(
     Without a cache every *distinct* spec executes in-process
     (duplicates still dedupe).  The misses go to the supervisor
     (:func:`repro.runcache.resilience.supervise`) as units of work — a
-    homogeneous capture batch runs through the vectorized ensemble
-    engine as one unit.  With a cache and more than one unit they run
+    homogeneous capture batch runs through one lockstep engine as one
+    unit.  With a cache and more than one unit they run
     across a ``ProcessPoolExecutor`` of ``jobs`` workers (default
     :func:`default_jobs`) that publish into the shared store; a pool
     that cannot start degrades to in-process.  A unit whose

@@ -42,7 +42,7 @@ BUILDERS = {
     "Al-1000": build_al1000,
     # scaled generator workloads (ensemble/throughput studies): small
     # enough that per-run numpy overhead dominates, which is exactly
-    # the regime the batched ensemble engine targets
+    # the regime lockstep seed batches target
     "gas-8": _scaled(build_lj_gas, 8),
     "gas-16": _scaled(build_lj_gas, 16),
     "gas-64": _scaled(build_lj_gas, 64),

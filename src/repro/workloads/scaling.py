@@ -57,7 +57,7 @@ def build_lj_gas(
 
     Lattice spacing of 2.2 sigma keeps only the six nearest neighbors
     inside the 2.5 sigma force cutoff — a sparse, irregular pair graph
-    whose per-step array work is tiny, so scalar stepping is dominated
+    whose per-step array work is tiny, so one-run stepping is dominated
     by fixed interpreter/numpy-call overhead.  That is the regime where
     batching many runs into one ensemble pays most, which makes this
     the reference workload for the ensemble throughput gate

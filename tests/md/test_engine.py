@@ -150,8 +150,11 @@ def test_thermostat_drives_temperature():
     engine = MDEngine(
         s, forces=[], dt_fs=1.0, thermostat=thermo
     )
-    engine.run(300)
+    reports = engine.run(300)
     assert s.temperature() == pytest.approx(600.0, rel=0.1)
+    # the thermostatted velocities are the system's live state
+    assert engine.n_runs == 1 and engine.system is s
+    assert reports[-1].kinetic_energy == s.kinetic_energy()
 
 
 def test_thermostat_validation():

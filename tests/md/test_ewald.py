@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.md import AtomSystem, EwaldCoulombForce
+from repro.md import AtomSystem, EwaldCoulombForce, MDEngine
 from repro.md.boundary import PeriodicBox, ReflectiveBox
 from repro.md.units import COULOMB_K
 
@@ -160,3 +160,23 @@ def test_ewald_restrict_partitions_sum_to_full():
         energy += res.energy
     assert energy == pytest.approx(full.energy, rel=1e-9)
     assert np.allclose(acc, full_out, atol=1e-10)
+
+
+def test_ewald_engine_steps_in_periodic_box():
+    """A one-run engine integrates with Ewald forces in a periodic box:
+    atoms wrap into the box and the energy stays bounded."""
+    positions, charges, box = nacl_lattice(1, 2.82)
+    s = AtomSystem(box)
+    s.add_atoms("Na", positions, charges=charges)
+    s.set_thermal_velocities(300.0, np.random.default_rng(0))
+    engine = MDEngine(
+        s, [EwaldCoulombForce(real_cutoff=5.6, kmax=4)],
+        boundary=PeriodicBox(box), dt_fs=1.0,
+    )
+    reports = engine.run(10)
+    assert engine.n_runs == 1 and engine.step_count == 10
+    assert {name for name in reports[-1].force_results} == {"ewald"}
+    assert np.all((s.positions >= 0.0) & (s.positions < box))
+    energies = [r.total_energy for r in reports]
+    assert max(energies) - min(energies) < 1e-2 * abs(energies[0])
+    assert reports[-1].kinetic_energy == s.kinetic_energy()
