@@ -6,6 +6,11 @@ recorded with the engine before the per-step loop and the batched
 ensemble drivers were folded into one lockstep engine.  Any change to
 what an engine reports, or to how a report pickles, shows here: such a
 change would silently invalidate every run-cache entry and journal.
+
+Two more digests, recorded with the gather-based Coulomb kernel before
+it was rewritten over contiguous ring blocks, pin the Coulomb cases the
+paper workloads do not reach: a three-run lockstep batch, and a system
+with uncharged atoms between charged ones and some charged atoms fixed.
 """
 
 import hashlib
@@ -13,6 +18,7 @@ import hashlib
 import pytest
 
 from repro.core.simulate import capture_trace
+from repro.ensemble.engine import ensemble_capture
 from repro.runcache.store import dumps_artifact
 from repro.workloads import BUILDERS
 
@@ -39,3 +45,28 @@ def test_capture_bytes_match_pinned_digest(workload, steps):
     trace = capture_trace(BUILDERS[workload](seed=0), steps)
     digest = hashlib.sha256(dumps_artifact(trace)).hexdigest()
     assert digest == DIGESTS[(workload, steps)]
+
+
+def _digest(artifact) -> str:
+    return hashlib.sha256(dumps_artifact(artifact)).hexdigest()
+
+
+def test_ionic_three_seed_lockstep_bytes_match_pinned_digest():
+    traces = ensemble_capture("ionic-64", 3, [0, 1, 2])
+    assert _digest(traces) == (
+        "221ca16eb89c84fde6f39db60ba74cdffddc4b513dbbe3d7f484bc9f1fccfc44"
+    )
+
+
+def test_mixed_charge_capture_bytes_match_pinned_digest():
+    """ionic-64 with every fifth atom neutral (51 charged atoms, not a
+    contiguous index range) and every seventh atom fixed (7 of them
+    charged)."""
+    workload = BUILDERS["ionic-64"](seed=0)
+    s = workload.system
+    s.charges[::5] = 0.0
+    s.movable[3::7] = False
+    s.velocities[~s.movable] = 0.0
+    assert _digest(capture_trace(workload, 5)) == (
+        "7cfee875466aeaa48caed4c6ccc93e1ed8aac070fd2461b2714e389dc2f3b385"
+    )

@@ -145,6 +145,32 @@ def test_property_restricted_lj_partitions_exactly(seed, n, parts):
     assert np.allclose(acc, full, atol=1e-10)
 
 
+@settings(max_examples=20, deadline=None)
+@given(
+    seed=st.integers(0, 10_000),
+    n=st.integers(1, 40),
+    parts=st.integers(1, 6),
+)
+def test_property_restricted_coulomb_partitions_exactly(seed, n, parts):
+    """Restricted Coulomb copies over any partition reproduce the full
+    force, and each ring pair is evaluated by exactly one copy."""
+    from repro.core.partition import block_partition
+
+    system = random_system(seed, n, charged=True)
+    system.charges[::3] = 0.0  # neutral atoms between charged ones
+    boundary = ReflectiveBox(system.box)
+    full = np.zeros_like(system.positions)
+    full_terms = CoulombForce().compute(system, boundary, None, full).terms
+    acc = np.zeros_like(system.positions)
+    terms = 0
+    for lo, hi in block_partition(n, parts):
+        terms += CoulombForce().restrict(lo, hi).compute(
+            system, boundary, None, acc
+        ).terms
+    assert np.allclose(acc, full, atol=1e-10)
+    assert terms == full_terms
+
+
 # ------------------------------------------------------- cache model ----
 
 
