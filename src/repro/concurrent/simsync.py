@@ -119,7 +119,7 @@ class SimCountDownLatch:
         if self._count > 0:
             self._count -= 1
             self.arrival_times.append(self.sim.now)
-            if self.sim._subscribers:
+            if self.sim._firehose:
                 self.sim.emit(
                     "latch.count_down", self.name,
                     ("remaining", self._count),

@@ -38,7 +38,7 @@ class Timeout:
         self.value = value
 
     def _subscribe(self, sim, process) -> None:
-        if sim._subscribers:
+        if sim._firehose:
             sim.emit("timeout", process.name, ("delay", self.delay))
         sim._schedule(self.delay, process._resume, self.value)
 

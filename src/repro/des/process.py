@@ -61,7 +61,7 @@ class Process:
             return
         self._waiting_on = None
         sim = self.sim
-        if sim._subscribers:
+        if sim._firehose:
             sim.emit("process.resume", self.name)
         try:
             request = self._send(value)
@@ -104,7 +104,7 @@ class Process:
         # membership in sim._live is managed at spawn/_finish/_crash;
         # re-adding on every yield was pure hot-loop overhead
         sim = self.sim
-        if sim._subscribers:
+        if sim._firehose:
             sim.emit(
                 "process.block", self.name,
                 ("request", type(request).__name__),

@@ -81,7 +81,7 @@ class Semaphore:
                 self._holders.pop(only, None)
         if start is not None:
             self.hold_time += self.sim.now - start
-        if self.sim._subscribers:
+        if self.sim._firehose:
             self.sim.emit("lock.release", self.name)
         while self._queue:
             proc, enqueued_at = self._queue.popleft()
@@ -91,7 +91,7 @@ class Semaphore:
             self.acquire_count += 1
             self._acquired_at[id(proc)] = self.sim.now
             self._holders[id(proc)] = proc
-            if self.sim._subscribers:
+            if self.sim._firehose:
                 self.sim.emit(
                     "lock.acquire", self.name,
                     ("process", proc.name),
@@ -136,14 +136,14 @@ class _AcquireRequest:
     def _subscribe(self, sim, process) -> None:
         sem = self.sem
         if sem._try_grant(process):
-            if sim._subscribers:
+            if sim._firehose:
                 sim.emit(
                     "lock.acquire", sem.name,
                     ("process", process.name), ("waited", 0.0),
                 )
             sim._schedule(0.0, process._resume, sem)
         else:
-            if sim._subscribers:
+            if sim._firehose:
                 sim.emit(
                     "lock.request", sem.name, ("process", process.name)
                 )

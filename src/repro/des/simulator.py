@@ -3,11 +3,31 @@
 from __future__ import annotations
 
 import heapq
-from typing import Callable, Generator, Optional
+from typing import Callable, Generator, Iterable, Optional
 
 from repro.des.errors import SimulationDeadlock
 from repro.des.process import Process
 from repro.des.trace import TraceEvent
+
+
+#: kinds emitted at the high-volume sites (process resume/block, timed
+#: waits, lock traffic, latch count-downs), which guard on the count of
+#: full-stream subscribers rather than on any subscriber at all
+FIREHOSE_KINDS = frozenset({
+    "process.resume",
+    "process.block",
+    "timeout",
+    "lock.request",
+    "lock.acquire",
+    "lock.release",
+    "latch.count_down",
+})
+
+
+def is_firehose_kind(kind: str) -> bool:
+    """True for a kind only full-stream subscribers can receive: one of
+    :data:`FIREHOSE_KINDS`, or a scheduler ``sched.*`` decision."""
+    return kind in FIREHOSE_KINDS or kind.startswith("sched.")
 
 
 class Timer:
@@ -59,10 +79,14 @@ class Simulator:
     monotone counter), so runs are exactly reproducible.
 
     The simulator is also the kernel's **event bus**: observers call
-    :meth:`subscribe` and receive every :class:`TraceEvent` emitted by
-    the kernel, the scheduler, and the sim-concurrent runtime.  With no
-    subscriber attached every emission site is one truthiness check of
-    :attr:`_subscribers`, and tracing never costs simulated time.
+    :meth:`subscribe` and receive the :class:`TraceEvent` stream emitted
+    by the kernel, the scheduler, and the sim-concurrent runtime — all
+    of it, or only the kinds they name.  The high-volume sites
+    (:data:`FIREHOSE_KINDS`, ``sched.*``) guard on :attr:`_firehose`,
+    the count of full-stream subscribers; every other site guards on
+    :attr:`_subscribers`.  With nobody (or only kind-filtered observers
+    of low-volume kinds) attached, a firehose site is one integer check,
+    and tracing never costs simulated time.
     """
 
     #: compact the heap when cancelled-timer tombstones exceed this
@@ -82,9 +106,15 @@ class Simulator:
         self._tombstones: int = 0
         #: number of wholesale tombstone compactions performed
         self.compactions: int = 0
-        #: event-bus subscribers; emission sites check truthiness inline,
-        #: so an empty list is the zero-overhead "tracing off" fast path
+        #: event-bus subscribers as ``(callback, kinds)`` pairs (``kinds``
+        #: None = the full stream); low-volume emission sites check its
+        #: truthiness inline, so an empty list is the "tracing off" path
         self._subscribers: list = []
+        #: full-stream subscribers; the firehose sites guard on this
+        self._firehose: int = 0
+        #: kind -> callbacks that want it, in subscription order; filled
+        #: lazily by emit() and reset by every (un)subscribe
+        self._routes: dict = {}
 
     # -- event bus -------------------------------------------------------
 
@@ -93,31 +123,67 @@ class Simulator:
         """True when at least one trace subscriber is attached."""
         return bool(self._subscribers)
 
-    def subscribe(self, callback: Callable[[TraceEvent], None]) -> Callable:
+    def subscribe(
+        self,
+        callback: Callable[[TraceEvent], None],
+        kinds: Optional[Iterable[str]] = None,
+    ) -> Callable:
         """Attach a trace subscriber; returns ``callback`` for symmetry
-        with :meth:`unsubscribe`."""
-        self._subscribers.append(callback)
+        with :meth:`unsubscribe`.
+
+        ``kinds=None`` delivers the full stream.  A set of kinds
+        delivers only those, in stream order.  Firehose kinds are
+        emitted only while a full-stream subscriber is attached, so a
+        filter naming one would silently miss it: that raises
+        :class:`ValueError`.
+        """
+        if kinds is None:
+            self._firehose += 1
+        else:
+            kinds = frozenset(kinds)
+            firehose = sorted(k for k in kinds if is_firehose_kind(k))
+            if firehose:
+                raise ValueError(
+                    f"kind filter names firehose kinds {firehose}: their "
+                    f"sites emit only to full-stream subscribers"
+                )
+        self._subscribers.append((callback, kinds))
+        self._routes = {}
         return callback
 
     def unsubscribe(self, callback: Callable[[TraceEvent], None]) -> None:
         """Detach a previously subscribed trace callback."""
-        self._subscribers.remove(callback)
+        for i, (fn, kinds) in enumerate(self._subscribers):
+            if fn == callback:
+                del self._subscribers[i]
+                if kinds is None:
+                    self._firehose -= 1
+                self._routes = {}
+                return
+        raise ValueError(f"not subscribed: {callback!r}")
 
     def emit(self, kind: str, subject: str, *args) -> None:
-        """Deliver one trace event to every subscriber.
+        """Deliver one trace event to every subscriber that wants it.
 
         ``args`` are ``(key, value)`` pairs in emitter-fixed order.  Hot
-        paths guard the call with ``if sim._subscribers:`` so the
-        traced-off cost is a single attribute check; with subscribers
-        attached the one :class:`TraceEvent` instance is shared by all
-        of them (subscribers must treat events as immutable).
+        paths guard the call (``if sim._firehose:`` at firehose sites,
+        ``if sim._subscribers:`` elsewhere), so the traced-off cost is a
+        single attribute check.  The :class:`TraceEvent` is built only
+        when some subscriber wants ``kind``, and the one instance is
+        shared by all of them (subscribers must treat events as
+        immutable).
         """
-        subscribers = self._subscribers
-        if not subscribers:
-            return
-        event = TraceEvent(self.now, kind, subject, args)
-        for fn in subscribers:
-            fn(event)
+        route = self._routes.get(kind)
+        if route is None:
+            route = self._routes[kind] = tuple(
+                fn
+                for fn, kinds in self._subscribers
+                if kinds is None or kind in kinds
+            )
+        if route:
+            event = TraceEvent(self.now, kind, subject, args)
+            for fn in route:
+                fn(event)
 
     # -- scheduling ------------------------------------------------------
 

@@ -58,6 +58,7 @@ class SchedulerTrace:
     record_events: bool = True
     #: owning simulator — when set, every recorded event is mirrored onto
     #: its trace bus as ``sched.<what>`` (ready/run/preempt/done/migrate)
+    #: for full-stream subscribers (a firehose site)
     _sim: object = field(default=None, repr=False, compare=False)
 
     def record(self, time: float, thread: str, pu: int, what: str) -> None:
@@ -65,7 +66,7 @@ class SchedulerTrace:
         if self.record_events:
             self.events.append((time, thread, pu, what))
         sim = self._sim
-        if sim is not None and sim._subscribers:
+        if sim is not None and sim._firehose:
             kind, _, label = what.partition(":")
             if label:
                 sim.emit(f"sched.{kind}", thread, ("pu", pu), ("label", label))
@@ -139,6 +140,14 @@ class Scheduler:
         # every candidate, so the flip points in submit()/_dispatch()
         # keep it current instead of rescanning siblings per query
         self._busy_sibs: List[int] = [0] * n
+        #: incrementally maintained per-PU load index: ``_loads[p] ==
+        #: load(p)`` at every placement.  Every change to a load input
+        #: (run-queue depth, pending count, running flag, busy-sibling
+        #: count) re-indexes that PU through _index_load()
+        self._loads: List[float] = [0.0] * n
+        #: (queue + pending + running, busy siblings) -> load, filled by
+        #: load()'s own repeated ``+= 0.45`` so each value is its float
+        self._smt_loads: Dict[Tuple[float, int], float] = {}
         #: (affinity tuple, llc id) -> candidate PUs under that LLC;
         #: affinity masks are few and stable, so this saturates quickly
         self._local_pools: Dict[Tuple[Tuple[int, ...], int], List[int]] = {}
@@ -163,6 +172,28 @@ class Scheduler:
             k -= 1
         return l
 
+    def _index_load(self, pu: int, queued: Optional[int] = None) -> None:
+        """Refresh ``_loads[pu]`` to :meth:`load`'s value.  ``queued``
+        overrides the run-queue depth: a dispatcher about to pop its
+        queue indexes the depth after the (synchronous) pop."""
+        l = (
+            (len(self._rq_items[pu]) if queued is None else queued)
+            + self._pending[pu]
+            + (1.0 if self._running[pu] else 0.0)
+        )
+        k = self._busy_sibs[pu]
+        if k:
+            key = (l, k)
+            smt = self._smt_loads.get(key)
+            if smt is None:
+                smt = l
+                while k:  # exactly load()'s accumulation
+                    smt += 0.45
+                    k -= 1
+                self._smt_loads[key] = smt
+            l = smt
+        self._loads[pu] = l
+
     def choose_pu(self, thread) -> int:
         """Pick a PU within the thread's affinity mask.
 
@@ -171,40 +202,21 @@ class Scheduler:
         with the previously assigned core".  Like CFS scheduling
         domains, balancing prefers PUs under the thread's current LLC;
         it spills to other cache domains only when the local domain is
-        distinctly busier.
+        distinctly busier.  Loads come from the incremental index, which
+        equals :meth:`load` for every PU at this point.
         """
         aff = thread.affinity_list
         if len(aff) == 1:
             return aff[0]
         last = thread.last_pu
-        # inlined self.load() over the affinity mask — this runs for
-        # every placement and dominated the replay profile; arithmetic
-        # and iteration order match load() exactly
-        running = self._running
-        pending = self._pending
-        rq_items = self._rq_items
-        busy_sibs = self._busy_sibs
-        loads = {}
-        global_best = None
-        for p in aff:
-            l = (
-                len(rq_items[p])
-                + pending[p]
-                + (1.0 if running[p] else 0.0)
-            )
-            k = busy_sibs[p]
-            while k:
-                l += 0.45
-                k -= 1
-            loads[p] = l
-            if global_best is None or l < global_best:
-                global_best = l
+        loads = self._loads
+        global_best = min([loads[p] for p in aff])
         roll = self._rng.random()
         wander = roll < self.migrate_prob
         # a rarer event models the kernel's idle balancer pulling the
         # thread to any socket; ordinary wander stays within the domain
         rebalance = roll < self.rebalance_prob
-        if loads.get(last) == 0 and not wander:
+        if last in thread.affinity and loads[last] == 0 and not wander:
             return last
         pool = aff
         best = global_best
@@ -243,9 +255,11 @@ class Scheduler:
             # idle -> busy: this PU now burdens its SMT siblings
             for s in self._smt_other[pu]:
                 self._busy_sibs[s] += 1
+                self._index_load(s)
         self._pending[pu] += 1
         self.trace.record(self.sim.now, thread.name, pu, "ready")
         self.runqueues[pu].put(thread)
+        self._index_load(pu)
         return pu
 
     # -- dispatch loop -------------------------------------------------------
@@ -278,12 +292,17 @@ class Scheduler:
         # synchronously at the yield, so rewriting .delay per slice is
         # safe and saves an allocation every quantum
         slice_timeout = Timeout(0.0)
+        index_load = self._index_load
         while True:
+            if rq_items:
+                # the get below pops synchronously: index that depth now
+                index_load(pu, len(rq_items) - 1)
             thread = yield rq.get()
             if thread is None:
                 return
             pending[pu] -= 1
             running[pu] = thread
+            index_load(pu)
             dispatches[thread.name] += 1
             cost = thread.pending_cost
             label = cost.label if cost is not None else ""
@@ -323,11 +342,13 @@ class Scheduler:
             thread.last_pu = pu
             thread.last_llc = llc
             running[pu] = None
+            index_load(pu)
             if pending[pu] == 0:
                 # busy -> idle: lift the SMT burden off the siblings
                 # (a preempt resubmit below may immediately restore it)
                 for s in self._smt_other[pu]:
                     self._busy_sibs[s] -= 1
+                    index_load(s)
             if preempted:
                 record(sim.now, thread.name, pu, "preempt")
                 machine.on_burst_pause(thread, pu)

@@ -38,6 +38,7 @@ reason Al-1000 stops scaling (§V of the paper).
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
@@ -55,6 +56,15 @@ Interval = Tuple[float, float]
 #: pseudo-phase for time outside every phase window (master serial
 #: sections, GC pauses at step boundaries, startup/shutdown slack)
 SERIAL_PHASE = "serial"
+
+#: the trace-bus kinds :func:`observe_run` reads; its tracer subscribes
+#: to these alone, so the replay never builds the events it would drop
+OBSERVED_KINDS = frozenset({
+    "task.enqueue", "task.dequeue", "task.start", "task.end",
+    "phase.begin", "phase.end",
+    "worker.death", "fault.inject", "task.reissue",
+    "steal.attempt", "steal.success", "steal.miss",
+})
 
 #: fine-grained per-instant classes (each worker instant gets exactly one)
 CLASSES = (
@@ -159,6 +169,66 @@ def interval_seconds(ivs: Sequence[Interval]) -> float:
     return sum(e - s for s, e in ivs)
 
 
+def _window_seconds(
+    ivs: Sequence[Interval], ends: Sequence[float], lo: float, hi: float
+) -> float:
+    """``interval_seconds(intersect_intervals(ivs, [(lo, hi)]))`` for a
+    merged list ``ivs`` whose end times are ``ends``.
+
+    The intervals ending by ``lo`` cannot overlap the window, so a
+    bisect skips them; the walk from there makes the same pieces in the
+    same order as :func:`intersect_intervals`, and sums them the same
+    way, so the float is identical.
+    """
+    pieces = []
+    i = bisect_right(ends, lo)
+    n = len(ivs)
+    while i < n:
+        a0, a1 = ivs[i]
+        s = lo if lo > a0 else a0
+        e = hi if hi < a1 else a1
+        if e > s:
+            pieces.append(e - s)
+        if a1 < hi:
+            i += 1
+        else:
+            break
+    return sum(pieces)
+
+
+def _phase_seconds(
+    ivs: Sequence[Interval],
+    tagged: Sequence[Tuple[float, float, str]],
+    phases: Sequence[str],
+) -> Dict[str, float]:
+    """Seconds of a merged list ``ivs`` inside each phase's windows:
+    ``{p: interval_seconds(intersect_intervals(ivs, windows of p))}``
+    for every ``p`` in ``phases``, in that order.
+
+    ``tagged`` holds every phase's merged windows as time-sorted
+    ``(start, end, phase)``; windows of different phases must not
+    overlap.  One two-pointer pass against all of them cuts exactly the
+    pieces the per-phase intersections would, each phase's in time
+    order, and sums them the same way, so every float is identical.
+    """
+    pieces: Dict[str, List[float]] = {p: [] for p in phases}
+    i = j = 0
+    n_ivs, n_tagged = len(ivs), len(tagged)
+    while i < n_ivs and j < n_tagged:
+        a0, a1 = ivs[i]
+        b0, b1, phase = tagged[j]
+        # max()/min()'s tie rules, as in intersect_intervals
+        s = b0 if b0 > a0 else a0
+        e = b1 if b1 < a1 else a1
+        if e > s:
+            pieces[phase].append(e - s)
+        if a1 < b1:
+            i += 1
+        else:
+            j += 1
+    return {p: sum(ps) for p, ps in pieces.items()}
+
+
 # -- one observed run -------------------------------------------------------
 
 
@@ -211,6 +281,13 @@ def observe_run(
     """Replay a captured physics trace under the tracer and classify
     every worker instant.
 
+    The tracer subscribes only to :data:`OBSERVED_KINDS` — the task
+    lifecycle, the phase markers, and the fault and steal events the
+    classification reads — so the bus builds no event that would be
+    dropped; thread states come from the scheduler's own ground-truth
+    log.  Each class's seconds are split over phases in one pass
+    against all phase windows.
+
     The classification is a partition: running time splits into task
     execution vs pool overhead, and parked time is attributed — in
     priority order — to fault windows (a crashed worker's dead tail,
@@ -222,7 +299,7 @@ def observe_run(
     the partition stays exact and the bucket deltas still telescope.
     """
     machine = SimMachine(spec, seed=seed)
-    tracer = Tracer().attach(machine.sim)
+    tracer = Tracer(kinds=OBSERVED_KINDS).attach(machine.sim)
     run = SimulatedParallelRun(
         trace, n_atoms, machine, n_threads, name=name, **run_kwargs
     )
@@ -319,6 +396,15 @@ def observe_run(
         for name_, ivs in phase_ivs.items()
     }
 
+    # the replay master runs one phase at a time, so windows of
+    # different phases never overlap; _phase_seconds relies on that
+    tagged = sorted(
+        (s, e, pname) for pname, pivs in phase_ivs.items() for s, e in pivs
+    )
+    assert all(
+        tagged[k][1] <= tagged[k + 1][0] for k in range(len(tagged) - 1)
+    ), "phase windows of different phases overlap"
+
     acc: Dict[str, Dict[str, float]] = {
         cls: {SERIAL_PHASE: 0.0} for cls in CLASSES
     }
@@ -330,12 +416,12 @@ def observe_run(
         # GC-amplification compensation use a +s / −s pair, so the
         # per-worker partition of [0, T] stays exact)
         remaining = interval_seconds(ivs)
-        for pname, pivs in phase_ivs.items():
-            t = interval_seconds(intersect_intervals(ivs, pivs))
+        row = acc[cls]
+        for pname, t in _phase_seconds(ivs, tagged, phase_ivs).items():
             if t:
-                acc[cls][pname] = acc[cls].get(pname, 0.0) + scale * t
+                row[pname] = row.get(pname, 0.0) + scale * t
             remaining -= t
-        acc[cls][SERIAL_PHASE] += scale * remaining
+        row[SERIAL_PHASE] += scale * remaining
 
     exec_by_uid: Dict[str, float] = {}
     worker_names = [
@@ -410,9 +496,10 @@ def observe_run(
         attribute_phase(
             "latch_idle", subtract_intervals(rem, queue_ivs, 0.0, T)
         )
+        running_ends = [e for _s, e in running]
         for s in my_spans:
-            exec_by_uid[s.uid] = interval_seconds(
-                intersect_intervals(running, [(s.started, s.finished)])
+            exec_by_uid[s.uid] = _window_seconds(
+                running, running_ends, s.started, s.finished
             )
 
     window_exec: List[Tuple[PhaseWindow, List[Tuple[str, float]]]] = []

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.des.trace import TraceEvent, serialize_events
 
@@ -99,7 +99,7 @@ class TaskSpan:
 
 
 class Tracer:
-    """Passive subscriber that records a simulator's full event stream.
+    """Passive subscriber that records a simulator's event stream.
 
     Usage::
 
@@ -109,13 +109,20 @@ class Tracer:
         tracer.detach()
         spans = tracer.task_spans()
 
+    ``Tracer(kinds=...)`` records only the named kinds, in stream order
+    (the subsequence of what a full tracer records); the bus refuses a
+    filter that names a firehose kind
+    (:func:`~repro.des.simulator.is_firehose_kind`).
+
     Attaching costs the simulation nothing in *simulated* time — the
     bus is observation-only — so a traced run and an untraced run have
     identical timestamps (enforced by ``tests/obs/test_bus.py``).
     """
 
-    def __init__(self):
+    def __init__(self, kinds: Optional[Iterable[str]] = None):
         self.events: List[TraceEvent] = []
+        #: the recorded kinds, or None for the full stream
+        self.kinds = frozenset(kinds) if kinds is not None else None
         self._sim = None
 
     # -- subscription ----------------------------------------------------
@@ -124,10 +131,10 @@ class Tracer:
         """Subscribe to a simulator's bus; returns self for chaining."""
         if self._sim is not None:
             raise ValueError("tracer already attached")
-        self._sim = sim
         # subscribe the buffer's bound append directly: recording one
         # event is then a single list append with no wrapper frame
-        sim.subscribe(self.events.append)
+        sim.subscribe(self.events.append, kinds=self.kinds)
+        self._sim = sim
         return self
 
     def detach(self) -> None:
@@ -135,9 +142,6 @@ class Tracer:
         if self._sim is not None:
             self._sim.unsubscribe(self.events.append)
             self._sim = None
-
-    def _on_event(self, event: TraceEvent) -> None:
-        self.events.append(event)
 
     # -- queries ---------------------------------------------------------
 

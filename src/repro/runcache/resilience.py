@@ -54,6 +54,7 @@ its batch-mates down.
 from __future__ import annotations
 
 import json
+import multiprocessing
 import os
 import random
 import shutil
@@ -542,7 +543,13 @@ class _Supervisor:
 
     def _open_pool(self) -> None:
         try:
-            self.pool = ProcessPoolExecutor(max_workers=self.workers)
+            # an explicit start method, not the platform default: Python
+            # 3.14 moves Linux from fork to forkserver, which would
+            # silently change what a pool worker inherits and costs
+            self.pool = ProcessPoolExecutor(
+                max_workers=self.workers,
+                mp_context=multiprocessing.get_context("fork"),
+            )
         except (OSError, PermissionError, ValueError):
             self._degrade()
 

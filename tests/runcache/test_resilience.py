@@ -281,6 +281,25 @@ def test_worker_deaths_use_up_no_attempts(cache, arm, tmp_path):
         ("finished", 4, False),
     ]
 
+def test_sweep_pool_starts_workers_by_fork(cache, monkeypatch):
+    """The pool's start method is pinned, not the platform default."""
+    from repro.runcache import resilience
+
+    opened = []
+
+    class RecordingPool(resilience.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            opened.append(self)
+
+    monkeypatch.setattr(resilience, "ProcessPoolExecutor", RecordingPool)
+    result = sweep(_specs(2), cache, jobs=2)
+    assert result.ok and opened
+    assert all(
+        pool._mp_context.get_start_method() == "fork" for pool in opened
+    )
+
+
 def test_degraded_serial_path_reports_like_the_pooled_path(
     cache, tmp_path, monkeypatch
 ):
