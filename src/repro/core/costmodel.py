@@ -139,6 +139,23 @@ class MachineCostModel:
             Region(f"{name}.tmp{t}", int(params.temp_tlab_bytes))
             for t in range(self.n_threads)
         ]
+        # step-invariant tables: they depend only on the partition, so
+        # every step's pricing reuses them.  Per force chunk: (region,
+        # fraction) of each partition it overlaps, and the regions of
+        # the other partitions it gathers ghost atoms from
+        self._chunk_parts = []
+        for lo, hi in self.force_ranges:
+            overlap = self._part_overlap(lo, hi)
+            own_parts = {s for s, _frac in overlap}
+            self._chunk_parts.append((
+                [(self.part_regions[s], frac) for s, frac in overlap],
+                [
+                    self.part_regions[s]
+                    for s in range(self.n_threads) if s not in own_parts
+                ],
+            ))
+        #: the reduce phase's costs (frozen, so shared by every step)
+        self._reduce_table = tuple(self._reduce_costs())
 
     # -- helpers -----------------------------------------------------------
 
@@ -212,27 +229,20 @@ class MachineCostModel:
             )
             regular = work.bytes_regular * share * p.regular_amplification
             reads = []
-            overlap = self._part_overlap(lo, hi)
-            own_parts = {s for s, _frac in overlap}
+            overlap, others = self._chunk_parts[t]
             if irregular > 0:
-                others = [
-                    s for s in range(self.n_threads) if s not in own_parts
-                ]
                 ghost = irregular * p.shared_read_fraction if others else 0.0
                 own = irregular - ghost
-                for s, frac in overlap:
-                    reads.append(Traffic(self.part_regions[s], own * frac))
-                for s in others:
+                for region, frac in overlap:
+                    reads.append(Traffic(region, own * frac))
+                if others:
                     # boundary atoms gathered from neighbor partitions;
-                    # remote when partition s is homed on another socket
-                    reads.append(
-                        Traffic(self.part_regions[s], ghost / len(others))
-                    )
+                    # remote when a partition is homed on another socket
+                    per_other = ghost / len(others)
+                    reads.extend(Traffic(region, per_other) for region in others)
             if regular > 0:
-                for s, frac in overlap:
-                    reads.append(
-                        Traffic(self.part_regions[s], regular * frac)
-                    )
+                for region, frac in overlap:
+                    reads.append(Traffic(region, regular * frac))
             if p.include_temp_churn and work.terms > 0:
                 churn = work.terms * share * p.temp_bytes_per_term
                 reads.append(
@@ -332,6 +342,6 @@ class MachineCostModel:
                     ("rebuild", self._force_like_costs(pw["rebuild"], "rebuild"))
                 )
         phases.append(("forces", self._force_like_costs(force_work, "forces")))
-        phases.append(("reduce", self._reduce_costs()))
+        phases.append(("reduce", list(self._reduce_table)))
         phases.append(("correct", self._uniform_costs(pw["correct"], "correct")))
         return phases

@@ -43,6 +43,12 @@ def capture_trace(workload, n_steps: int) -> List[StepReport]:
     return engine.run(n_steps)
 
 
+def trace_atoms(trace: Sequence[StepReport]) -> int:
+    """The atom count of a captured trace: its replay needs no rebuilt
+    workload (every step's per-atom work spans all atoms)."""
+    return len(trace[0].phase_work["predict"].per_atom)
+
+
 @dataclass
 class RunResult:
     """Outcome of one simulated parallel run."""

@@ -23,8 +23,6 @@ from __future__ import annotations
 from collections import OrderedDict
 from dataclasses import dataclass
 
-import numpy as np
-
 
 @dataclass(frozen=True, slots=True)
 class Region:
@@ -61,10 +59,6 @@ class LlcState:
         "bytes_missed",
     )
 
-    #: batches at least this long take the vectorized touch_many path —
-    #: below this, numpy's per-array overhead loses to the scalar loop
-    _BATCH_MIN = 32
-
     def __init__(self, llc_id: int, capacity_bytes: int):
         self.llc_id = llc_id
         self.capacity = capacity_bytes
@@ -90,7 +84,10 @@ class LlcState:
         return self.resident_bytes(region) / region.size_bytes
 
     def touch(self, region: Region, n_bytes: float) -> float:
-        """Read ``n_bytes`` of ``region``; returns missed bytes."""
+        """Read ``n_bytes`` of ``region``; returns missed bytes.
+
+        :meth:`SimMachine.burst_duration` inlines this arithmetic for
+        a burst's reads; the two must stay identical, bit for bit."""
         size = region.size_bytes
         if n_bytes <= 0 or size == 0:
             return 0.0
@@ -116,75 +113,6 @@ class LlcState:
         if name in resident:
             resident.move_to_end(name)
         return miss
-
-    def touch_many(self, traffics) -> list:
-        """Read a batch of :class:`~repro.machine.cost.Traffic` records;
-        returns the per-record missed bytes, in order.
-
-        Equivalent to ``[touch(t.region, t.n_bytes) for t in traffics]``
-        bit for bit — each record's hit fraction reflects every earlier
-        record's install, and the hit/miss counters accumulate in record
-        order.  Large batches of *distinct, eviction-free* touches take a
-        numpy path that vectorizes the warmth arithmetic (elementwise
-        float64 ops round identically to the scalar ones); any batch the
-        fast path can't prove safe falls back to the scalar loop.
-        """
-        if len(traffics) < self._BATCH_MIN:
-            touch = self.touch
-            return [touch(t.region, t.n_bytes) for t in traffics]
-        fast = self._touch_many_numpy(traffics)
-        if fast is not None:
-            return fast
-        touch = self.touch
-        return [touch(t.region, t.n_bytes) for t in traffics]
-
-    def _touch_many_numpy(self, traffics):
-        """Vectorized touch of distinct regions, or None when the batch
-        needs the stateful scalar path (duplicates, zero-size regions,
-        or a projected overflow that would evict mid-batch)."""
-        resident = self._resident
-        names = []
-        sizes = np.empty(len(traffics))
-        wants = np.empty(len(traffics))
-        prevs = np.empty(len(traffics))
-        seen = set()
-        for i, t in enumerate(traffics):
-            region = t.region
-            size = region.size_bytes
-            if size == 0 or t.n_bytes <= 0 or region.name in seen:
-                return None
-            seen.add(region.name)
-            names.append(region.name)
-            sizes[i] = size
-            wants[i] = t.n_bytes
-            entry = resident.get(region.name)
-            prevs[i] = entry[1] if entry else 0.0
-        reads = np.minimum(wants, sizes)
-        hits = reads * (prevs / sizes)
-        misses = reads - hits
-        news = np.minimum(sizes, prevs + misses)
-        if self._used + float(np.sum(news - prevs)) > self.capacity:
-            return None  # would evict: replay through the scalar path
-        out = []
-        used = self._used
-        bytes_hit = self.bytes_hit
-        bytes_missed = self.bytes_missed
-        for i, t in enumerate(traffics):
-            hit = float(hits[i])
-            miss = float(misses[i])
-            bytes_hit += hit
-            bytes_missed += miss
-            if miss > 0:
-                new = float(news[i])
-                resident[names[i]] = (t.region, new)
-                used += new - prevs[i]
-            if names[i] in resident:
-                resident.move_to_end(names[i])
-            out.append(miss)
-        self._used = used
-        self.bytes_hit = bytes_hit
-        self.bytes_missed = bytes_missed
-        return out
 
     def install(self, region: Region, n_bytes: float) -> None:
         """Place bytes in the cache without counting hits/misses (used

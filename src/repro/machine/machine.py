@@ -216,6 +216,15 @@ class SimMachine:
         Roofline composition: compute and memory streams overlap, so the
         duration is ``max(compute, memory) + overlap * min(...)`` — the
         ``overlap`` parameter (< 1) models imperfect overlap.
+
+        Reads are priced in one fused pass.  Each read updates the LLC
+        with :meth:`LlcState.touch`'s arithmetic, inlined, and its
+        missed bytes move at the controller's rate.  That rate is
+        sampled once per burst, counting the burst itself as one extra
+        stream: nothing begins or ends a stream while a burst is
+        priced.  Shared regions homed on another socket pay the remote
+        penalty.  Writes then install into the LLC, re-home their
+        region and invalidate every other LLC's copy.
         """
         compute = cost.cycles / self.spec.freq_hz
         llc = self._llc_of_pu[pu]
@@ -226,16 +235,49 @@ class SimMachine:
         mem = 0.0
         reads = cost.reads
         if reads:
-            # batch the warmth updates; transfer_time stays per-record
-            # and in order (it accumulates controller statistics)
-            misses = llc.touch_many(reads)
-            for t, miss in zip(reads, misses):
+            rate = ctrl.effective_rate(extra_streams=1)
+            remote_rate = rate / ctrl.remote_penalty
+            resident = llc._resident
+            capacity = llc.capacity
+            bytes_hit = llc.bytes_hit
+            bytes_missed = llc.bytes_missed
+            served = ctrl.bytes_served
+            served_remote = ctrl.bytes_remote
+            for t in reads:
                 region = t.region
-                home = region_home.get(region.name)
-                remote = (
-                    region.shared and home is not None and home != socket
-                )
-                mem += transfer_time(miss, remote=remote, extra_streams=1)
+                size = region.size_bytes
+                n_bytes = t.n_bytes
+                if n_bytes <= 0 or size == 0:
+                    continue
+                n_bytes = float(n_bytes) if n_bytes <= size else float(size)
+                name = region.name
+                entry = resident.get(name)
+                prev = entry[1] if entry else 0.0
+                hit = n_bytes * (prev / size)
+                miss = n_bytes - hit
+                bytes_hit += hit
+                bytes_missed += miss
+                if miss > 0:
+                    new = prev + miss
+                    if new > size:
+                        new = size
+                    resident[name] = (region, new)
+                    llc._used += new - prev
+                    if llc._used > capacity:
+                        llc._evict_overflow(keep=name)
+                    home = region_home.get(name) if region.shared else None
+                    if home is not None and home != socket:
+                        served_remote += miss
+                        mem += miss / remote_rate
+                    else:
+                        mem += miss / rate
+                    served += miss
+                if name in resident:
+                    resident.move_to_end(name)
+            llc.bytes_hit = bytes_hit
+            llc.bytes_missed = bytes_missed
+            ctrl.bytes_served = served
+            ctrl.bytes_remote = served_remote
         for t in cost.writes:
             llc.install(t.region, t.n_bytes)
             region_home[t.region.name] = socket

@@ -23,7 +23,11 @@ from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
 from repro.analysis.report import format_table
-from repro.core.simulate import SimulatedParallelRun, capture_trace
+from repro.core.simulate import (
+    SimulatedParallelRun,
+    capture_trace,
+    trace_atoms,
+)
 from repro.machine import MACHINES, SimMachine
 from repro.perftools.jamon import JaMonInstrumentation
 from repro.perftools.sampling import (
@@ -232,11 +236,11 @@ def compare_tools(
     else:
         wanted = set(sampler_names) | set(OBSERVER_TOOLS)
     spec = MACHINES[machine]
-    wl = BUILDERS[workload]()
     if trace is None:
         from repro.runcache import cached_capture
 
         trace = cached_capture(cache, workload, steps)
+    n_atoms = trace_atoms(trace)
 
     def run(instrumentation_factory=None):
         m = SimMachine(spec, seed=seed)
@@ -246,7 +250,7 @@ def compare_tools(
             else None
         )
         res = SimulatedParallelRun(
-            trace, wl.system.n_atoms, m, n_threads,
+            trace, n_atoms, m, n_threads,
             instrumentation=instr, name="wl",
         ).run()
         return m, instr, res

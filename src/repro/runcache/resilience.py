@@ -99,20 +99,29 @@ class SweepJournal:
     descriptor per record, so records are never torn by concurrency —
     only by the writer itself dying mid-``write``, which the loader
     tolerates by skipping undecodable lines.
+
+    ``root=None`` is the inactive journal of an unjournaled sweep
+    (:data:`NULL_JOURNAL`): it opens nothing and every call is a no-op.
     """
 
-    def __init__(self, root: os.PathLike):
+    def __init__(self, root: Optional[os.PathLike] = None):
+        self._lock = threading.Lock()
+        self._fd: Optional[int] = None
+        self.root: Optional[Path] = None
+        self.path: Optional[Path] = None
+        self.active = root is not None
+        if root is None:
+            return
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
         self.path = self.root / JOURNAL_NAME
-        self._fd: Optional[int] = os.open(
+        self._fd = os.open(
             self.path, os.O_APPEND | os.O_CREAT | os.O_WRONLY, 0o644
         )
-        self._lock = threading.Lock()
-
-    active = True
 
     def _write(self, kind: str, **fields_) -> None:
+        if not self.active:
+            return
         record = {
             "schema": JOURNAL_SCHEMA,
             "kind": kind,
@@ -169,39 +178,8 @@ class SweepJournal:
                 self._fd = None
 
 
-class NullJournal:
-    """Journal sink for unjournaled sweeps: every call is a no-op."""
-
-    root = None
-    path = None
-    active = False
-
-    def begin(self, entries, *, jobs, resumed):
-        pass
-
-    def submitted(self, digest, *, label, attempt):
-        pass
-
-    def started(self, digest, *, attempt):
-        pass
-
-    def finished(self, digest, *, attempt):
-        pass
-
-    def failed(self, digest, *, attempt, error, retryable):
-        pass
-
-    def quarantined(self, digest, *, label, attempts, error):
-        pass
-
-    def end(self, *, executed, quarantined, resumed):
-        pass
-
-    def close(self):
-        pass
-
-
-NULL_JOURNAL = NullJournal()
+#: the journal of every unjournaled sweep
+NULL_JOURNAL = SweepJournal()
 
 
 @dataclass
@@ -865,8 +843,13 @@ def supervise(
 ) -> Outcome:
     """Execute a sweep's cache misses; the one way a sweep runs work.
 
-    Misses group into units (:func:`repro.ensemble.routing.plan_units`).
-    The units run in-process when there is no cache, ``jobs`` is 1 or
+    Misses group into units (:func:`repro.ensemble.routing.plan_units`),
+    ordered longest first: stably, by descending ``threads * steps`` of
+    their specs, an input property a replay's cost grows with (a
+    capture has ``threads = 0`` and keeps its place among captures).
+    The order decides which unit claims a nested capture and what the
+    journal's ``submitted`` records follow; ``executed`` stays in miss
+    order.  The units run in-process when there is no cache, ``jobs`` is 1 or
     there is only one unit; otherwise under a ``fanout`` span across a
     ``ProcessPoolExecutor`` of ``min(jobs, units)`` workers that
     publish into the shared store, degrading to in-process when the
@@ -877,7 +860,14 @@ def supervise(
     """
     from repro.ensemble.routing import plan_units
 
-    units = [Unit(items) for items in plan_units(misses)]
+    # longest first: a replay's cost grows with threads x steps, so the
+    # grid's biggest cells start while others fill the remaining
+    # workers, instead of the last one running alone (stable: ties and
+    # captures keep miss order)
+    units = sorted(
+        (Unit(items) for items in plan_units(misses)),
+        key=lambda unit: -max(s.threads * s.steps for s in unit.specs),
+    )
     sup = _Supervisor(cache, policy, journal, emitter)
     sup.out.units = len(units)
     workers = min(jobs, len(units))

@@ -257,19 +257,20 @@ def _execute_capture(spec: RunSpec):
 
 
 def _execute_observe(spec: RunSpec, cache: Optional[RunCache]):
+    from repro.core.simulate import trace_atoms
     from repro.obs.attribution import observe_run
-    from repro.workloads import BUILDERS
 
-    wl = BUILDERS[spec.workload]()
+    # the capture carries the atom count, and a BUILDERS key is its
+    # workload's name: the replay builds no workload
     trace = _load_capture(cache, nested_capture(spec))
     obs = observe_run(
         trace,
-        wl.system.n_atoms,
+        trace_atoms(trace),
         _machine_spec(spec.machine),
         spec.threads,
         seed=spec.seed,
-        name=wl.name,
-        workload=wl.name,
+        name=spec.workload,
+        workload=spec.workload,
         **_run_kwargs(spec),
     )
     # the live SimMachine is neither picklable nor an artifact anyone
@@ -281,7 +282,7 @@ def _execute_observe(spec: RunSpec, cache: Optional[RunCache]):
 
 def _execute_trace(spec: RunSpec, cache: Optional[RunCache]) -> dict:
     """The ``repro trace`` bundle: trace/metrics file bytes + summary."""
-    from repro.core.simulate import SimulatedParallelRun
+    from repro.core.simulate import SimulatedParallelRun, trace_atoms
     from repro.machine.machine import SimMachine
     from repro.obs import (
         MetricsRegistry,
@@ -293,15 +294,13 @@ def _execute_trace(spec: RunSpec, cache: Optional[RunCache]) -> dict:
         write_metrics,
     )
     from repro.perftools import GroundTruthTimeline
-    from repro.workloads import BUILDERS
 
     machine_spec = _machine_spec(spec.machine)
-    wl = BUILDERS[spec.workload]()
     trace = _load_capture(cache, nested_capture(spec))
     machine = SimMachine(machine_spec, seed=spec.seed)
     tracer = Tracer().attach(machine.sim)
     run = SimulatedParallelRun(
-        trace, wl.system.n_atoms, machine, spec.threads, name="wl"
+        trace, trace_atoms(trace), machine, spec.threads, name="wl"
     )
     result = run.run()
     tracer.detach()
@@ -363,17 +362,15 @@ def _execute_trace(spec: RunSpec, cache: Optional[RunCache]) -> dict:
 
 def _execute_chaos_ref(spec: RunSpec, cache: Optional[RunCache]) -> dict:
     """Fault-free reference replay: the duration chaos plans scale by."""
-    from repro.core.simulate import SimulatedParallelRun
+    from repro.core.simulate import SimulatedParallelRun, trace_atoms
     from repro.machine.machine import SimMachine
-    from repro.workloads import BUILDERS
 
-    wl = BUILDERS[spec.workload]()
     trace = _load_capture(cache, nested_capture(spec))
     machine = SimMachine(_machine_spec(spec.machine), seed=spec.seed)
     kwargs = _run_kwargs(spec)
     ref = SimulatedParallelRun(
-        trace, wl.system.n_atoms, machine, spec.threads,
-        name=wl.name, **kwargs,
+        trace, trace_atoms(trace), machine, spec.threads,
+        name=spec.workload, **kwargs,
     ).run()
     return {"sim_seconds": ref.sim_seconds}
 

@@ -12,7 +12,7 @@ from repro.core import (
     capture_trace,
 )
 from repro.machine import CORE_I7_920, SimMachine
-from repro.workloads import build_al1000, build_salt
+from repro.workloads import BUILDERS, build_al1000, build_salt
 
 
 @pytest.fixture(scope="module")
@@ -173,3 +173,15 @@ def test_worker_busy_accounts_most_of_force_time(salt_trace):
     wl, trace = salt_trace
     res = make_run(wl, trace, 4).run()
     assert sum(res.worker_busy) > res.phase_seconds["forces"]
+
+
+@pytest.mark.parametrize("workload", sorted(BUILDERS))
+def test_trace_atoms_is_the_built_atom_count(workload):
+    """Replays take the atom count from the capture and the name from
+    the spec instead of rebuilding the workload; both must agree with
+    the built workload for every ``BUILDERS`` key."""
+    from repro.core.simulate import trace_atoms
+
+    wl = BUILDERS[workload]()
+    assert trace_atoms(capture_trace(wl, 1)) == wl.system.n_atoms
+    assert wl.name == workload
