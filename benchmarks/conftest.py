@@ -14,7 +14,7 @@ import pathlib
 import pytest
 
 from repro.runcache import RunCache, cached_capture
-from repro.workloads import BUILDERS
+from repro.workloads import BUILDERS, PAPER_WORKLOADS
 
 #: timesteps of real physics per workload (the paper ran 10,000-20,000;
 #: the speedup/topology shapes stabilize within tens of steps)
@@ -33,11 +33,10 @@ def traces():
     cache = (
         None if os.environ.get("REPRO_RUNCACHE_DISABLE") else RunCache()
     )
-    out = {}
-    for name, builder in BUILDERS.items():
-        wl = builder()
-        out[name] = (wl, cached_capture(cache, name, TRACE_STEPS))
-    return out
+    return {
+        name: (BUILDERS[name](), cached_capture(cache, name, TRACE_STEPS))
+        for name in PAPER_WORKLOADS
+    }
 
 
 @pytest.fixture(scope="session")

@@ -2,117 +2,57 @@
 number of cores but different topologies.
 
 Al-1000 on the simulated 4 x Xeon X7560 (32 cores, 64 PUs) under the
-paper's seven configurations.  As in §V-B, every configuration uses one
-single-thread pool per worker (task→thread binding); pinned rows add
-``sched_setaffinity``-style masks, "OS scheduled" rows leave placement
-free.  Background system load runs on a few PUs plus unpinned service
-tasks.
+paper's seven configurations (:func:`repro.analysis.speedup.table3_sweep`,
+the same driver as ``repro table3``).  As in §V-B, every configuration
+uses one single-thread pool per worker (task→thread binding); pinned
+rows add ``sched_setaffinity``-style masks, "OS scheduled" rows leave
+placement free.  Background system load runs on a few PUs plus unpinned
+service tasks.
 
-Shape targets (paper): one-core-per-processor is the worst 4-thread
-topology; OS scheduling wins at 4 threads ("the OS can avoid cores
-loaded with other tasks"); with 8 threads pinning wins, 8-on-one-socket
-best; "running 8 threads on a single 8 core processor with a shared
-last level cache performs comparably to running on 32 cores".
-
-Known deviation (recorded in EXPERIMENTS.md): the paper's 8-thread
-OS-scheduled row is its *slowest* 8-thread configuration (164.3 s);
-our scheduler model avoids contention too well for that inversion to
-emerge, so the assertion set excludes it.
+The findings scored are :data:`repro.targets.TABLE3_RELATIONS`.  One is
+a known deviation (DESIGN §5c): the paper's 8-thread OS-scheduled row
+is its *slowest* 8-thread configuration; our scheduler model avoids
+contention too well for that inversion to emerge, so the row is
+reported, not asserted.
 """
 
 from _util import write_report
 
 from repro.analysis import table3
-from repro.concurrent import QueueMode
-from repro.core import SimulatedParallelRun
-from repro.machine import SimMachine, XEON_X7560_4S, inject_background_load
-from repro.machine.background import inject_mobile_load
-from repro.machine.topology import Topology
-
-PAPER = {
-    "4, one core per processor": 172.2,
-    "4, 4 cores on one processor": 154.7,
-    "4, OS scheduled": 147.3,
-    "8, OS scheduled": 164.3,
-    "8, two cores per processor": 132.0,
-    "8, 8 cores on one processor": 103.7,
-    "32, OS scheduled": 100.2,
-}
-
-
-def run_table(traces):
-    wl, trace = traces["Al-1000"]
-    topo = Topology(XEON_X7560_4S)
-    configs = [
-        ("4, one core per processor", 4, topo.mask_one_core_per_socket(4)),
-        ("4, 4 cores on one processor", 4, topo.mask_cores_on_one_socket(4)),
-        ("4, OS scheduled", 4, None),
-        ("8, OS scheduled", 8, None),
-        ("8, two cores per processor", 8, topo.mask_n_cores_per_socket(2)),
-        ("8, 8 cores on one processor", 8, topo.mask_cores_on_one_socket(8)),
-        ("32, OS scheduled", 32, None),
-    ]
-    results = {}
-    for label, n_threads, mask in configs:
-        machine = SimMachine(XEON_X7560_4S, seed=3)
-        inject_background_load(
-            machine, [0, 2, 4, 16], utilization=0.45, duration=10.0
-        )
-        inject_mobile_load(machine, 8, utilization=0.3, duration=10.0)
-        aff = None
-        if mask is not None:
-            pus = sorted(mask)
-            aff = [[pus[i % len(pus)]] for i in range(n_threads)]
-        res = SimulatedParallelRun(
-            trace,
-            wl.system.n_atoms,
-            machine,
-            n_threads,
-            affinities=aff,
-            queue_mode=QueueMode.PER_THREAD,
-            name="al",
-            repeat=2,
-        ).run()
-        results[label] = res.sim_seconds
-    return results
+from repro.analysis.speedup import table3_sweep
+from repro.targets import TABLE3_PAPER, TABLE3_RELATIONS, TABLE3_WORKLOAD
 
 
 def test_table3_pinning(benchmark, traces, out_dir):
+    _wl, trace = traces[TABLE3_WORKLOAD]
     results = benchmark.pedantic(
-        run_table, args=(traces,), rounds=1, iterations=1
+        table3_sweep, args=(trace,), rounds=1, iterations=1
     )
-    r = results
-    # -- the paper's topology findings we reproduce --
-    # 4 threads: one-per-socket worst, OS scheduled best
-    assert r["4, one core per processor"] > r["4, 4 cores on one processor"]
-    assert r["4, 4 cores on one processor"] > r["4, OS scheduled"]
-    # 8 threads pinned: sharing one LLC beats spreading over sockets
-    assert r["8, 8 cores on one processor"] < r["8, two cores per processor"]
-    # "pinning provides an advantage" once cores suffice:
-    assert r["8, 8 cores on one processor"] < r["4, OS scheduled"]
-    # 8-on-one-socket performs comparably to 32 cores OS scheduled
-    ratio = r["8, 8 cores on one processor"] / r["32, OS scheduled"]
-    assert 0.7 < ratio < 1.45
-    # every 8/32-thread configuration beats every 4-thread one... except
-    # nothing beats physics: just check 32 OS is among the fastest two
-    ordered = sorted(results, key=results.get)
-    assert "32, OS scheduled" in ordered[:3]
+    verdicts = []
+    for rel in TABLE3_RELATIONS:
+        holds = rel.holds(results)
+        if rel.known_deviation:
+            state = "holds" if holds else "not reproduced"
+            verdicts.append(f"known deviation ({state}): {rel.label}")
+        else:
+            assert holds, rel.label
+            verdicts.append(f"holds: {rel.label}")
 
     rows = []
     best = min(results.values())
-    pbest = min(PAPER.values())
-    for label in PAPER:
+    pbest = min(TABLE3_PAPER.values())
+    for label, paper in TABLE3_PAPER.items():
         rows.append(
             {
                 "Number of Cores Used / Topology": label,
                 "Runtime (ms sim)": f"{results[label] * 1e3:.2f}",
                 "Relative": f"{results[label] / best:.2f}",
-                "Paper (s)": PAPER[label],
-                "Paper relative": f"{PAPER[label] / pbest:.2f}",
+                "Paper (s)": paper,
+                "Paper relative": f"{paper / pbest:.2f}",
             }
         )
     write_report(
         out_dir / "table3.txt",
         "TABLE III: Runtime vs pinning topology (Al-1000, 4x Xeon X7560)",
-        table3(rows),
+        table3(rows) + "\n\n" + "\n".join(verdicts),
     )

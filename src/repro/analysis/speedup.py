@@ -1,4 +1,4 @@
-"""Speedup sweeps — the Fig. 1 driver."""
+"""Speedup sweeps — the Fig. 1 and Table III drivers."""
 
 from __future__ import annotations
 
@@ -7,9 +7,21 @@ from typing import Dict, List, Optional, Sequence
 
 from repro.concurrent import QueueMode
 from repro.core.costmodel import CostParams
-from repro.core.simulate import RunResult, SimulatedParallelRun, capture_trace
+from repro.core.simulate import (
+    RunResult,
+    SimulatedParallelRun,
+    capture_trace,
+    trace_atoms,
+)
+from repro.machine.background import inject_background_load, inject_mobile_load
 from repro.machine.machine import SimMachine
-from repro.machine.topology import CORE_I7_920, MachineSpec
+from repro.machine.topology import (
+    CORE_I7_920,
+    MACHINES,
+    MachineSpec,
+    Topology,
+)
+from repro.targets import TABLE3_MACHINE, TABLE3_SEED, table3_configs
 
 
 def replay(
@@ -91,3 +103,32 @@ def fig1_sweep(
             workload=wl.name, threads=list(threads), seconds=seconds
         )
     return curves
+
+
+def table3_sweep(trace, *, seed: int = TABLE3_SEED) -> Dict[str, float]:
+    """Reproduce Table III: ``{row label: simulated seconds}``.
+
+    Each paper configuration replays ``trace`` on a fresh 4 x Xeon X7560
+    under the same background load (a few loaded PUs plus unpinned
+    service tasks), one single-thread pool per worker as in §V-B;
+    pinned rows bind worker i to the mask's i-th PU.
+    """
+    spec = MACHINES[TABLE3_MACHINE]
+    n_atoms = trace_atoms(trace)
+    seconds: Dict[str, float] = {}
+    for label, n_threads, mask in table3_configs(Topology(spec)):
+        machine = SimMachine(spec, seed=seed)
+        inject_background_load(
+            machine, [0, 2, 4, 16], utilization=0.45, duration=10.0
+        )
+        inject_mobile_load(machine, 8, utilization=0.3, duration=10.0)
+        affinities = None
+        if mask is not None:
+            pus = sorted(mask)
+            affinities = [[pus[i % len(pus)]] for i in range(n_threads)]
+        seconds[label] = SimulatedParallelRun(
+            trace, n_atoms, machine, n_threads,
+            affinities=affinities, queue_mode=QueueMode.PER_THREAD,
+            name="al", repeat=2,
+        ).run().sim_seconds
+    return seconds

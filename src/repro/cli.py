@@ -62,11 +62,9 @@ from typing import List, Optional
 
 from repro import __version__
 from repro.analysis import ascii_bar_chart, table1, table2, table3
-from repro.analysis.speedup import fig1_sweep
-from repro.concurrent import QueueMode
+from repro.analysis.speedup import fig1_sweep, table3_sweep
 from repro.core import SimulatedParallelRun, capture_trace
-from repro.machine import MACHINES, SimMachine, inject_background_load
-from repro.machine.background import inject_mobile_load
+from repro.machine import MACHINES, SimMachine
 from repro.machine.topology import Topology
 from repro.md.io import XyzTrajectoryWriter
 from repro.obs import (
@@ -78,6 +76,13 @@ from repro.obs import (
     write_folded_stacks,
 )
 from repro.perftools import VTune, topology_report
+from repro.targets import (
+    FIG1_THREADS,
+    TABLE1,
+    TABLE3_WORKLOAD,
+    fig1_band_checks,
+    table1_checks,
+)
 from repro.workloads import BUILDERS, PAPER_WORKLOADS, resolve_workload
 
 
@@ -187,109 +192,35 @@ def cmd_fig2(args) -> None:
 
 
 def cmd_table3(args) -> None:
-    spec = _machine_spec("x7560x4")
-    topo = Topology(spec)
-    wl = BUILDERS["Al-1000"]()
-    trace = capture_trace(wl, args.steps)
-    configs = [
-        ("4, one core per processor", 4, topo.mask_one_core_per_socket(4)),
-        ("4, 4 cores on one processor", 4, topo.mask_cores_on_one_socket(4)),
-        ("4, OS scheduled", 4, None),
-        ("8, OS scheduled", 8, None),
-        ("8, two cores per processor", 8, topo.mask_n_cores_per_socket(2)),
-        ("8, 8 cores on one processor", 8, topo.mask_cores_on_one_socket(8)),
-        ("32, OS scheduled", 32, None),
-    ]
-    rows = []
-    for label, n, mask in configs:
-        machine = SimMachine(spec, seed=args.seed)
-        inject_background_load(
-            machine, [0, 2, 4, 16], utilization=0.45, duration=10.0
-        )
-        inject_mobile_load(machine, 8, utilization=0.3, duration=10.0)
-        aff = None
-        if mask is not None:
-            pus = sorted(mask)
-            aff = [[pus[i % len(pus)]] for i in range(n)]
-        res = SimulatedParallelRun(
-            trace, wl.system.n_atoms, machine, n,
-            affinities=aff, queue_mode=QueueMode.PER_THREAD,
-            name="al", repeat=2,
-        ).run()
-        rows.append(
-            {
-                "Number of Cores Used / Topology": label,
-                "Runtime (ms, simulated)": f"{res.sim_seconds * 1e3:.2f}",
-            }
-        )
-    print(table3(rows))
-
-
-PAPER_FIG1 = {"salt": 3.63, "nanocar": 3.03, "Al-1000": 1.42}
-FIG1_BANDS = {
-    "salt": (3.2, 4.0),
-    "nanocar": (2.5, 3.3),
-    "Al-1000": (1.15, 1.7),
-}
+    trace = capture_trace(BUILDERS[TABLE3_WORKLOAD](), args.steps)
+    seconds = table3_sweep(trace, seed=args.seed)
+    print(table3([
+        {
+            "Number of Cores Used / Topology": label,
+            "Runtime (ms, simulated)": f"{s * 1e3:.2f}",
+        }
+        for label, s in seconds.items()
+    ]))
 
 
 def cmd_scorecard(args) -> None:
-    """Quick end-to-end reproduction check: Table I + Fig. 1 bands."""
-    rows = []
-
-    def check(label, measured, target, ok):
-        rows.append((label, measured, target, "PASS" if ok else "FAIL"))
-
-    workloads = [BUILDERS[n]() for n in ("nanocar", "salt", "Al-1000")]
-    expected = {
-        "nanocar": (989, 0, 2277, "Bonds"),
-        "salt": (800, 800, 0, "Ionic"),
-        "Al-1000": (1000, 0, 0, "Lennard-Jones"),
-    }
-    for wl in workloads:
-        row = wl.characteristics()
-        atoms, charged, bonds, dom = expected[wl.name]
-        ok = (
-            row["# of Atoms"] == atoms
-            and row["# of Charged Atoms"] == charged
-            and row["# of Bonds"] == bonds
-            and row["Dominant Computation Type"] == dom
-        )
-        check(
-            f"Table I: {wl.name}",
-            f"{row['# of Atoms']}/{row['# of Charged Atoms']}/"
-            f"{row['# of Bonds']}/{row['Dominant Computation Type']}",
-            f"{atoms}/{charged}/{bonds}/{dom}",
-            ok,
-        )
-
-    curves = fig1_sweep(workloads, threads=(1, 2, 3, 4), steps=args.steps)
-    for name, curve in curves.items():
-        s4 = curve.speedup_at(4)
-        lo, hi = FIG1_BANDS[name]
-        check(
-            f"Fig. 1 @4 cores: {name}",
-            f"{s4:.2f}x",
-            f"{PAPER_FIG1[name]:.2f}x (band {lo}-{hi})",
-            lo <= s4 <= hi,
-        )
-    ordered = (
-        curves["salt"].speedup_at(4)
-        > curves["nanocar"].speedup_at(4)
-        > curves["Al-1000"].speedup_at(4)
+    """Quick end-to-end reproduction check: Table I + Fig. 1 bands,
+    scored against the rows of :mod:`repro.targets`."""
+    workloads = [BUILDERS[n]() for n in TABLE1]
+    checks = table1_checks([wl.characteristics() for wl in workloads])
+    curves = fig1_sweep(workloads, threads=FIG1_THREADS, steps=args.steps)
+    checks += fig1_band_checks(
+        {name: curve.speedup_at(4) for name, curve in curves.items()}
     )
-    check("Fig. 1 ordering", "salt > nanocar > Al-1000",
-          "salt > nanocar > Al-1000", ordered)
 
-    width = max(len(r[0]) for r in rows)
+    width = max(len(c.label) for c in checks)
     failures = 0
-    for label, measured, target, verdict in rows:
-        if verdict == "FAIL":
-            failures += 1
-        print(f"{label:<{width}}  measured {measured:<28} "
-              f"paper {target:<32} [{verdict}]")
+    for c in checks:
+        failures += not c.ok
+        print(f"{c.label:<{width}}  measured {c.measured:<28} "
+              f"paper {c.target:<32} [{'PASS' if c.ok else 'FAIL'}]")
     print(
-        f"\n{len(rows) - failures}/{len(rows)} checks pass; run "
+        f"\n{len(checks) - failures}/{len(checks)} checks pass; run "
         "'pytest benchmarks/ --benchmark-only' for the full suite "
         "(Table II/III, Fig. 2, §IV, §V, ablations, extensions)."
     )

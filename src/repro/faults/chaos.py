@@ -14,7 +14,7 @@ For each workload × fault plan this harness
    same seed + same plan ⇒ identical simulated history.
 
 ``chaos_sweep`` aggregates cases into the ``repro.chaos/1`` payload
-that ``scripts/check_chaos.py`` / ``make chaos-smoke`` validate.
+that ``tests/gates/test_chaos.py`` validates.
 """
 
 from __future__ import annotations
@@ -22,7 +22,11 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence, Union
 
 from repro.concurrent import QueueMode
-from repro.core.simulate import SimulatedParallelRun, capture_trace
+from repro.core.simulate import (
+    SimulatedParallelRun,
+    capture_trace,
+    trace_atoms,
+)
 from repro.faults.plan import (
     FaultPlan,
     GcAmplify,
@@ -180,21 +184,22 @@ def run_chaos_case(
         from repro.machine import MACHINES
 
         spec = MACHINES[spec]
-    wl = (
-        BUILDERS[resolve_workload(workload)]()
-        if isinstance(workload, str)
-        else workload
-    )
+    wl = None if isinstance(workload, str) else workload
+    name = wl.name if wl is not None else resolve_workload(workload)
     if trace is None:
-        trace = capture_trace(wl, steps)
-    physics = physics_invariants(trace, wl.system.n_atoms)
+        trace = capture_trace(
+            wl if wl is not None else BUILDERS[name](), steps
+        )
+    # the capture carries the atom count: a replay builds no workload
+    n_atoms = trace_atoms(trace)
+    physics = physics_invariants(trace, n_atoms)
 
     # fault-free reference: scales the plan-independent timeout and
     # gives the baseline duration the report compares against
     machine0 = SimMachine(spec, seed=seed)
     ref = SimulatedParallelRun(
-        trace, wl.system.n_atoms, machine0, n_threads,
-        name=wl.name, queue_mode=queue_mode,
+        trace, n_atoms, machine0, n_threads,
+        name=name, queue_mode=queue_mode,
         gc_model=_chaos_gc_model(),
     ).run()
     phase_timeout = phase_timeout_factor * ref.sim_seconds
@@ -203,18 +208,18 @@ def run_chaos_case(
     error = ""
     try:
         result, tracer, run = _traced_replay(
-            trace, wl.system.n_atoms, spec, n_threads, plan,
-            seed=seed, name=wl.name,
+            trace, n_atoms, spec, n_threads, plan,
+            seed=seed, name=name,
             phase_timeout=phase_timeout, queue_mode=queue_mode,
         )
         result2, tracer2, _run2 = _traced_replay(
-            trace, wl.system.n_atoms, spec, n_threads, plan,
-            seed=seed, name=wl.name,
+            trace, n_atoms, spec, n_threads, plan,
+            seed=seed, name=name,
             phase_timeout=phase_timeout, queue_mode=queue_mode,
         )
     except Exception as exc:  # a hung/aborted replay is a failed case
         return _observed_case({
-            "workload": wl.name,
+            "workload": name,
             "plan": plan.name if plan is not None else "none",
             "threads": n_threads,
             "steps": steps,
@@ -244,7 +249,7 @@ def run_chaos_case(
         and same_duration
     )
     return _observed_case({
-        "workload": wl.name,
+        "workload": name,
         "plan": plan.name if plan is not None else "none",
         "threads": n_threads,
         "steps": steps,

@@ -5,7 +5,7 @@ this module injects them into the machinery that runs the simulations —
 the ``runcache.sweep()`` process pool and the on-disk store.  A
 :class:`ProcessFaultPlan` declares worker SIGKILLs, hangs, flaky or
 poisoned spec executions, and cache-write faults (ENOSPC, truncated
-payloads).  The chaos bench (``scripts/bench_resilience.py``) and the
+payloads).  The resilience gate (``tests/gates/test_resilience.py``) and the
 real-process failure tests use it to prove the supervised sweep path
 recovers byte-identically.
 

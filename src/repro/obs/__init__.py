@@ -41,7 +41,6 @@ from repro.obs.attribution import (
     attribute,
     attribute_observations,
     attribution_csv,
-    bench_attribution,
     kernel_shares,
     observe_run,
     render_attribution,
@@ -101,7 +100,6 @@ __all__ = [
     "attribute",
     "attribute_observations",
     "attribution_csv",
-    "bench_attribution",
     "chrome_trace_events",
     "collect_executor_metrics",
     "collect_machine_metrics",

@@ -28,7 +28,7 @@ worker's [0, T] is classified into exactly one class, so
     achieved − ideal  ==  Σ buckets      (to float round-off)
 
 which ``tests/obs/test_attribution.py`` asserts as a property and
-``scripts/check_bench.py`` re-validates on every benchmark dump.
+``tests/gates/test_attribution.py`` re-checks on the paper sweep.
 
 Within the forces phase, work inflation is further attributed to the
 individual force kernels (LJ / Coulomb / bonded / fused rebuild) by
@@ -898,52 +898,5 @@ def result_to_dict(res: AttributionResult) -> dict:
     }
 
 
-# -- the bench harness ------------------------------------------------------
-
+#: schema of the attribution sweep payload (``runcache.attribution_sweep``)
 BENCH_SCHEMA = "repro.attribution.bench/1"
-
-
-def bench_attribution(
-    workloads: Sequence[str] = ("salt", "nanocar", "Al-1000"),
-    threads: Sequence[int] = (1, 2, 4, 8),
-    *,
-    spec: Union[str, MachineSpec] = CORE_I7_920,
-    steps: int = 5,
-    seed: int = 0,
-) -> dict:
-    """Run the attribution sweep and return the benchmark payload.
-
-    One physics capture and one 1-thread baseline per workload; every
-    thread count reuses both.  This is the repo's perf-trajectory
-    artifact (``BENCH_attribution.json``), validated by
-    ``scripts/check_bench.py`` / ``make bench-smoke``.
-    """
-    if isinstance(spec, str):
-        from repro.machine import MACHINES
-
-        spec = MACHINES[spec]
-    runs: List[dict] = []
-    names = [resolve_workload(w) for w in workloads]
-    for name in names:
-        wl = BUILDERS[name]()
-        trace = capture_trace(wl, steps)
-        baseline = observe_run(
-            trace, wl.system.n_atoms, spec, 1,
-            seed=seed, name=wl.name, workload=wl.name,
-        )
-        for n in threads:
-            res = attribute(
-                wl, n, spec=spec, steps=steps, seed=seed,
-                trace=trace, baseline=baseline,
-            )
-            runs.append(result_to_dict(res))
-    return {
-        "schema": BENCH_SCHEMA,
-        "machine": spec.name,
-        "steps": steps,
-        "seed": seed,
-        "workloads": names,
-        "threads": list(threads),
-        "buckets": list(BUCKETS),
-        "runs": runs,
-    }

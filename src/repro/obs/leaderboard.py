@@ -43,7 +43,7 @@ DEFAULT_PERIODS: Tuple[float, ...] = (1.0, 0.005)
 DEFAULT_WORKLOADS: Tuple[str, ...] = ("salt", "nanocar", "Al-1000")
 DEFAULT_MACHINES: Tuple[str, ...] = ("i7-920", "e5450x2", "x7560x4")
 
-#: payload schema stamp for BENCH_toolerror.json
+#: payload schema stamp of :func:`leaderboard_payload`
 TOOLERROR_SCHEMA = "repro.toolerror/1"
 
 
@@ -68,7 +68,11 @@ def toolerror_cell(
     the cell — ground truth and tools alike — so the errors measure how
     each tool copes with a *perturbed* execution, not a different one.
     """
-    from repro.core.simulate import SimulatedParallelRun, capture_trace
+    from repro.core.simulate import (
+        SimulatedParallelRun,
+        capture_trace,
+        trace_atoms,
+    )
     from repro.jvm.gc import AllocationRecorder
     from repro.jvm.layout import VECTOR3_LAYOUT, atom_object_graph
     from repro.machine import MACHINES, SimMachine
@@ -93,10 +97,10 @@ def toolerror_cell(
 
     name = resolve_workload(workload)
     spec = MACHINES[machine]
-    wl = BUILDERS[name]()
     if trace is None:
-        trace = capture_trace(wl, steps)
-    n_atoms = wl.system.n_atoms
+        trace = capture_trace(BUILDERS[name](), steps)
+    # the capture carries the atom count: a replay builds no workload
+    n_atoms = trace_atoms(trace)
 
     fault_kwargs = (
         {} if fault_plan is None else {"fault_plan": fault_plan}

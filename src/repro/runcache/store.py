@@ -31,7 +31,7 @@ Guarantees:
   DES's deterministic-replay guarantee makes an exact check.
 
 Wall-clock numbers are never cached: artifacts are simulated-time
-results, and the benchmark scripts time only cache *misses*.
+results, so a timing taken through the cache times only its misses.
 """
 
 from __future__ import annotations

@@ -9,12 +9,11 @@ cache, and hands the misses to the supervisor
 (:func:`repro.runcache.resilience.supervise`), the one executor every
 sweep uses — in-process, or across a process pool of ``jobs`` workers.
 
-On top sit the two sweep assemblers the benchmark scripts use:
-:func:`attribution_sweep` (the ``BENCH_attribution.json`` payload) and
-the chaos harness hooks consumed by
-:func:`repro.faults.chaos.chaos_sweep`.  Both produce payloads
-value-identical to their uncached counterparts — the cache changes
-wall-clock, never results.
+On top sit two sweep assemblers: :func:`attribution_sweep` (the
+``repro.attribution.bench/1`` payload of the paper grid) and the chaos
+harness hooks consumed by :func:`repro.faults.chaos.chaos_sweep`.  Both
+produce payloads value-identical to their uncached counterparts — the
+cache changes wall-clock, never results.
 """
 
 from __future__ import annotations
@@ -379,9 +378,7 @@ def _execute_chaos_case(spec: RunSpec, cache: Optional[RunCache]) -> dict:
     from repro.concurrent import QueueMode
     from repro.faults.chaos import run_chaos_case
     from repro.faults.plan import FaultPlan
-    from repro.workloads import BUILDERS
 
-    wl = BUILDERS[spec.workload]()
     trace = _load_capture(cache, nested_capture(spec))
     plan = (
         FaultPlan.from_dict(spec.fault_plan)
@@ -390,7 +387,7 @@ def _execute_chaos_case(spec: RunSpec, cache: Optional[RunCache]) -> dict:
     )
     opts = dict(spec.options)
     return run_chaos_case(
-        wl,
+        spec.workload,
         plan,
         spec.threads,
         spec=_machine_spec(spec.machine),
@@ -814,14 +811,14 @@ def attribution_sweep(
     cache: Optional[RunCache] = None,
     jobs: Optional[int] = None,
 ) -> Tuple[dict, SweepResult]:
-    """Cache-backed :func:`repro.obs.attribution.bench_attribution`.
+    """Attribute every workload x thread count of a grid, through the
+    cache: one capture and one 1-thread baseline per workload.
 
-    Returns ``(payload, sweep_result)``: the payload is byte-identical
-    to the uncached ``repro.attribution.bench/1`` one — captures and
+    Returns ``(payload, sweep_result)``: the ``repro.attribution.bench/1``
+    payload equals an uncached in-process run's — captures and
     observations come from the cache (or the pool executing the
     misses), and the attribution arithmetic (cheap, pure) is recomputed
-    fresh — while the :class:`SweepResult` carries the hit/miss stats
-    the benchmark scripts report.
+    fresh — while the :class:`SweepResult` carries the hit/miss stats.
     """
     from repro.obs.attribution import (
         BENCH_SCHEMA,

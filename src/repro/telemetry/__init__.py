@@ -2,7 +2,7 @@
 
 ``repro.obs`` watches the *simulated* machine; this package watches the
 *real* one running it — the sweep fan-outs, cache traffic, chaos cases,
-and bench drivers.  The pieces:
+and gate runs.  The pieces:
 
 - :mod:`~repro.telemetry.schema` — the ``repro.telemetry/1`` record
   schema and its canonical (de)serializers.
@@ -19,8 +19,6 @@ and bench drivers.  The pieces:
   the folded metrics registry.
 - :mod:`~repro.telemetry.report` — ``repro report``: the
   ``repro.report/1`` document and its self-contained HTML rendering.
-- :mod:`~repro.telemetry.log` — structured stderr logging for the
-  bench drivers, mirrored into the active run.
 """
 
 from repro.telemetry.emit import (

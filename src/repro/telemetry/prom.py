@@ -5,8 +5,7 @@ The runtime layer reuses :class:`repro.obs.metrics.MetricsRegistry`
 the Prometheus exposition format — one ``# TYPE`` declaration per
 metric family followed by its samples — so a run directory's
 ``metrics.prom`` can be scraped, diffed, or pasted into any Prometheus
-tooling, and the benchmark scripts can embed the same text in their
-JSON payloads.
+tooling.
 """
 
 from __future__ import annotations

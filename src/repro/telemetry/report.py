@@ -1,8 +1,8 @@
 """Self-contained HTML sweep reports from merged runtime telemetry.
 
 ``build_report`` folds a telemetry run directory (per-process JSONL
-files, plus an optional ``bench.json`` attribution payload written by
-the bench driver) into the ``repro.report/1`` JSON document, and
+files, plus an optional ``bench.json`` attribution payload from
+``runcache.attribution_sweep``) into the ``repro.report/1`` JSON document, and
 ``render_html`` turns that document into a single self-contained HTML
 file — inline CSS, inline SVG charts, no external scripts, styles,
 fonts, or images — the artifact shape the future sweep service will
@@ -72,8 +72,8 @@ def _load_bench(run_dir: Path) -> Optional[dict]:
 
 
 def _leaderboard_block(run_dir: Path) -> Optional[dict]:
-    """The ``repro.toolerror/1`` leaderboard, when the bench driver
-    dropped a ``leaderboard.json`` next to the telemetry."""
+    """The ``repro.toolerror/1`` leaderboard, when a
+    ``leaderboard.json`` lies next to the telemetry."""
     path = run_dir / LEADERBOARD_NAME
     try:
         payload = json.loads(path.read_text(encoding="utf-8"))

@@ -25,8 +25,7 @@ Three kinds:
 
 ``encode_line`` / ``decode_line`` are the canonical (de)serializers —
 sorted keys, compact separators — and ``validate_record`` is the
-schema gate the merge, the tests, and ``scripts/check_report.py``
-share.
+schema gate the merge and the tests share.
 """
 
 from __future__ import annotations

@@ -61,7 +61,7 @@ def build_lj_gas(
     by fixed interpreter/numpy-call overhead.  That is the regime where
     batching many runs into one ensemble pays most, which makes this
     the reference workload for the ensemble throughput gate
-    (``scripts/bench_ensemble.py``).
+    (``tests/gates/test_ensemble.py``).
     """
     if n_atoms < 2:
         raise ValueError(f"need at least 2 atoms, got {n_atoms}")

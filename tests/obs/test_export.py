@@ -3,8 +3,6 @@
 import csv
 import io
 import json
-import subprocess
-import sys
 
 import pytest
 
@@ -20,6 +18,7 @@ from repro.obs import (
     write_metrics,
 )
 from repro.perftools.sampling import GroundTruthTimeline
+from tests.gates._checks import assert_chrome_trace
 
 
 @pytest.fixture(scope="module")
@@ -77,14 +76,7 @@ def test_written_trace_passes_schema_check(tmp_path, traced_run):
     n = write_chrome_trace(path, tracer.task_spans(), timeline=timeline)
     payload = json.loads(path.read_text())
     assert len(payload["traceEvents"]) == n
-    proc = subprocess.run(
-        [
-            sys.executable, "scripts/check_trace.py", str(path),
-            "--min-spans", "6",
-        ],
-        capture_output=True, text=True, cwd="/root/repo",
-    )
-    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert_chrome_trace(path, min_spans=6)
 
 
 def test_metrics_json_and_csv_round_trip(tmp_path):

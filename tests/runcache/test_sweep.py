@@ -122,11 +122,51 @@ def test_cached_capture_publishes_and_reuses(cache):
 # ------------------------------------------------------- payload parity
 
 
-def test_attribution_sweep_payload_matches_uncached_bench(cache):
-    from repro.obs.attribution import bench_attribution
+def _uncached_attribution_payload(workloads, threads, *, steps, seed):
+    """The attribution sweep without the cache, as an oracle: one
+    in-process capture and one 1-thread baseline per workload, shared
+    by every thread count."""
+    from repro.core.simulate import capture_trace
+    from repro.machine import CORE_I7_920
+    from repro.obs.attribution import (
+        BENCH_SCHEMA,
+        BUCKETS,
+        attribute,
+        observe_run,
+        result_to_dict,
+    )
+    from repro.workloads import BUILDERS, resolve_workload
 
+    runs = []
+    names = [resolve_workload(w) for w in workloads]
+    for name in names:
+        wl = BUILDERS[name]()
+        trace = capture_trace(wl, steps)
+        baseline = observe_run(
+            trace, wl.system.n_atoms, CORE_I7_920, 1,
+            seed=seed, name=wl.name, workload=wl.name,
+        )
+        for n in threads:
+            res = attribute(
+                wl, n, spec=CORE_I7_920, steps=steps, seed=seed,
+                trace=trace, baseline=baseline,
+            )
+            runs.append(result_to_dict(res))
+    return {
+        "schema": BENCH_SCHEMA,
+        "machine": CORE_I7_920.name,
+        "steps": steps,
+        "seed": seed,
+        "workloads": names,
+        "threads": list(threads),
+        "buckets": list(BUCKETS),
+        "runs": runs,
+    }
+
+
+def test_attribution_sweep_payload_matches_uncached_bench(cache):
     kwargs = dict(workloads=["salt"], threads=[1, 2], steps=2, seed=0)
-    expected = bench_attribution(**kwargs)
+    expected = _uncached_attribution_payload(**kwargs)
     cold, cold_stats = attribution_sweep(cache=cache, jobs=1, **kwargs)
     warm, warm_stats = attribution_sweep(cache=cache, jobs=1, **kwargs)
     assert cold == expected

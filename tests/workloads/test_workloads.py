@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.targets import TABLE1, table1_cells
 from repro.workloads import (
     BUILDERS,
     build_al1000,
@@ -27,18 +28,10 @@ from repro.workloads.generators import (
 
 
 def test_table1_matches_paper_exactly():
-    rows = table1_rows([BUILDERS[n]() for n in ("nanocar", "salt", "Al-1000")])
-    expected = [
-        ("nanocar", 989, 0, 2277, "Bonds"),
-        ("salt", 800, 800, 0, "Ionic"),
-        ("Al-1000", 1000, 0, 0, "Lennard-Jones"),
-    ]
-    for row, (name, atoms, charged, bonds, dom) in zip(rows, expected):
-        assert row["Benchmark"] == name
-        assert row["# of Atoms"] == atoms
-        assert row["# of Charged Atoms"] == charged
-        assert row["# of Bonds"] == bonds
-        assert row["Dominant Computation Type"] == dom
+    rows = table1_rows([BUILDERS[n]() for n in TABLE1])
+    assert [row["Benchmark"] for row in rows] == list(TABLE1)
+    for row in rows:
+        assert table1_cells(row) == TABLE1[row["Benchmark"]]
 
 
 def test_salt_composition():
@@ -82,13 +75,14 @@ def test_al1000_frequent_rebuilds():
 def test_nanocar_composition():
     wl = build_nanocar()
     s = wl.system
-    assert s.n_atoms == 989
+    atoms, _charged, bonds, _dominant = TABLE1["nanocar"]
+    assert s.n_atoms == atoms
     fixed = ~s.movable
     assert int(fixed.sum()) == 500  # gold platform
-    assert wl.n_bonds == 2277
+    assert wl.n_bonds == bonds
     # platform atoms interleave with car atoms through the index space
     fixed_idx = np.nonzero(fixed)[0]
-    assert fixed_idx.mean() == pytest.approx((989 - 1) / 2, rel=0.1)
+    assert fixed_idx.mean() == pytest.approx((atoms - 1) / 2, rel=0.1)
     # the car sits above the platform
     assert s.positions[s.movable, 2].min() > s.positions[fixed, 2].max()
 
