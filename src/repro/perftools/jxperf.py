@@ -240,7 +240,8 @@ def distribution_error(
         return 0.0
     if not p or not q:
         return 1.0
-    keys = set(p) | set(q)
+    # sorted, so the float sum does not follow the string hash seed
+    keys = sorted(set(p) | set(q))
     return 0.5 * sum(abs(p.get(k, 0.0) - q.get(k, 0.0)) for k in keys)
 
 
@@ -274,7 +275,8 @@ def class_blind_error(truth: WastefulReport) -> float:
         cells = [(s, c) for s in sites for c in cats]
         for cell in cells:
             q[cell] = q.get(cell, 0.0) + mass / len(cells)
-    keys = set(p) | set(q)
+    # sorted, so the float sum does not follow the string hash seed
+    keys = sorted(set(p) | set(q))
     return 0.5 * sum(abs(p.get(k, 0.0) - q.get(k, 0.0)) for k in keys)
 
 

@@ -123,5 +123,6 @@ def profiler_disagreement(
     a: Dict[str, float], b: Dict[str, float]
 ) -> float:
     """Total variation distance between two hot-method distributions."""
-    keys = set(a) | set(b)
+    # sorted, so the float sum does not follow the string hash seed
+    keys = sorted(set(a) | set(b))
     return 0.5 * sum(abs(a.get(k, 0.0) - b.get(k, 0.0)) for k in keys)

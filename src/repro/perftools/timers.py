@@ -115,7 +115,9 @@ def _distortion(
         return 0.0, "", 0.0
     worst_phase, worst = "", -1.0
     err = 0.0
-    for phase in set(displayed) | set(truth):
+    # sorted, so neither the float sum nor the tie-break on the worst
+    # phase follows the string hash seed
+    for phase in sorted(set(displayed) | set(truth)):
         e = abs(displayed.get(phase, 0.0) - truth.get(phase, 0.0))
         err += e
         if e > worst:

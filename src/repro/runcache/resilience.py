@@ -240,7 +240,7 @@ def load_journal(root: os.PathLike) -> Optional[JournalState]:
 
 def spec_from_canonical(doc: Dict[str, Any]) -> RunSpec:
     """Rebuild a :class:`RunSpec` from its canonical dict (the form
-    journals and cache meta files store)."""
+    journals and cache entry headers store)."""
     return RunSpec(
         kind=doc["kind"],
         workload=doc["workload"],
@@ -737,10 +737,11 @@ class _Supervisor:
         )
 
     def _finished(self, unit: Unit, result: List[Any], pooled: bool) -> None:
+        # a pool worker returns digests: reload what it published, in
+        # one lookup pass
+        artifacts = self.cache._lookup(unit.specs) if pooled else result
         lost = []
-        for (key, spec), value in zip(unit.items, result):
-            # a pool worker returns digests: reload what it published
-            artifact = self.cache.get(spec) if pooled else value
+        for (key, spec), artifact in zip(unit.items, artifacts):
             if artifact is None:
                 lost.append((key, spec))
                 continue

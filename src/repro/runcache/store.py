@@ -3,18 +3,30 @@
 Layout (under ``RunCache.root``, default ``~/.cache/repro/runcache`` or
 ``$REPRO_RUNCACHE_DIR``)::
 
-    objects/<aa>/<digest>.pkl    pickled artifact (the content)
-    objects/<aa>/<digest>.json   meta: spec, label, sizes, created
-    stats.json                   cumulative hit/miss counters
+    objects/<aa>/<digest>.entry   one file per entry:
+        {"digest":…,"label":…,"spec":{…},"artifact_bytes":N,…}\n
+        <N bytes: the pickled artifact, unchanged>
+    stats.json                    cumulative hit/miss/put-failure counters
+
+The first line of an entry is a compact JSON header (digest, label,
+canonical spec, the artifact's *intended* length, code salt, creation
+time); the rest is exactly :func:`dumps_artifact`'s bytes.  Files of the
+older two-file layout (``<digest>.pkl`` + ``<digest>.json``) are never
+looked up again — the code salt in every digest moved past them — but
+they are still counted, evicted by the cap and removed by ``clear``.
 
 Guarantees:
 
-* **atomic writes** — artifacts land via ``os.replace`` of a same-dir
-  temp file, so readers never observe a partial entry and concurrent
-  writers of the same digest are last-writer-wins with identical bytes
-  (the digest pins the content);
-* **corruption recovery** — an unreadable/truncated entry is treated as
-  a miss and deleted, never raised to the caller;
+* **atomic writes** — an entry lands via one ``os.replace`` of a
+  same-dir temp file, so readers never observe a partial entry and
+  concurrent writers of the same digest are last-writer-wins with
+  identical bytes (the digest pins the content).  A shard directory
+  removed behind a handle (``clear()``, another process) is created
+  again and the write retried once;
+* **corruption recovery** — an entry that exists but is unreadable
+  (bad header, body shorter or longer than the header says, an
+  unpicklable body) is treated as a miss and deleted, never raised to
+  the caller.  A clean miss costs one failed ``open`` and nothing more;
 * **write-failure absorption** — a store that cannot be written
   (ENOSPC, permissions, a torn temp file) records the failure
   (``session_put_failures`` + a ``cache.put_failed`` telemetry event)
@@ -24,11 +36,14 @@ Guarantees:
   a handle opens the store;
 * **LRU size cap** — ``max_bytes`` (default 512 MiB, or
   ``$REPRO_RUNCACHE_MAX_BYTES``) is enforced after every put by
-  evicting least-recently-*used* entries (hits refresh an entry's
-  stamp);
-* **verify** — a sampled entry is re-executed from its stored spec and
-  the fresh pickle is byte-compared against the cached one, which the
-  DES's deterministic-replay guarantee makes an exact check.
+  evicting least-recently-*used* entries (hits refresh an entry file's
+  stamp); sizes are whole files, headers included;
+* **one lookup pass** — a sweep looks up all its specs in one pass
+  (``get`` is that pass over one spec): one ``cache.lookup`` event and
+  one session count per spec, one ``stats.json`` update per pass;
+* **verify** — a sampled entry is re-executed from the spec in its
+  header and the fresh pickle is byte-compared against the cached one,
+  which the DES's deterministic-replay guarantee makes an exact check.
 
 Wall-clock numbers are never cached: artifacts are simulated-time
 results, so a timing taken through the cache times only its misses.
@@ -36,6 +51,7 @@ results, so a timing taken through the cache times only its misses.
 
 from __future__ import annotations
 
+import copyreg
 import io
 import json
 import os
@@ -44,8 +60,12 @@ import tempfile
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Sequence
 
+import numpy as np
+
+from repro.md.engine import PhaseWork, StepReport
+from repro.md.forces.base import ForceResult
 from repro.runcache.key import RunSpec, code_version_salt, spec_digest
 from repro.telemetry import runtime as telemetry_runtime
 from repro.telemetry.schema import CACHE_STATS_SCHEMA
@@ -59,6 +79,9 @@ DEFAULT_MAX_BYTES = 512 * 2**20
 #: concurrent writer's live temp file
 ORPHAN_TMP_MAX_AGE = 3600.0
 
+#: file name suffix of a one-file entry (header line + pickle bytes)
+_ENTRY_SUFFIX = ".entry"
+
 _ENV_DIR = "REPRO_RUNCACHE_DIR"
 _ENV_MAX = "REPRO_RUNCACHE_MAX_BYTES"
 
@@ -71,10 +94,34 @@ def default_cache_dir() -> Path:
     return Path.home() / ".cache" / "repro" / "runcache"
 
 
+def _reduce_plain(obj: Any) -> tuple:
+    """What ``object.__reduce_ex__(4)`` returns for an instance with a
+    ``__dict__`` and no reduce/state hooks of its own (an empty
+    ``__dict__`` is no state), without the failed hook lookups that
+    call pays per object."""
+    return copyreg.__newobj__, (type(obj),), obj.__dict__ or None
+
+
+#: per-type reducers for the objects a capture trace holds thousands
+#: of; each returns exactly what the default path would, so the pickle
+#: bytes are unchanged (``tests/runcache/test_pickle_oracle.py``)
+_REDUCERS = {
+    StepReport: _reduce_plain,
+    PhaseWork: _reduce_plain,
+    ForceResult: _reduce_plain,
+    np.ndarray: np.ndarray.__reduce__,
+}
+
+
 def dumps_artifact(artifact: Any) -> bytes:
-    """Canonical byte encoding of an artifact (the verify currency)."""
+    """Canonical byte encoding of an artifact (the verify currency):
+    ``pickle.dumps(artifact, protocol=4)``, byte for byte."""
     buf = io.BytesIO()
-    pickle.Pickler(buf, protocol=PICKLE_PROTOCOL).dump(artifact)
+    pickler = pickle.Pickler(buf, protocol=PICKLE_PROTOCOL)
+    # a pickler's own table replaces copyreg's, so it carries copyreg's
+    # registrations too (read per call: libraries may add to them)
+    pickler.dispatch_table = {**copyreg.dispatch_table, **_REDUCERS}
+    pickler.dump(artifact)
     return buf.getvalue()
 
 
@@ -176,74 +223,93 @@ class RunCache:
     def _objects(self) -> Path:
         return self.root / "objects"
 
-    def _paths(self, digest: str) -> tuple:
-        shard = self._objects() / digest[:2]
-        return shard / f"{digest}.pkl", shard / f"{digest}.json"
+    def _path(self, digest: str) -> Path:
+        return self._objects() / digest[:2] / f"{digest}{_ENTRY_SUFFIX}"
 
     def digest(self, spec: RunSpec) -> str:
         return spec_digest(spec, self._salt)
 
     # -- lookups ---------------------------------------------------------
 
-    def _read(self, spec: RunSpec) -> Optional[bytes]:
-        """Uncounted lookup: artifact bytes or None.
+    def _load(self, path: Path) -> Optional[bytes]:
+        """Artifact bytes of the entry at ``path``, or None.
 
-        A corrupted or half-written entry (short file, bad meta) is
-        deleted and reported as a miss; a sound entry gets its LRU
-        stamp refreshed.
+        A missing file is a clean miss.  An entry that exists but is
+        unreadable — no header, a header without the length, a body
+        whose length differs from it — is deleted and reported as a
+        miss; a sound entry gets its LRU stamp refreshed.
         """
-        digest = self.digest(spec)
-        pkl, meta = self._paths(digest)
         try:
-            data = pkl.read_bytes()
-            expected = json.loads(meta.read_text()).get("artifact_bytes")
-        except (OSError, ValueError):
-            self._drop(digest)
+            with open(path, "rb") as fh:
+                header = fh.readline()
+                data = fh.read()
+        except FileNotFoundError:
             return None
-        if expected is not None and expected != len(data):
-            self._drop(digest)
+        except OSError:
+            self._drop(path)
             return None
-        now = time.time()
         try:
-            os.utime(pkl, (now, now))  # LRU stamp
+            sound = json.loads(header)["artifact_bytes"] == len(data)
+        except (ValueError, KeyError, TypeError):
+            sound = False
+        if not sound:
+            self._drop(path)
+            return None
+        try:
+            os.utime(path)  # LRU stamp
         except OSError:
             pass
         return data
 
+    def _lookup(
+        self, specs: Sequence[RunSpec], raw: bool = False
+    ) -> List[Optional[Any]]:
+        """The lookup pass: each spec's unpickled artifact (its bytes
+        when ``raw``), or None on a miss, in ``specs`` order.
+
+        Every spec gets its session count and ``cache.lookup`` event;
+        the pass adds its totals to ``stats.json`` once.  An entry
+        whose body does not unpickle is deleted and counts as a miss.
+        """
+        emitter = telemetry_runtime.current()
+        out: List[Optional[Any]] = []
+        hits = 0
+        for spec in specs:
+            digest = self.digest(spec)
+            path = self._path(digest)
+            value = data = self._load(path)
+            if data is not None and not raw:
+                try:
+                    value = pickle.loads(data)
+                except Exception:
+                    self._drop(path)
+                    value = None
+            hit = value is not None
+            hits += hit
+            emitter.event(
+                "cache.lookup", hit=hit, kind=spec.kind, digest=digest[:12]
+            )
+            out.append(value)
+        misses = len(out) - hits
+        self.session_hits += hits
+        self.session_misses += misses
+        if out:
+            self._bump(hits=hits, misses=misses)
+        return out
+
     def get_bytes(self, spec: RunSpec) -> Optional[bytes]:
         """Raw artifact bytes for a spec, or None on miss."""
-        data = self._read(spec)
-        self._count(hit=data is not None)
-        self._observe_lookup(spec, hit=data is not None)
-        return data
+        return self._lookup([spec], raw=True)[0]
 
     def get(self, spec: RunSpec) -> Optional[Any]:
         """Unpickled artifact for a spec, or None on miss/corruption."""
-        data = self._read(spec)
-        artifact = None
-        if data is not None:
-            try:
-                artifact = pickle.loads(data)
-            except Exception:
-                self._drop(self.digest(spec))
-        self._count(hit=artifact is not None)
-        self._observe_lookup(spec, hit=artifact is not None)
-        return artifact
-
-    def _observe_lookup(self, spec: RunSpec, hit: bool) -> None:
-        telemetry_runtime.current().event(
-            "cache.lookup",
-            hit=hit,
-            kind=spec.kind,
-            digest=self.digest(spec)[:12],
-        )
+        return self._lookup([spec])[0]
 
     def contains(self, spec: RunSpec) -> bool:
-        """Whether a complete entry is stored: uncounted, never
-        unpickled.  The meta lands after the artifact, so an entry
-        mid-put does not count yet."""
-        pkl, meta = self._paths(self.digest(spec))
-        return meta.exists() and pkl.exists()
+        """Whether an entry is stored: uncounted, never read.  An entry
+        lands by one atomic replace, so an entry mid-put does not count
+        yet."""
+        return self._path(self.digest(spec)).exists()
 
     # -- writes ----------------------------------------------------------
 
@@ -251,37 +317,41 @@ class RunCache:
         """Store pre-pickled artifact bytes; returns the digest.
 
         A failed write (ENOSPC, permissions, a disk pulled mid-put) is
-        *absorbed*: the half-written entry is dropped, the failure is
-        counted and emitted as a ``cache.put_failed`` event, and the
-        digest is still returned — the entry simply stays a miss.  The
-        sweep's correctness never depends on a put landing.
+        *absorbed*: nothing partial is left, the failure is counted and
+        emitted as a ``cache.put_failed`` event, and the digest is
+        still returned — the entry simply stays a miss.  The sweep's
+        correctness never depends on a put landing.
         """
         digest = self.digest(spec)
-        pkl, meta = self._paths(digest)
-        # meta records the *intended* length: a torn artifact write
-        # (shorter file) is caught by the read-side length check
-        meta_doc = {
-            "digest": digest,
-            "label": spec.label(),
-            "spec": spec.canonical(),
-            "artifact_bytes": len(data),
-            "salt": self._salt,
-            "created": time.time(),
-        }
+        path = self._path(digest)
+        # the header records the *intended* length: a torn body (a
+        # shorter file) is caught by the read-side length check
+        header = json.dumps(
+            {
+                "digest": digest,
+                "label": spec.label(),
+                "spec": spec.canonical(),
+                "artifact_bytes": len(data),
+                "salt": self._salt,
+                "created": time.time(),
+            },
+            separators=(",", ":"),
+        )
         try:
             if "REPRO_PROCESS_FAULTS" in os.environ:  # chaos harness
                 from repro.faults import process as process_faults
 
                 data = process_faults.corrupt_put(spec.kind, data)
-            pkl.parent.mkdir(parents=True, exist_ok=True)
-            self._atomic_write(pkl, data)
-            self._atomic_write(
-                meta, (json.dumps(meta_doc, indent=1) + "\n").encode()
-            )
+            entry = header.encode() + b"\n" + data
+            try:
+                self._atomic_write(path, entry)
+            except FileNotFoundError:
+                # a new shard, or one removed behind this handle
+                path.parent.mkdir(parents=True, exist_ok=True)
+                self._atomic_write(path, entry)
         except OSError as exc:
             self.session_put_failures += 1
-            self._drop(digest)  # never leave a half pair behind
-            self._count_put_failure()
+            self._bump(put_failures=1)
             telemetry_runtime.current().event(
                 "cache.put_failed",
                 kind=spec.kind,
@@ -303,7 +373,7 @@ class RunCache:
                 e["bytes"] for e in self._entries()
             )
         else:
-            self._approx_bytes += len(data)
+            self._approx_bytes += len(entry)
         if self._approx_bytes > self.max_bytes:
             self._enforce_cap()
         return digest
@@ -326,18 +396,16 @@ class RunCache:
                 pass
             raise
 
-    def _drop(self, digest: str) -> None:
-        pkl, meta = self._paths(digest)
-        if self._approx_bytes is not None:
+    def _drop(self, *paths: Path) -> None:
+        """Delete an entry's files, keeping the byte estimate in step."""
+        for path in paths:
             try:
-                self._approx_bytes -= pkl.stat().st_size
-            except OSError:
-                pass
-        for path in (pkl, meta):
-            try:
+                size = path.stat().st_size
                 os.unlink(path)
             except OSError:
-                pass
+                continue
+            if self._approx_bytes is not None:
+                self._approx_bytes -= size
 
     # -- maintenance -----------------------------------------------------
 
@@ -368,33 +436,49 @@ class RunCache:
             )
         return reaped
 
+    @staticmethod
+    def _kind(entry: dict) -> str:
+        """The spec kind in an entry's header; ``""`` when it has none
+        (a bad header, or the older layout, which is never read)."""
+        if entry["path"] is None:
+            return ""
+        try:
+            with open(entry["path"], "rb") as fh:
+                return str(json.loads(fh.readline())["spec"]["kind"])
+        except (OSError, ValueError, KeyError, TypeError):
+            return ""
+
     def _entries(self) -> List[dict]:
-        """All live entries: digest, size, LRU stamp, kind."""
-        out = []
+        """All stored entries, from one directory scan: digest, size,
+        LRU stamp and files.
+
+        ``path`` is the one-file entry, or None for an entry of the
+        older two-file layout, whose files (``paths``) are counted and
+        evicted together but never read.
+        """
         objects = self._objects()
         if not objects.is_dir():
-            return out
-        for pkl in objects.glob("*/*.pkl"):
+            return []
+        found: Dict[str, dict] = {}
+        for path in objects.glob("*/*"):
+            if path.name.startswith("."):  # a writer's temp file
+                continue
             try:
-                st = pkl.stat()
+                st = path.stat()
             except OSError:
                 continue
-            kind = ""
-            try:
-                kind = json.loads(
-                    pkl.with_suffix(".json").read_text()
-                )["spec"]["kind"]
-            except (OSError, ValueError, KeyError, TypeError):
-                pass
-            out.append(
-                {
-                    "digest": pkl.stem,
-                    "bytes": st.st_size,
-                    "used": st.st_mtime,
-                    "kind": kind,
-                }
+            digest = path.name.split(".", 1)[0]
+            entry = found.setdefault(
+                digest,
+                {"digest": digest, "bytes": 0, "used": 0.0,
+                 "path": None, "paths": []},
             )
-        return out
+            entry["bytes"] += st.st_size
+            entry["used"] = max(entry["used"], st.st_mtime)
+            entry["paths"].append(path)
+            if path.suffix == _ENTRY_SUFFIX:
+                entry["path"] = path
+        return list(found.values())
 
     def _enforce_cap(self) -> int:
         """Evict least-recently-used entries above the size cap.
@@ -412,12 +496,13 @@ class RunCache:
         for entry in sorted(entries, key=lambda e: e["used"]):
             if total <= self.max_bytes:
                 break
-            self._drop(entry["digest"])
+            kind = self._kind(entry)
+            self._drop(*entry["paths"])
             telemetry_runtime.current().event(
                 "cache.evict",
                 digest=entry["digest"][:12],
                 bytes=entry["bytes"],
-                kind=entry["kind"],
+                kind=kind,
             )
             total -= entry["bytes"]
             evicted += 1
@@ -428,13 +513,12 @@ class RunCache:
         """Delete every entry (and the counters); returns entries removed."""
         entries = self._entries()
         for entry in entries:
-            self._drop(entry["digest"])
+            self._drop(*entry["paths"])
         self._approx_bytes = 0
-        for leftover in (self.root / "stats.json",):
-            try:
-                os.unlink(leftover)
-            except OSError:
-                pass
+        try:
+            os.unlink(self.root / "stats.json")
+        except OSError:
+            pass
         # remove now-empty shard dirs, best effort
         objects = self._objects()
         if objects.is_dir():
@@ -447,46 +531,30 @@ class RunCache:
 
     # -- counters --------------------------------------------------------
 
-    def _count(self, hit: bool) -> None:
-        if hit:
-            self.session_hits += 1
-        else:
-            self.session_misses += 1
-        # cumulative counters: best-effort read-modify-replace (lost
-        # updates under contention are acceptable for a diagnostic)
+    def _bump(self, **deltas: int) -> None:
+        """Add ``deltas`` to the cumulative counters in ``stats.json``:
+        one best-effort read-modify-replace (lost updates under
+        contention are acceptable for a diagnostic, and a disk that
+        cannot take the write is the thing that is broken)."""
         path = self.root / "stats.json"
         try:
-            doc = json.loads(path.read_text())
+            doc = json.loads(path.read_bytes())
         except (OSError, ValueError):
             doc = {}
-        doc["hits"] = int(doc.get("hits", 0)) + (1 if hit else 0)
-        doc["misses"] = int(doc.get("misses", 0)) + (0 if hit else 1)
-        try:
-            self.root.mkdir(parents=True, exist_ok=True)
-            self._atomic_write(
-                path, (json.dumps(doc) + "\n").encode()
-            )
-        except OSError:
-            pass
-
-    def _count_put_failure(self) -> None:
-        path = self.root / "stats.json"
-        try:
-            doc = json.loads(path.read_text())
-        except (OSError, ValueError):
-            doc = {}
-        doc["put_failures"] = int(doc.get("put_failures", 0)) + 1
+        for name, delta in deltas.items():
+            doc[name] = int(doc.get(name, 0)) + delta
         try:
             self.root.mkdir(parents=True, exist_ok=True)
             self._atomic_write(path, (json.dumps(doc) + "\n").encode())
-        except OSError:  # the disk is the thing that's broken
+        except OSError:
             pass
 
     def stats(self) -> CacheStats:
         entries = self._entries()
         by_kind: Dict[str, int] = {}
         for e in entries:
-            by_kind[e["kind"] or "?"] = by_kind.get(e["kind"] or "?", 0) + 1
+            kind = self._kind(e) or "?"
+            by_kind[kind] = by_kind.get(kind, 0) + 1
         try:
             doc = json.loads((self.root / "stats.json").read_text())
         except (OSError, ValueError):
@@ -511,7 +579,8 @@ class RunCache:
         """Re-run up to ``sample`` cached entries and byte-compare.
 
         Entries are chosen deterministically from ``seed`` over the
-        sorted digest list.  Each report says whether the fresh
+        sorted digest list of one-file entries (files of the older
+        layout are never read).  Each report says whether the fresh
         artifact's pickle bytes equal the cached ones; a mismatch is a
         determinism (or corruption) bug, never an expected state.
         """
@@ -520,19 +589,22 @@ class RunCache:
         from repro.runcache.resilience import spec_from_canonical
         from repro.runcache.sweep import execute_spec
 
-        entries = sorted(self._entries(), key=lambda e: e["digest"])
+        entries = sorted(
+            (e for e in self._entries() if e["path"] is not None),
+            key=lambda e: e["digest"],
+        )
         if not entries:
             return []
         rng = random.Random(seed)
         chosen = rng.sample(entries, min(sample, len(entries)))
         reports: List[VerifyReport] = []
         for entry in chosen:
-            pkl, meta = self._paths(entry["digest"])
             try:
-                cached = pkl.read_bytes()
-                spec = spec_from_canonical(
-                    json.loads(meta.read_text())["spec"]
-                )
+                with open(entry["path"], "rb") as fh:
+                    spec = spec_from_canonical(
+                        json.loads(fh.readline())["spec"]
+                    )
+                    cached = fh.read()
             except (OSError, ValueError, KeyError, TypeError) as exc:
                 reports.append(
                     VerifyReport(

@@ -673,6 +673,7 @@ def sweep(
             artifacts: Dict[str, Any] = {}
             hit_by_key: Dict[str, bool] = {}
             misses: List[Tuple[str, RunSpec]] = []
+            lookup: List[Tuple[str, RunSpec]] = []
             for key, spec in unique.items():
                 if key in prior_quarantined:
                     record = prior_quarantined[key]
@@ -686,8 +687,15 @@ def sweep(
                             carried=True,
                         )
                     )
-                    continue
-                artifact = cache.get(spec) if cache is not None else None
+                else:
+                    lookup.append((key, spec))
+            # one pass over the store for every spec still wanted
+            found = (
+                cache._lookup([spec for _, spec in lookup])
+                if cache is not None
+                else [None] * len(lookup)
+            )
+            for (key, spec), artifact in zip(lookup, found):
                 if artifact is not None:
                     artifacts[key] = artifact
                     hit_by_key[key] = True

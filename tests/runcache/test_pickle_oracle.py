@@ -1,0 +1,99 @@
+"""``dumps_artifact`` against plain ``pickle.dumps``: the bit-exact oracle.
+
+``dumps_artifact`` gives its pickler a dispatch table of reducers for
+the trace types a capture holds thousands of.  Each reducer returns
+what ``object.__reduce_ex__(4)`` (or ``np.ndarray.__reduce__``) would,
+so the stored bytes must equal the default pickler's for every artifact
+kind the cache holds.
+"""
+
+import pickle
+
+import numpy as np
+import pytest
+
+from repro.ensemble import ensemble_capture
+from repro.md.engine import PhaseWork, StepReport
+from repro.md.forces.base import ForceResult
+from repro.runcache import (
+    RunCache,
+    capture_spec,
+    dumps_artifact,
+    execute_spec,
+    observe_spec,
+)
+from repro.runcache.key import RunSpec
+from repro.runcache.store import PICKLE_PROTOCOL, _REDUCERS
+from repro.runcache.sweep import toolerror_spec
+from repro.workloads import BUILDERS
+
+
+class Sub(np.ndarray):
+    """Not in the table: pickles by the default path."""
+
+
+def _same_bytes(artifact) -> None:
+    assert dumps_artifact(artifact) == pickle.dumps(
+        artifact, protocol=PICKLE_PROTOCOL
+    )
+
+
+@pytest.fixture(scope="module")
+def cache(tmp_path_factory) -> RunCache:
+    return RunCache(tmp_path_factory.mktemp("oracle"))
+
+
+@pytest.mark.parametrize("workload", sorted(BUILDERS))
+def test_capture_bytes_match_pickle(workload, cache):
+    _same_bytes(execute_spec(capture_spec(workload, 2), cache))
+
+
+def test_ensemble_batch_bytes_match_pickle():
+    _same_bytes(ensemble_capture("gas-8", 2, seeds=(0, 1, 2)))
+
+
+def test_observation_bytes_match_pickle(cache):
+    _same_bytes(execute_spec(observe_spec("salt", 2, 4, "i7-920"), cache))
+
+
+def test_chaos_case_bytes_match_pickle(cache):
+    spec = RunSpec(
+        kind="chaos_case", workload="salt", steps=2, seed=0, threads=4,
+        machine="i7-920", options={"gc_model": "chaos"},
+    )
+    _same_bytes(execute_spec(spec, cache))
+
+
+def test_toolerror_cell_bytes_match_pickle(cache):
+    _same_bytes(execute_spec(toolerror_spec("salt", 2, 4, "i7-920"), cache))
+
+
+def test_edge_objects_match_pickle():
+    """Empty and shared state, array views and non-table subclasses."""
+    base = np.arange(12.0).reshape(3, 4)
+    bare = PhaseWork.__new__(PhaseWork)  # an empty __dict__: no state
+    work = PhaseWork(np.zeros(0), flops=1.0)
+
+    _same_bytes([
+        bare, work, work, base, base[:, 1], base.T, np.float64(2.5),
+        np.zeros(3, dtype=np.int64).view(Sub), 1 + 2j,
+        ForceResult.empty(2),
+        StepReport(0, False, 0.0, 0.0, phase_work={"a": work}),
+    ])
+
+
+@pytest.mark.parametrize("cls", [StepReport, PhaseWork, ForceResult])
+def test_table_classes_keep_the_default_reduce(cls):
+    """The table is only exact while these classes pickle by the
+    default ``__dict__`` path: a reduce, state or slots hook of their
+    own must come with a change to the table."""
+    assert cls in _REDUCERS
+    own = [
+        name
+        for klass in cls.__mro__[:-1]
+        for name in ("__reduce__", "__reduce_ex__", "__getstate__",
+                     "__setstate__", "__getnewargs__",
+                     "__getnewargs_ex__", "__slots__")
+        if name in vars(klass)
+    ]
+    assert own == []

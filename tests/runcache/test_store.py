@@ -1,5 +1,6 @@
-"""RunCache store behaviour: atomicity, corruption recovery, LRU cap,
-counters, and the sampled byte-identity verify."""
+"""RunCache store behaviour: the one-file entry layout, atomicity,
+corruption recovery, LRU cap, the lookup pass and its counters, and the
+sampled byte-identity verify."""
 
 import json
 import os
@@ -17,6 +18,20 @@ def spec(n: int = 0) -> RunSpec:
 @pytest.fixture()
 def cache(tmp_path) -> RunCache:
     return RunCache(tmp_path / "store")
+
+
+def entry_file(cache: RunCache, s: RunSpec):
+    return cache._path(cache.digest(s))
+
+
+def read_entry(path) -> tuple:
+    """``(header dict, body bytes)`` of a one-file entry."""
+    header, _, body = path.read_bytes().partition(b"\n")
+    return json.loads(header), body
+
+
+def write_entry(path, header: dict, body: bytes) -> None:
+    path.write_bytes(json.dumps(header).encode() + b"\n" + body)
 
 
 def test_round_trip(cache):
@@ -43,34 +58,53 @@ def test_miss_is_none_and_counted(cache):
 # ------------------------------------------------ corruption recovery
 
 
+def test_entry_is_one_file_header_then_pickle(cache):
+    artifact = {"x": [1, 2, 3]}
+    digest = cache.put(spec(), artifact)
+    path = entry_file(cache, spec())
+    assert [p.name for p in path.parent.iterdir()] == [path.name]
+    header, body = read_entry(path)
+    assert body == dumps_artifact(artifact)
+    assert header["digest"] == digest
+    assert header["artifact_bytes"] == len(body)
+    assert header["spec"] == spec().canonical()
+    assert header["label"] == spec().label()
+
+
 def test_truncated_pickle_is_dropped_and_missed(cache):
     cache.put(spec(), {"big": list(range(1000))})
-    pkl, _meta = cache._paths(cache.digest(spec()))
-    pkl.write_bytes(pkl.read_bytes()[:10])  # torn write
+    path = entry_file(cache, spec())
+    path.write_bytes(path.read_bytes()[:-10])  # torn write
     assert cache.get(spec()) is None
-    assert not pkl.exists()  # entry dropped, not left to fail again
+    assert not path.exists()  # entry dropped, not left to fail again
 
 
 def test_garbage_pickle_bytes_are_dropped(cache):
     cache.put(spec(), 42)
-    pkl, meta = cache._paths(cache.digest(spec()))
+    path = entry_file(cache, spec())
+    header, _body = read_entry(path)
     garbage = b"\x80\x04not a pickle at all"
-    pkl.write_bytes(garbage)
-    doc = json.loads(meta.read_text())
-    doc["artifact_bytes"] = len(garbage)  # size check passes
-    meta.write_text(json.dumps(doc))
+    header["artifact_bytes"] = len(garbage)  # size check passes
+    write_entry(path, header, garbage)
     assert cache.get(spec()) is None
-    assert not pkl.exists()
+    assert not path.exists()
 
 
 def test_missing_meta_is_treated_as_corruption(cache):
-    cache.put(spec(), 42)
-    _pkl, meta = cache._paths(cache.digest(spec()))
-    os.unlink(meta)
-    assert cache.get(spec()) is None
-    # and the store recovers on the next put
-    cache.put(spec(), 43)
-    assert cache.get(spec()) == 43
+    """An entry whose header line is missing, unparsable or lacks the
+    artifact length is corruption: dropped, then stored again."""
+    bad_headers = [None, b"{not json", b"[1, 2]", b'{"digest": "x"}']
+    for n, header in enumerate(bad_headers):
+        cache.put(spec(), n)
+        path = entry_file(cache, spec())
+        _header, body = read_entry(path)
+        path.write_bytes(body if header is None else header + b"\n" + body)
+        assert cache.get(spec()) is None, header
+        assert not path.exists()
+        assert cache.session_misses == n + 1
+        # and the store recovers on the next put
+        cache.put(spec(), 43)
+        assert cache.get(spec()) == 43
 
 
 def test_no_temp_files_left_behind(cache):
@@ -114,15 +148,17 @@ def test_concurrent_writers_converge(tmp_path):
 
 def test_lru_eviction_prefers_stale_entries(tmp_path):
     payload = b"x" * 1000
-    cache = RunCache(tmp_path / "small", max_bytes=3500)
+    probe = RunCache(tmp_path / "probe")
+    probe.put_bytes(spec(), payload)
+    size = entry_file(probe, spec()).stat().st_size  # header included
+    cache = RunCache(tmp_path / "small", max_bytes=int(3.5 * size))
     for i in range(3):
         cache.put_bytes(spec(i), payload)
     # make spec(0) the most recently used despite being written first
     stamps = {0: 300.0, 1: 100.0, 2: 200.0}
     for i, stamp in stamps.items():
-        pkl, _ = cache._paths(cache.digest(spec(i)))
-        os.utime(pkl, (stamp, stamp))
-    cache.put_bytes(spec(3), payload)  # 4000 > 3500: evict one
+        os.utime(entry_file(cache, spec(i)), (stamp, stamp))
+    cache.put_bytes(spec(3), payload)  # four entries > 3.5: evict one
     assert cache.get_bytes(spec(1)) is None  # oldest stamp went
     for kept in (0, 2, 3):
         assert cache.get_bytes(spec(kept)) == payload
@@ -174,13 +210,11 @@ def test_verify_flags_a_tampered_artifact(cache):
     from repro.runcache import capture_spec, run_and_store
 
     run_and_store(cache, capture_spec("salt", 1))
-    digest = cache.digest(capture_spec("salt", 1))
-    pkl, meta = cache._paths(digest)
-    tampered = pkl.read_bytes() + b"\x00"
-    pkl.write_bytes(tampered)
-    doc = json.loads(meta.read_text())
-    doc["artifact_bytes"] = len(tampered)
-    meta.write_text(json.dumps(doc))
+    path = entry_file(cache, capture_spec("salt", 1))
+    header, body = read_entry(path)
+    tampered = body + b"\x00"
+    header["artifact_bytes"] = len(tampered)
+    write_entry(path, header, tampered)
     reports = cache.verify(sample=1, seed=0)
     assert len(reports) == 1
     assert not reports[0].ok
@@ -242,11 +276,11 @@ def test_orphaned_tmp_files_reaped_on_open(cache, tmp_path):
 
     cache.put(spec(), 1)
     shard = next((cache.root / "objects").iterdir())
-    old = shard / ".dead-writer.pkl.1234.tmp"
+    old = shard / ".dead-writer.entry.1234.tmp"
     old.write_bytes(b"half a put")
     stale = time.time() - 7200
     os.utime(old, (stale, stale))
-    fresh = shard / ".live-writer.pkl.5678.tmp"
+    fresh = shard / ".live-writer.entry.5678.tmp"
     fresh.write_bytes(b"in flight")
 
     reopened = RunCache(cache.root)  # reap runs on every store open
@@ -290,3 +324,87 @@ def test_fresh_handle_defers_the_scan_until_first_put(cache):
     assert reopened._approx_bytes == sum(
         e["bytes"] for e in reopened._entries()
     )
+
+
+# ----------------------------------------------------- the lookup pass
+
+
+def test_cold_sweep_replaces_stats_once(tmp_path, monkeypatch):
+    """A 200-spec cold sweep looks every spec up in one pass: one
+    ``stats.json`` replace for the pass, yet one session count and one
+    ``cache.lookup`` event per spec."""
+    from repro.runcache import capture_spec, sweep
+    from repro.telemetry import runtime as telemetry_runtime
+    from repro.telemetry.merge import load_records
+
+    specs = [capture_spec("gas-8", 1, seed=i) for i in range(200)]
+    cache = RunCache(tmp_path / "store")
+    replaced = []
+    real_replace = os.replace
+
+    def spy(src, dst, *args, **kwargs):
+        replaced.append(os.path.basename(dst))
+        return real_replace(src, dst, *args, **kwargs)
+
+    monkeypatch.setattr(os, "replace", spy)
+    telemetry_runtime.activate(tmp_path / "tel", label="pass")
+    try:
+        result = sweep(specs, cache, jobs=1)
+    finally:
+        telemetry_runtime.deactivate()
+    assert result.misses == 200
+    assert replaced.count("stats.json") == 1
+    assert (cache.session_hits, cache.session_misses) == (0, 200)
+    assert (cache.stats().hits, cache.stats().misses) == (0, 200)
+    records, _ = load_records(tmp_path / "tel")
+    lookups = [
+        r for r in records
+        if r.get("kind") == "event" and r["name"] == "cache.lookup"
+    ]
+    assert len(lookups) == 200
+    assert not any(r["attrs"]["hit"] for r in lookups)
+
+
+def test_clean_miss_creates_and_unlinks_nothing(cache, monkeypatch):
+    cache.put(spec(0), 1)
+    assert cache.get(spec(1)) is None  # first lookup writes stats.json
+    before = sorted(p.relative_to(cache.root) for p in cache.root.rglob("*"))
+    unlinked = []
+    monkeypatch.setattr(os, "unlink", lambda p, *a, **k: unlinked.append(p))
+    assert cache.get(spec(2)) is None
+    after = sorted(p.relative_to(cache.root) for p in cache.root.rglob("*"))
+    assert unlinked == []
+    assert after == before
+    assert cache.stats().misses == 2
+
+
+def test_put_after_clear_on_the_same_handle(cache):
+    cache.put(spec(), 1)
+    assert cache.clear() == 1
+    assert list((cache.root / "objects").iterdir()) == []  # shard gone
+    cache.put(spec(), 2)
+    assert cache.session_put_failures == 0
+    assert cache.get(spec()) == 2
+
+
+def test_leftover_two_file_entry_is_counted_and_evicted(tmp_path):
+    """Files of the older ``.pkl`` + ``.json`` layout are never looked
+    up, but stats count them, the cap evicts them, and nothing raises."""
+    cache = RunCache(tmp_path / "store", max_bytes=3000)
+    shard = cache.root / "objects" / "ab"
+    shard.mkdir(parents=True)
+    old = "ab" + "0" * 62
+    pkl, meta = shard / f"{old}.pkl", shard / f"{old}.json"
+    pkl.write_bytes(dumps_artifact(list(range(1000))))  # ~2.9 KB
+    meta.write_text(json.dumps({"spec": {"kind": "capture"}}, indent=1))
+    for path in (pkl, meta):
+        os.utime(path, (100.0, 100.0))  # stale: evicted first
+    stats = cache.stats()
+    assert stats.entries == 1
+    assert stats.total_bytes == pkl.stat().st_size + meta.stat().st_size
+    assert stats.by_kind == {"?": 1}
+    assert cache.verify(sample=3) == []  # old files are never read
+    cache.put(spec(), {"payload": list(range(100))})
+    assert not pkl.exists() and not meta.exists()
+    assert cache.stats().entries == 1
+    assert cache.get(spec()) == {"payload": list(range(100))}
