@@ -53,7 +53,7 @@ from repro.obs.compare import (
     compare_tools,
     sampler_error_rows,
 )
-from repro.obs.critical_path import CriticalPath, critical_path, longest_path
+from repro.obs.critical_path import CriticalPath, critical_path
 from repro.obs.leaderboard import (
     LeaderboardResult,
     LeaderboardRow,
@@ -110,7 +110,6 @@ __all__ = [
     "kernel_shares",
     "leaderboard",
     "leaderboard_payload",
-    "longest_path",
     "metrics_csv",
     "metrics_json",
     "observe_run",

@@ -9,64 +9,39 @@ unbounded cores — so ``T₁ / T_cp`` is a hard upper bound on speedup,
 and each phase's share of the path says where adding threads stops
 helping (Brent's bound / the span term of work-span analysis).
 
-:func:`longest_path` is the generic DAG routine (usable on any node →
-weight mapping); :func:`critical_path` builds the span graph from one
+:func:`critical_path` extracts the chain from one
 :class:`~repro.obs.attribution.RunObservation`'s phase windows and
-serial spine and extracts the chain.
+serial spine in one forward fold, because the graph's shape is fixed:
+``serial/0``, window 0's tasks, ``serial/1``, window 1's tasks, …
+Each serial node's weight sums only the spine intervals that overlap
+its gap (the spine is merged and sorted, so a bisection on interval
+ends finds them), and each node's distance is settled as the fold
+reaches it.  The fold is exact, not an approximation: it makes the
+same float operations, in the same order, as a Kahn-order longest-path
+pass over the same graph —
+
+* a gap's weight adds the same nonzero overlaps in spine order (the
+  intervals it skips would add ``0.0``, which changes no float sum);
+* ``dist(serial/k+1)`` is the *first strict maximum*, in the order
+  Kahn's queue releases the tasks (a task listed twice is released at
+  its last listing, with its last exec time), of
+  ``(dist(serial/k) + exec) + w(serial/k+1)``;
+* the end node is the maximum of ``(dist, name)`` over every node.
+
+So ``seconds``, ``chain``, ``nodes`` and ``total_work_seconds`` equal
+the generic pass's bit for bit; ``tests/obs/test_critical_path_oracle.py``
+keeps that pass as the oracle.  Task node ids must be unique across
+windows (they carry the window's phase and step).
 """
 
 from __future__ import annotations
 
-from collections import defaultdict, deque
+from bisect import bisect_right
+from collections import defaultdict
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 Interval = Tuple[float, float]
-
-
-def longest_path(
-    weights: Dict[str, float],
-    edges: Sequence[Tuple[str, str]],
-) -> Tuple[float, List[str]]:
-    """Longest (maximum-weight) path through a DAG.
-
-    ``weights`` maps node id → non-negative duration; ``edges`` are
-    (from, to) dependencies.  Returns (total weight, node chain).
-    Raises ``ValueError`` on a cycle or an edge naming an unknown node.
-    """
-    succs: Dict[str, List[str]] = defaultdict(list)
-    indeg: Dict[str, int] = {node: 0 for node in weights}
-    for a, b in edges:
-        if a not in weights or b not in weights:
-            raise ValueError(f"edge ({a!r}, {b!r}) references unknown node")
-        succs[a].append(b)
-        indeg[b] += 1
-    # Kahn topological order; dist[n] = weight of heaviest path ending at n
-    queue = deque(sorted(n for n, d in indeg.items() if d == 0))
-    dist = {n: weights[n] for n in queue}
-    best_pred: Dict[str, str] = {}
-    seen = 0
-    while queue:
-        node = queue.popleft()
-        seen += 1
-        for nxt in succs[node]:
-            cand = dist[node] + weights[nxt]
-            if nxt not in dist or cand > dist[nxt]:
-                dist[nxt] = cand
-                best_pred[nxt] = node
-            indeg[nxt] -= 1
-            if indeg[nxt] == 0:
-                queue.append(nxt)
-    if seen != len(weights):
-        raise ValueError("cycle in span graph")
-    if not dist:
-        return 0.0, []
-    end = max(dist, key=lambda n: (dist[n], n))
-    chain = [end]
-    while chain[-1] in best_pred:
-        chain.append(best_pred[chain[-1]])
-    chain.reverse()
-    return dist[end], chain
 
 
 @dataclass
@@ -109,49 +84,83 @@ def critical_path(
 
     ``window_exec`` is the per-window task list of a
     :class:`~repro.obs.attribution.RunObservation` (each window carries
-    its tasks' on-core exec seconds); ``serial_intervals`` is the
-    master-on-core ∪ GC spine.  Serial work between consecutive windows
-    becomes one node; each window's tasks fan out between the
-    surrounding serial nodes.
+    its tasks' on-core exec seconds, windows in time order);
+    ``serial_intervals`` is the merged, sorted master-on-core ∪ GC
+    spine.  Serial work between consecutive windows becomes one node;
+    each window's tasks fan out between the surrounding serial nodes.
     """
-    weights: Dict[str, float] = {}
-    phases: Dict[str, Tuple[str, float]] = {}
-    edges: List[Tuple[str, str]] = []
+    ends = [e for _s, e in serial_intervals]
+    # what ``sum`` over the whole spine starts from: the int 0 when
+    # there is no spine, else 0.0 (skipped intervals would add 0.0)
+    zero = 0.0 if serial_intervals else 0
 
     def serial_weight(lo: float, hi: float) -> float:
+        i = j = bisect_right(ends, lo)  # the first interval ending past lo
+        while j < len(ends) and serial_intervals[j][0] < hi:
+            j += 1
+        if j - i == 1:  # the usual gap; ``sum`` of one term is the term
+            s, e = serial_intervals[i]
+            return max(0.0, min(e, hi) - max(s, lo))
         return sum(
-            max(0.0, min(e, hi) - max(s, lo)) for s, e in serial_intervals
+            [
+                max(0.0, min(e, hi) - max(s, lo))
+                for s, e in serial_intervals[i:j]
+            ],
+            zero,
         )
 
-    def add(node: str, phase: str, dur: float) -> None:
-        weights[node] = dur
-        phases[node] = (phase, dur)
-
-    prev_serial = "serial/0"
-    cursor = 0.0
+    nodes: Dict[str, Tuple[str, float]] = {}
+    pred: Dict[str, str] = {}
+    serial = "serial/0"
     first_begin = window_exec[0][0].begin if window_exec else sim_seconds
-    add(prev_serial, "serial", serial_weight(cursor, first_begin))
+    dist = serial_weight(0.0, first_begin)
+    nodes[serial] = ("serial", dist)
+    end_dist, end = dist, serial  # the running max of (dist, node id)
     for k, (window, tasks) in enumerate(window_exec):
         nxt_begin = (
             window_exec[k + 1][0].begin
             if k + 1 < len(window_exec)
             else sim_seconds
         )
-        next_serial = f"serial/{k + 1}"
-        add(next_serial, "serial", serial_weight(window.end, nxt_begin))
+        nxt = f"serial/{k + 1}"
+        weight = serial_weight(window.end, nxt_begin)
+        nodes[nxt] = ("serial", weight)
         if tasks:
-            for uid, exec_s in tasks:
-                node = f"{window.name}/{window.step}/{uid}"
-                add(node, window.name, exec_s)
-                edges.append((prev_serial, node))
-                edges.append((node, next_serial))
+            prefix = f"{window.name}/{window.step}/"
+            # a task listed twice keeps its first place and last time
+            execs = {f"{prefix}{uid}": exec_s for uid, exec_s in tasks}
+            for node, exec_s in execs.items():
+                nodes[node] = (window.name, exec_s)
+            order = execs
+            if len(execs) < len(tasks):
+                # Kahn's queue releases a task at its last listing
+                ids = [f"{prefix}{uid}" for uid, _exec in reversed(tasks)]
+                order = list(dict.fromkeys(ids))[::-1]
+            best: Optional[float] = None
+            for node in order:
+                d = dist + execs[node]
+                if d > end_dist or (d == end_dist and node > end):
+                    end_dist, end = d, node
+                    pred[node] = serial
+                cand = d + weight
+                if best is None or cand > best:
+                    best, via = cand, node
+            pred[via] = serial
+            pred[nxt] = via
+            dist = best
         else:
-            edges.append((prev_serial, next_serial))
-        prev_serial = next_serial
-    seconds, chain = longest_path(weights, edges)
+            pred[nxt] = serial
+            dist = dist + weight
+        if dist > end_dist or (dist == end_dist and nxt > end):
+            end_dist, end = dist, nxt
+        serial = nxt
+    chain = [end]
+    while chain[-1] in pred:
+        chain.append(pred[chain[-1]])
+    chain.reverse()
     return CriticalPath(
-        seconds=seconds,
+        seconds=end_dist,
         chain=chain,
-        nodes=phases,
-        total_work_seconds=sum(weights.values()),
+        nodes=nodes,
+        total_work_seconds=sum([dur for _phase, dur in nodes.values()]),
     )

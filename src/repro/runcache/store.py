@@ -6,7 +6,9 @@ Layout (under ``RunCache.root``, default ``~/.cache/repro/runcache`` or
     objects/<aa>/<digest>.entry   one file per entry:
         {"digest":…,"label":…,"spec":{…},"artifact_bytes":N,…}\n
         <N bytes: the pickled artifact, unchanged>
-    stats.json                    cumulative hit/miss/put-failure counters
+    counters.jsonl                cumulative hit/miss/put-failure counters:
+        {"hits":…,"misses":…}\n    one appended record per lookup pass
+        {"put_failures":1}\n       and per absorbed put failure
 
 The first line of an entry is a compact JSON header (digest, label,
 canonical spec, the artifact's *intended* length, code salt, creation
@@ -40,7 +42,12 @@ Guarantees:
   stamp); sizes are whole files, headers included;
 * **one lookup pass** — a sweep looks up all its specs in one pass
   (``get`` is that pass over one spec): one ``cache.lookup`` event and
-  one session count per spec, one ``stats.json`` update per pass;
+  one session count per spec, one counter record per pass;
+* **lossless counters** — each record is one ``os.write`` to an
+  ``O_APPEND`` descriptor (the sweep journal's and telemetry's idiom),
+  so concurrent handles and processes never lose an update; ``stats``
+  sums the records (skipping a line torn by a writer that died
+  mid-write) and ``clear`` removes them;
 * **verify** — a sampled entry is re-executed from the spec in its
   header and the fresh pickle is byte-compared against the cached one,
   which the DES's deterministic-replay guarantee makes an exact check.
@@ -81,6 +88,9 @@ ORPHAN_TMP_MAX_AGE = 3600.0
 
 #: file name suffix of a one-file entry (header line + pickle bytes)
 _ENTRY_SUFFIX = ".entry"
+
+#: the cumulative counters: one JSON record per line, appended
+_COUNTERS = "counters.jsonl"
 
 _ENV_DIR = "REPRO_RUNCACHE_DIR"
 _ENV_MAX = "REPRO_RUNCACHE_MAX_BYTES"
@@ -205,7 +215,7 @@ class RunCache:
         self.max_bytes = max_bytes
         self._salt = code_version_salt()
         #: lookups made through *this* handle (session counters; the
-        #: cumulative ones live in stats.json)
+        #: cumulative ones are the records in counters.jsonl)
         self.session_hits = 0
         self.session_misses = 0
         #: stores that failed (ENOSPC, permissions) and were absorbed
@@ -268,7 +278,7 @@ class RunCache:
         when ``raw``), or None on a miss, in ``specs`` order.
 
         Every spec gets its session count and ``cache.lookup`` event;
-        the pass adds its totals to ``stats.json`` once.  An entry
+        the pass appends its totals as one counter record.  An entry
         whose body does not unpickle is deleted and counts as a miss.
         """
         emitter = telemetry_runtime.current()
@@ -516,7 +526,7 @@ class RunCache:
             self._drop(*entry["paths"])
         self._approx_bytes = 0
         try:
-            os.unlink(self.root / "stats.json")
+            os.unlink(self.root / _COUNTERS)
         except OSError:
             pass
         # remove now-empty shard dirs, best effort
@@ -532,20 +542,23 @@ class RunCache:
     # -- counters --------------------------------------------------------
 
     def _bump(self, **deltas: int) -> None:
-        """Add ``deltas`` to the cumulative counters in ``stats.json``:
-        one best-effort read-modify-replace (lost updates under
-        contention are acceptable for a diagnostic, and a disk that
-        cannot take the write is the thing that is broken)."""
-        path = self.root / "stats.json"
+        """Append ``deltas`` to the cumulative counters as one record:
+        one ``os.write`` to an ``O_APPEND`` descriptor, so no update is
+        lost to a concurrent writer.  Best effort: a disk that cannot
+        take the write is the thing that is broken."""
+        line = (json.dumps(deltas, separators=(",", ":")) + "\n").encode()
+        path = self.root / _COUNTERS
+        flags = os.O_APPEND | os.O_CREAT | os.O_WRONLY
         try:
-            doc = json.loads(path.read_bytes())
-        except (OSError, ValueError):
-            doc = {}
-        for name, delta in deltas.items():
-            doc[name] = int(doc.get(name, 0)) + delta
-        try:
-            self.root.mkdir(parents=True, exist_ok=True)
-            self._atomic_write(path, (json.dumps(doc) + "\n").encode())
+            try:
+                fd = os.open(path, flags, 0o644)
+            except FileNotFoundError:  # the store's root is not made yet
+                self.root.mkdir(parents=True, exist_ok=True)
+                fd = os.open(path, flags, 0o644)
+            try:
+                os.write(fd, line)
+            finally:
+                os.close(fd)
         except OSError:
             pass
 
@@ -555,20 +568,27 @@ class RunCache:
         for e in entries:
             kind = self._kind(e) or "?"
             by_kind[kind] = by_kind.get(kind, 0) + 1
+        totals = {"hits": 0, "misses": 0, "put_failures": 0}
         try:
-            doc = json.loads((self.root / "stats.json").read_text())
-        except (OSError, ValueError):
-            doc = {}
+            records = (self.root / _COUNTERS).read_bytes().splitlines()
+        except OSError:
+            records = []
+        for line in records:
+            try:
+                record = json.loads(line)
+                deltas = {k: int(record.get(k, 0)) for k in totals}
+            except (ValueError, TypeError, AttributeError):
+                continue  # torn by a writer that died mid-write
+            for name, delta in deltas.items():
+                totals[name] += delta
         return CacheStats(
             root=str(self.root),
             entries=len(entries),
             total_bytes=sum(e["bytes"] for e in entries),
             max_bytes=self.max_bytes,
-            hits=int(doc.get("hits", 0)),
-            misses=int(doc.get("misses", 0)),
             salt=self._salt,
             by_kind=by_kind,
-            put_failures=int(doc.get("put_failures", 0)),
+            **totals,
         )
 
     # -- verification ----------------------------------------------------

@@ -466,10 +466,13 @@ def prepare_unit(
 ) -> Callable[[Optional[RunCache]], List[Any]]:
     """A unit of work as a deferred ``execute(cache) -> artifacts``.
 
-    One spec runs through :func:`run_and_store` (or plain
-    :func:`execute_spec` without a cache).  Several specs are a capture
-    batch for one lockstep engine, built here so a batch whose runs
-    cannot share one raises
+    One spec executes and is stored (plain :func:`execute_spec` without
+    a cache): the sweep's lookup pass already missed it, so it is not
+    looked up again unless an entry has landed since — a sibling's
+    nested capture load, or an earlier attempt that stored before it
+    died — in which case it goes through :func:`run_and_store`.
+    Several specs are a capture batch for one lockstep engine, built
+    here so a batch whose runs cannot share one raises
     :class:`~repro.md.engine.EnsembleUnsupported` before anything
     executes; each run is stored under its own digest.
     """
@@ -479,7 +482,11 @@ def prepare_unit(
         def execute(cache: Optional[RunCache]) -> List[Any]:
             if cache is None:
                 return [execute_spec(spec)]
-            return [run_and_store(cache, spec)[0]]
+            if cache.contains(spec):
+                return [run_and_store(cache, spec)[0]]
+            artifact = execute_spec(spec, cache=cache)
+            cache.put(spec, artifact)
+            return [artifact]
 
         return execute
 

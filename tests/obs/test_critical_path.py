@@ -1,58 +1,16 @@
-"""Critical-path tests: generic DAG routine + span-graph extraction.
+"""Critical-path tests: span-graph extraction.
 
-``longest_path`` is checked on hand-built DAGs with known answers
-(including cycle and unknown-node rejection); ``critical_path`` on a
-synthetic two-phase span graph and on a real Al-1000 replay, where the
-work-span identities must hold: span ≤ achieved time, T₁/span ≥
-achieved speedup, and the chain's phase shares sum to one.
+``critical_path`` is checked on a synthetic two-phase span graph and on
+a real Al-1000 replay, where the work-span identities must hold: span
+≤ achieved time, T₁/span ≥ achieved speedup, and the chain's phase
+shares sum to one.  ``tests/obs/test_critical_path_oracle.py`` holds it
+bit-exact to the generic Kahn-order longest path.
 """
 
 import pytest
 
-from repro.obs import CriticalPath, critical_path, longest_path
+from repro.obs import CriticalPath, critical_path
 from repro.obs.tracer import PhaseWindow
-
-
-# -- longest_path ----------------------------------------------------------
-
-
-def test_diamond_picks_heavier_branch():
-    weights = {"s": 1.0, "a": 5.0, "b": 2.0, "t": 1.0}
-    edges = [("s", "a"), ("s", "b"), ("a", "t"), ("b", "t")]
-    seconds, chain = longest_path(weights, edges)
-    assert seconds == pytest.approx(7.0)
-    assert chain == ["s", "a", "t"]
-
-
-def test_isolated_heavy_node_can_win():
-    weights = {"a": 1.0, "b": 1.0, "lone": 10.0}
-    seconds, chain = longest_path(weights, [("a", "b")])
-    assert seconds == pytest.approx(10.0)
-    assert chain == ["lone"]
-
-
-def test_empty_graph():
-    assert longest_path({}, []) == (0.0, [])
-
-
-def test_cycle_raises():
-    weights = {"a": 1.0, "b": 1.0}
-    with pytest.raises(ValueError, match="cycle"):
-        longest_path(weights, [("a", "b"), ("b", "a")])
-
-
-def test_unknown_node_raises():
-    with pytest.raises(ValueError, match="unknown node"):
-        longest_path({"a": 1.0}, [("a", "ghost")])
-
-
-def test_tie_broken_deterministically():
-    """Equal-weight endpoints: the lexicographically-last wins, so two
-    identical calls give identical chains (determinism contract)."""
-    weights = {"x": 2.0, "y": 2.0}
-    r1 = longest_path(dict(weights), [])
-    r2 = longest_path(dict(weights), [])
-    assert r1 == r2 == (2.0, ["y"])
 
 
 # -- critical_path on a synthetic span graph -------------------------------

@@ -329,10 +329,16 @@ def test_fresh_handle_defers_the_scan_until_first_put(cache):
 # ----------------------------------------------------- the lookup pass
 
 
+def counter_records(cache: RunCache) -> list:
+    """The store's appended counter records, in write order."""
+    path = cache.root / "counters.jsonl"
+    return [json.loads(line) for line in path.read_text().splitlines()]
+
+
 def test_cold_sweep_replaces_stats_once(tmp_path, monkeypatch):
     """A 200-spec cold sweep looks every spec up in one pass: one
-    ``stats.json`` replace for the pass, yet one session count and one
-    ``cache.lookup`` event per spec."""
+    appended counter record for the pass and no counter file replaced,
+    yet one session count and one ``cache.lookup`` event per spec."""
     from repro.runcache import capture_spec, sweep
     from repro.telemetry import runtime as telemetry_runtime
     from repro.telemetry.merge import load_records
@@ -353,7 +359,8 @@ def test_cold_sweep_replaces_stats_once(tmp_path, monkeypatch):
     finally:
         telemetry_runtime.deactivate()
     assert result.misses == 200
-    assert replaced.count("stats.json") == 1
+    assert counter_records(cache) == [{"hits": 0, "misses": 200}]
+    assert all(name.endswith(".entry") for name in replaced)
     assert (cache.session_hits, cache.session_misses) == (0, 200)
     assert (cache.stats().hits, cache.stats().misses) == (0, 200)
     records, _ = load_records(tmp_path / "tel")
@@ -365,9 +372,93 @@ def test_cold_sweep_replaces_stats_once(tmp_path, monkeypatch):
     assert not any(r["attrs"]["hit"] for r in lookups)
 
 
+def test_single_spec_unit_is_not_looked_up_twice(tmp_path):
+    """The sweep's pass missed the spec, so its unit executes and
+    stores without a second lookup; the nested capture's load keeps
+    its own."""
+    from repro.runcache import observe_spec, sweep
+
+    cache = RunCache(tmp_path / "store")
+    result = sweep([observe_spec("salt", 2, 2, "i7-920")], cache, jobs=1)
+    assert result.misses == 1
+    assert (cache.session_hits, cache.session_misses) == (0, 2)
+    assert counter_records(cache) == [
+        {"hits": 0, "misses": 1}, {"hits": 0, "misses": 1},
+    ]
+    again = sweep([observe_spec("salt", 2, 2, "i7-920")], cache, jobs=1)
+    assert again.hits == 1
+    assert (cache.stats().hits, cache.stats().misses) == (1, 2)
+
+
+def _lookups(root: str, n: int) -> int:
+    """``n`` single-spec lookups through a fresh handle on ``root``."""
+    cache = RunCache(root)
+    for i in range(n):
+        cache.get(spec(i % 4))
+    return n
+
+
+def test_concurrent_lookups_lose_no_counter_update(tmp_path):
+    """Four processes looking up on one store: every lookup is counted
+    once in the cumulative counters."""
+    from concurrent.futures import ProcessPoolExecutor
+
+    cache = RunCache(tmp_path / "store")
+    cache.put(spec(0), 0)
+    cache.put(spec(1), 1)
+    root = str(cache.root)
+    with ProcessPoolExecutor(max_workers=4) as pool:
+        made = sum(pool.map(_lookups, [root] * 4, [200] * 4))
+    stats = cache.stats()
+    assert made == 800
+    assert stats.hits + stats.misses == made
+    assert (stats.hits, stats.misses) == (400, 400)
+
+
+def test_torn_counter_record_is_skipped(cache):
+    cache.get(spec())
+    with open(cache.root / "counters.jsonl", "ab") as fh:
+        fh.write(b'{"hits":7,"mis')  # a writer that died mid-record
+    assert (cache.stats().hits, cache.stats().misses) == (0, 1)
+
+
+def test_clear_resets_the_counters(cache):
+    cache.put(spec(), 1)
+    cache.get(spec())
+    cache.get(spec(1))
+    assert (cache.stats().hits, cache.stats().misses) == (1, 1)
+    cache.clear()
+    assert (cache.stats().hits, cache.stats().misses) == (0, 0)
+    assert not (cache.root / "counters.jsonl").exists()
+    cache.get(spec())
+    assert (cache.stats().hits, cache.stats().misses) == (0, 1)
+
+
+def test_cache_stats_json_keeps_its_schema(capsys, tmp_path):
+    """``repro cache stats --json``: the same keys and types, with the
+    counters summed from the appended records."""
+    from repro.cli import main
+
+    cache = RunCache(tmp_path / "store")
+    cache.put(spec(), 1)
+    cache.get(spec())
+    cache.get(spec(1))
+    main(["cache", "stats", "--json", "--cache-dir", str(cache.root)])
+    payload = json.loads(capsys.readouterr().out)
+    assert sorted(payload) == [
+        "by_kind", "entries", "hit_rate", "hits", "max_bytes", "misses",
+        "put_failures", "root", "salt", "schema", "total_bytes",
+    ]
+    assert payload["schema"] == "repro.cache_stats/1"
+    assert (payload["hits"], payload["misses"]) == (1, 1)
+    assert payload["hit_rate"] == 0.5
+    assert payload["put_failures"] == 0
+    assert payload["by_kind"] == {"capture": 1}
+
+
 def test_clean_miss_creates_and_unlinks_nothing(cache, monkeypatch):
     cache.put(spec(0), 1)
-    assert cache.get(spec(1)) is None  # first lookup writes stats.json
+    assert cache.get(spec(1)) is None  # first lookup writes the counters
     before = sorted(p.relative_to(cache.root) for p in cache.root.rglob("*"))
     unlinked = []
     monkeypatch.setattr(os, "unlink", lambda p, *a, **k: unlinked.append(p))

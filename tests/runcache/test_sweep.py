@@ -212,14 +212,15 @@ def test_parallel_sweep_reports_per_worker_cache_counts(cache):
     assert len(result.executed) == len(specs)
     if not result.fanout:  # pragma: no cover - single-CPU / no-pool box
         pytest.skip("process pool unavailable; sweep fell back to serial")
-    # the telemetry merge recovered per-worker tallies: every top-level
-    # shard was a cold miss at its worker, so misses cover at least the
-    # executed specs (nested capture dependencies add lookups on top —
-    # one worker's publication can even be another's hit)
+    # the telemetry merge recovered per-worker tallies.  A shard's own
+    # spec is not looked up again (the parent's pass missed it), so the
+    # one miss is the nested capture's load by the shard that computes
+    # it; the shards held back until it was stored load it as a hit
     assert result.worker_cache
     for counts in result.worker_cache.values():
         assert set(counts) == {"hits", "misses"}
-    assert result.worker_misses >= len(specs)
+    assert result.worker_misses == 1
+    assert result.worker_hits >= len(specs) - 1
     # a warm re-sweep is served from the parent's cache: no fan-out
     warm = sweep(specs, cache, jobs=2)
     assert warm.hit_rate == 1.0
