@@ -12,29 +12,28 @@ import os
 import pathlib
 
 import pytest
+from _util import TRACE_STEPS
 
 from repro.runcache import RunCache, cached_capture
 from repro.workloads import BUILDERS, PAPER_WORKLOADS
-
-#: timesteps of real physics per workload (the paper ran 10,000-20,000;
-#: the speedup/topology shapes stabilize within tens of steps)
-TRACE_STEPS = 20
 
 OUT_DIR = pathlib.Path(__file__).parent / "out"
 
 
 @pytest.fixture(scope="session")
-def traces():
-    """{name: (workload, [StepReport, ...])} for the three benchmarks.
+def run_cache():
+    """The content-addressed run cache the experiments sweep through
+    (byte-exact by construction); ``REPRO_RUNCACHE_DISABLE=1`` makes it
+    None, so everything re-simulates."""
+    return None if os.environ.get("REPRO_RUNCACHE_DISABLE") else RunCache()
 
-    Captures come through the content-addressed run cache (byte-exact
-    by construction); set ``REPRO_RUNCACHE_DISABLE=1`` to re-simulate.
-    """
-    cache = (
-        None if os.environ.get("REPRO_RUNCACHE_DISABLE") else RunCache()
-    )
+
+@pytest.fixture(scope="session")
+def traces(run_cache):
+    """{name: (workload, [StepReport, ...])} for the three benchmarks,
+    captured through the ``run_cache`` fixture."""
     return {
-        name: (BUILDERS[name](), cached_capture(cache, name, TRACE_STEPS))
+        name: (BUILDERS[name](), cached_capture(run_cache, name, TRACE_STEPS))
         for name in PAPER_WORKLOADS
     }
 

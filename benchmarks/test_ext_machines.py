@@ -8,11 +8,12 @@ everywhere; Al-1000 (bandwidth-bound) tracks each machine's
 socket-to-core bandwidth headroom.
 """
 
-from _util import write_report
+from _util import TRACE_STEPS, write_report
 
 from repro.analysis import ascii_bar_chart
-from repro.analysis.speedup import replay
 from repro.machine import CORE_I7_920, XEON_E5450_2S, XEON_X7560_4S
+from repro.runcache import sweep_seconds
+from repro.targets import fig1_specs, fig1_speedups
 
 MACHINES = {
     "i7-920": CORE_I7_920,
@@ -22,23 +23,20 @@ MACHINES = {
 THREADS = (1, 2, 4)
 
 
-def sweep(traces):
+def sweep(cache):
     out = {}
-    for mname, spec in MACHINES.items():
-        for wname in ("salt", "Al-1000"):
-            wl, trace = traces[wname]
-            seconds = [
-                replay(
-                    trace, wl.system.n_atoms, spec, n, name=wname
-                ).sim_seconds
-                for n in THREADS
-            ]
-            out[(mname, wname)] = [seconds[0] / s for s in seconds]
+    for mname in MACHINES:
+        specs = fig1_specs(("salt", "Al-1000"), mname, THREADS, TRACE_STEPS)
+        curves = fig1_speedups(specs, sweep_seconds(specs, cache))
+        for wname, curve in curves.items():
+            out[(mname, wname)] = curve
     return out
 
 
-def test_ext_fig1_other_machines(benchmark, traces, out_dir):
-    curves = benchmark.pedantic(sweep, args=(traces,), rounds=1, iterations=1)
+def test_ext_fig1_other_machines(benchmark, run_cache, out_dir):
+    curves = benchmark.pedantic(
+        sweep, args=(run_cache,), rounds=1, iterations=1
+    )
 
     for mname in MACHINES:
         salt4 = curves[(mname, "salt")][-1]

@@ -1,41 +1,37 @@
 """Experiment fig1 — Fig. 1: Observed Speedup on an Intel Core i7 System.
 
-Replays each benchmark's work trace at 1-4 threads on the simulated
-i7 920 and scores the curves against :mod:`repro.targets`: each
-4-thread speedup inside its band around the paper's value, salt >
-nanocar > Al-1000, no large regression as cores are added, and the
-LJ-dominated Al-1000 saturating early.
+Sweeps the Fig. 1 grid (:func:`repro.targets.fig1_specs`: each
+benchmark at 1-4 threads on the simulated i7 920) through the run cache
+and scores the curves against :mod:`repro.targets`: each 4-thread
+speedup inside its band around the paper's value, salt > nanocar >
+Al-1000, no large regression as cores are added, and the LJ-dominated
+Al-1000 saturating early.
 """
 
 from _util import write_report
 
 from repro.analysis import ascii_bar_chart
-from repro.analysis.speedup import replay
-from repro.machine import MACHINES
+from repro.runcache import sweep_seconds
 from repro.targets import (
-    FIG1_MACHINE,
     FIG1_ORDER,
     FIG1_PAPER,
     FIG1_THREADS,
     fig1_band_checks,
     fig1_shape_checks,
+    fig1_specs,
+    fig1_speedups,
 )
 
 
-def sweep(traces):
-    spec = MACHINES[FIG1_MACHINE]
-    curves = {}
-    for name, (wl, trace) in traces.items():
-        seconds = [
-            replay(trace, wl.system.n_atoms, spec, n, name=name).sim_seconds
-            for n in FIG1_THREADS
-        ]
-        curves[name] = [seconds[0] / s for s in seconds]
-    return curves
+def sweep(cache):
+    specs = fig1_specs()
+    return fig1_speedups(specs, sweep_seconds(specs, cache))
 
 
-def test_fig1_speedup(benchmark, traces, out_dir):
-    curves = benchmark.pedantic(sweep, args=(traces,), rounds=1, iterations=1)
+def test_fig1_speedup(benchmark, run_cache, out_dir):
+    curves = benchmark.pedantic(
+        sweep, args=(run_cache,), rounds=1, iterations=1
+    )
 
     checks = fig1_band_checks({n: s[-1] for n, s in curves.items()})
     checks += fig1_shape_checks(curves)

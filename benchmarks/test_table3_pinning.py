@@ -2,12 +2,13 @@
 number of cores but different topologies.
 
 Al-1000 on the simulated 4 x Xeon X7560 (32 cores, 64 PUs) under the
-paper's seven configurations (:func:`repro.analysis.speedup.table3_sweep`,
-the same driver as ``repro table3``).  As in §V-B, every configuration
-uses one single-thread pool per worker (task→thread binding); pinned
-rows add ``sched_setaffinity``-style masks, "OS scheduled" rows leave
-placement free.  Background system load runs on a few PUs plus unpinned
-service tasks.
+paper's seven configurations (:func:`repro.targets.table3_specs`, the
+grid ``repro table3`` sweeps too), swept through the run cache.  As in
+§V-B, every configuration uses one single-thread pool per worker
+(task→thread binding); pinned rows add ``sched_setaffinity``-style
+masks, "OS scheduled" rows leave placement free.  Background system
+load (the ``"table3"`` scenario of :mod:`repro.machine.background`)
+runs on a few PUs plus unpinned service tasks.
 
 The findings scored are :data:`repro.targets.TABLE3_RELATIONS`.  One is
 a known deviation (DESIGN §5c): the paper's 8-thread OS-scheduled row
@@ -16,17 +17,21 @@ contention too well for that inversion to emerge, so the row is
 reported, not asserted.
 """
 
-from _util import write_report
+from _util import TRACE_STEPS, write_report
 
 from repro.analysis import table3
-from repro.analysis.speedup import table3_sweep
-from repro.targets import TABLE3_PAPER, TABLE3_RELATIONS, TABLE3_WORKLOAD
+from repro.runcache import sweep_seconds
+from repro.targets import TABLE3_PAPER, TABLE3_RELATIONS, table3_specs
 
 
-def test_table3_pinning(benchmark, traces, out_dir):
-    _wl, trace = traces[TABLE3_WORKLOAD]
+def sweep(cache):
+    specs = table3_specs(TRACE_STEPS)
+    return dict(zip(specs, sweep_seconds(list(specs.values()), cache)))
+
+
+def test_table3_pinning(benchmark, run_cache, out_dir):
     results = benchmark.pedantic(
-        table3_sweep, args=(trace,), rounds=1, iterations=1
+        sweep, args=(run_cache,), rounds=1, iterations=1
     )
     verdicts = []
     for rel in TABLE3_RELATIONS:

@@ -15,22 +15,20 @@ Run:  python examples/perf_study.py        (~1 minute)
 """
 
 from repro.analysis import analyze_run, ascii_bar_chart, table3
-from repro.analysis.speedup import fig1_sweep
-from repro.concurrent import QueueMode
 from repro.core import SimulatedParallelRun, capture_trace
-from repro.machine import (
-    CORE_I7_920,
-    SimMachine,
-    XEON_X7560_4S,
-    inject_background_load,
-)
-from repro.machine.background import inject_mobile_load
-from repro.machine.topology import Topology
+from repro.machine import CORE_I7_920, SimMachine
 from repro.perftools import (
     GroundTruthTimeline,
     ThreadStateSampler,
     VTune,
     topology_report,
+)
+from repro.runcache import sweep_seconds
+from repro.targets import (
+    FIG1_THREADS,
+    fig1_specs,
+    fig1_speedups,
+    table3_specs,
 )
 from repro.workloads import BUILDERS
 
@@ -41,12 +39,11 @@ def section(title: str) -> None:
 
 def main() -> None:
     section("1. Fig. 1 — speedup on the simulated Intel Core i7 920")
-    workloads = [BUILDERS[n]() for n in ("salt", "nanocar", "Al-1000")]
-    curves = fig1_sweep(workloads, steps=20)
+    specs = fig1_specs()
     print(
         ascii_bar_chart(
-            {name: c.speedups for name, c in curves.items()},
-            (1, 2, 3, 4),
+            fig1_speedups(specs, sweep_seconds(specs)),
+            FIG1_THREADS,
             title="speedup vs simulated cores (paper: 3.63 / 3.03 / 1.42)",
         )
     )
@@ -84,32 +81,11 @@ def main() -> None:
     print("migrations:", {w[-8:]: vtune.migrations(w) for w in workers})
 
     section("4. Table III — pinning topologies on the 4 x Xeon X7560")
-    topo = Topology(XEON_X7560_4S)
-    configs = [
-        ("4, one core per processor", 4, topo.mask_one_core_per_socket(4)),
-        ("4, 4 cores on one processor", 4, topo.mask_cores_on_one_socket(4)),
-        ("4, OS scheduled", 4, None),
-        ("8, two cores per processor", 8, topo.mask_n_cores_per_socket(2)),
-        ("8, 8 cores on one processor", 8, topo.mask_cores_on_one_socket(8)),
-        ("32, OS scheduled", 32, None),
+    specs = table3_specs(20)
+    rows = [
+        {"Topology": label, "Runtime (ms sim)": f"{t * 1e3:.2f}"}
+        for label, t in zip(specs, sweep_seconds(list(specs.values())))
     ]
-    rows = []
-    for label, n, mask in configs:
-        m = SimMachine(XEON_X7560_4S, seed=3)
-        inject_background_load(m, [0, 2, 4, 16], utilization=0.45, duration=10.0)
-        inject_mobile_load(m, 8, utilization=0.3, duration=10.0)
-        aff = None
-        if mask is not None:
-            pus = sorted(mask)
-            aff = [[pus[i % len(pus)]] for i in range(n)]
-        res = SimulatedParallelRun(
-            trace, wl.system.n_atoms, m, n,
-            affinities=aff, queue_mode=QueueMode.PER_THREAD,
-            name="al", repeat=2,
-        ).run()
-        rows.append(
-            {"Topology": label, "Runtime (ms sim)": f"{res.sim_seconds * 1e3:.2f}"}
-        )
     print(table3(rows))
 
     section("5. §V-C — the topology report the authors asked for")

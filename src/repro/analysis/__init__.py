@@ -1,4 +1,4 @@
-"""Analysis and reporting: load balance, speedups, paper-style tables."""
+"""Analysis and reporting: load balance, paper-style tables."""
 
 from repro.analysis.loadbalance import (
     LoadBalanceReport,
@@ -13,17 +13,13 @@ from repro.analysis.report import (
     table2,
     table3,
 )
-from repro.analysis.speedup import SpeedupCurve, fig1_sweep, replay
 
 __all__ = [
     "LoadBalanceReport",
-    "SpeedupCurve",
     "analyze_run",
     "ascii_bar_chart",
-    "fig1_sweep",
     "fig2_heatmap",
     "format_table",
-    "replay",
     "skew_statistics",
     "table1",
     "table2",

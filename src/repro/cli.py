@@ -34,7 +34,7 @@ chaos      fault-injection sweep: arm fault plans, assert the
            self-healing runtime completes every run
 cache      content-addressed run cache: stats | clear | verify |
            salt (trace/attribute/chaos cache by default; opt out
-           with --no-cache)
+           with --no-cache; fig1/table3/scorecard always cache)
 report     merge a telemetry run directory into a unified
            timeline, a Perfetto trace, a Prometheus exposition,
            and one self-contained HTML sweep report
@@ -62,7 +62,6 @@ from typing import List, Optional
 
 from repro import __version__
 from repro.analysis import ascii_bar_chart, table1, table2, table3
-from repro.analysis.speedup import fig1_sweep, table3_sweep
 from repro.core import SimulatedParallelRun, capture_trace
 from repro.machine import MACHINES, SimMachine
 from repro.machine.topology import Topology
@@ -76,12 +75,15 @@ from repro.obs import (
     write_folded_stacks,
 )
 from repro.perftools import VTune, topology_report
+from repro.runcache import sweep_seconds
 from repro.targets import (
-    FIG1_THREADS,
     TABLE1,
-    TABLE3_WORKLOAD,
+    TABLE3_SEED,
     fig1_band_checks,
+    fig1_specs,
+    fig1_speedups,
     table1_checks,
+    table3_specs,
 )
 from repro.workloads import BUILDERS, PAPER_WORKLOADS, resolve_workload
 
@@ -117,11 +119,10 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _workloads(names: Optional[List[str]]):
-    names = (
-        [_workload_name(n) for n in names] if names else list(PAPER_WORKLOADS)
-    )
-    return [BUILDERS[n]() for n in names]
+def _workload_names(names: Optional[List[str]]) -> List[str]:
+    if not names:
+        return list(PAPER_WORKLOADS)
+    return [_workload_name(n) for n in names]
 
 
 def _ensure_outdir(path: str) -> str:
@@ -145,7 +146,7 @@ def _run_cache(args):
 
 
 def cmd_table1(args) -> None:
-    print(table1(_workloads(args.workloads)))
+    print(table1([BUILDERS[n]() for n in _workload_names(args.workloads)]))
 
 
 def cmd_table2(args) -> None:
@@ -154,13 +155,13 @@ def cmd_table2(args) -> None:
 
 def cmd_fig1(args) -> None:
     spec = _machine_spec(args.machine)
-    threads = [int(t) for t in args.threads.split(",")]
-    curves = fig1_sweep(
-        _workloads(args.workloads), spec, threads=threads, steps=args.steps
+    threads = _thread_list(args.threads)
+    specs = fig1_specs(
+        _workload_names(args.workloads), args.machine, threads, args.steps
     )
     print(
         ascii_bar_chart(
-            {name: c.speedups for name, c in curves.items()},
+            fig1_speedups(specs, sweep_seconds(specs, _run_cache(args))),
             threads,
             title=f"Speedup vs cores on simulated {spec.name}",
         )
@@ -192,14 +193,14 @@ def cmd_fig2(args) -> None:
 
 
 def cmd_table3(args) -> None:
-    trace = capture_trace(BUILDERS[TABLE3_WORKLOAD](), args.steps)
-    seconds = table3_sweep(trace, seed=args.seed)
+    specs = table3_specs(args.steps, args.seed)
+    seconds = sweep_seconds(list(specs.values()), _run_cache(args))
     print(table3([
         {
             "Number of Cores Used / Topology": label,
             "Runtime (ms, simulated)": f"{s * 1e3:.2f}",
         }
-        for label, s in seconds.items()
+        for label, s in zip(specs, seconds)
     ]))
 
 
@@ -208,10 +209,9 @@ def cmd_scorecard(args) -> None:
     scored against the rows of :mod:`repro.targets`."""
     workloads = [BUILDERS[n]() for n in TABLE1]
     checks = table1_checks([wl.characteristics() for wl in workloads])
-    curves = fig1_sweep(workloads, threads=FIG1_THREADS, steps=args.steps)
-    checks += fig1_band_checks(
-        {name: curve.speedup_at(4) for name, curve in curves.items()}
-    )
+    specs = fig1_specs(steps=args.steps)
+    curves = fig1_speedups(specs, sweep_seconds(specs, _run_cache(args)))
+    checks += fig1_band_checks({name: s[-1] for name, s in curves.items()})
 
     width = max(len(c.label) for c in checks)
     failures = 0
@@ -777,10 +777,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("table2", help="test machines")
     p.set_defaults(fn=cmd_table2)
 
-    p = sub.add_parser("fig1", help="speedup sweep")
+    p = sub.add_parser("fig1", help="speedup sweep (cached)")
     p.add_argument("--machine", default="i7-920")
     p.add_argument("--threads", default="1,2,3,4")
-    p.add_argument("--steps", type=int, default=20)
+    p.add_argument("--steps", type=_positive_int, default=20)
     p.add_argument("--workloads", nargs="*", default=None)
     p.set_defaults(fn=cmd_fig1)
 
@@ -793,15 +793,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pinned", action="store_true")
     p.set_defaults(fn=cmd_fig2)
 
-    p = sub.add_parser("table3", help="pinning topologies")
-    p.add_argument("--steps", type=int, default=20)
-    p.add_argument("--seed", type=int, default=3)
+    p = sub.add_parser("table3", help="pinning topologies (cached)")
+    p.add_argument("--steps", type=_positive_int, default=20)
+    p.add_argument("--seed", type=int, default=TABLE3_SEED)
     p.set_defaults(fn=cmd_table3)
 
     p = sub.add_parser(
-        "scorecard", help="quick paper-vs-measured reproduction check"
+        "scorecard",
+        help="quick paper-vs-measured reproduction check (cached)",
     )
-    p.add_argument("--steps", type=int, default=20)
+    p.add_argument("--steps", type=_positive_int, default=20)
     p.set_defaults(fn=cmd_scorecard)
 
     p = sub.add_parser("topology", help="hwloc-style report")

@@ -12,7 +12,7 @@ around them while a pinned workload sharing those PUs must timeshare.
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional
+from typing import Callable, Dict, Iterable, List, Optional
 
 from repro.des import Timeout
 from repro.machine.cost import WorkCost
@@ -82,3 +82,20 @@ def inject_mobile_load(
         body = daemon_body(machine, busy, idle, duration)
         threads.append(machine.thread(body, f"{name_prefix}{i}"))
     return threads
+
+
+def table3_load(machine: SimMachine) -> None:
+    """Table III's background: pinned daemons on PUs 0, 2, 4 and 16 plus
+    eight unpinned services, for the first 10 simulated seconds."""
+    inject_background_load(
+        machine, [0, 2, 4, 16], utilization=0.45, duration=10.0
+    )
+    inject_mobile_load(machine, 8, utilization=0.3, duration=10.0)
+
+
+#: named background-load scenarios; an observe spec's ``load`` option
+#: selects one by name
+LOAD_SCENARIOS: Dict[str, Callable[[SimMachine], None]] = {
+    "table3": table3_load,
+}
+

@@ -44,6 +44,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.core.costmodel import DEFAULT_COST_PARAMS, CostParams
 from repro.core.simulate import RunResult, SimulatedParallelRun, capture_trace
+from repro.machine.background import LOAD_SCENARIOS
 from repro.machine.machine import SimMachine
 from repro.machine.topology import CORE_I7_920, MachineSpec
 from repro.obs.critical_path import CriticalPath, critical_path
@@ -276,10 +277,15 @@ def observe_run(
     seed: int = 0,
     name: str = "wl",
     workload: str = "wl",
+    load: Optional[str] = None,
     **run_kwargs,
 ) -> RunObservation:
     """Replay a captured physics trace under the tracer and classify
     every worker instant.
+
+    ``load`` names a background-load scenario
+    (:data:`repro.machine.background.LOAD_SCENARIOS`) started on the
+    fresh machine before the replay.
 
     The tracer subscribes only to :data:`OBSERVED_KINDS` — the task
     lifecycle, the phase markers, and the fault and steal events the
@@ -299,6 +305,8 @@ def observe_run(
     the partition stays exact and the bucket deltas still telescope.
     """
     machine = SimMachine(spec, seed=seed)
+    if load is not None:
+        LOAD_SCENARIOS[load](machine)
     tracer = Tracer(kinds=OBSERVED_KINDS).attach(machine.sim)
     run = SimulatedParallelRun(
         trace, n_atoms, machine, n_threads, name=name, **run_kwargs

@@ -52,6 +52,7 @@ from repro.runcache.sweep import (
     observe_spec,
     run_and_store,
     sweep,
+    sweep_seconds,
     toolerror_spec,
     trace_spec,
 )
@@ -85,6 +86,7 @@ __all__ = [
     "spec_digest",
     "spec_from_canonical",
     "sweep",
+    "sweep_seconds",
     "toolerror_spec",
     "trace_spec",
 ]

@@ -52,6 +52,9 @@ OPTION_DEFAULTS: Dict[str, Any] = {
     "steal_policy": "locality",
     "steal_cost_cycles": 400.0,
     "pop_overhead_cycles": 150.0,
+    # named background load on the replay machine (observe specs only;
+    # see repro.machine.background.LOAD_SCENARIOS)
+    "load": None,
 }
 
 _SALT_CACHE: Dict[str, str] = {}
@@ -165,6 +168,11 @@ class RunSpec:
         if self.kind != "capture" and self.threads < 1:
             raise ValueError(
                 f"{self.kind} spec needs threads >= 1: {self.threads}"
+            )
+        if self.kind != "observe" and self.options.get("load") is not None:
+            raise ValueError(
+                f"{self.kind} spec cannot carry a background load; only "
+                "observe replays apply one"
             )
 
     def canonical(self) -> Dict[str, Any]:

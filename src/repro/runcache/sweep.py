@@ -72,10 +72,28 @@ def observe_spec(
     master_affinity=None,
     **options,
 ) -> RunSpec:
-    """Spec for one traced + classified replay (attribution input)."""
+    """Spec for one traced + classified replay (attribution input).
+
+    ``options`` may only name what the observe executor reads
+    (:data:`OBSERVE_OPTIONS`): a misspelt option would otherwise hash
+    into its own cache entry and replay the defaults.  ``load`` names a
+    :data:`~repro.machine.background.LOAD_SCENARIOS` entry."""
+    from repro.machine.background import LOAD_SCENARIOS
     from repro.runcache.key import params_to_spec
     from repro.workloads import resolve_workload
 
+    unknown = sorted(set(options) - OBSERVE_OPTIONS)
+    if unknown:
+        raise ValueError(
+            f"unknown observe option(s) {unknown}; "
+            f"choose from {sorted(OBSERVE_OPTIONS)}"
+        )
+    load = options.get("load")
+    if load is not None and load not in LOAD_SCENARIOS:
+        raise ValueError(
+            f"unknown load scenario {load!r}; "
+            f"choose from {sorted(LOAD_SCENARIOS)}"
+        )
     return RunSpec(
         kind="observe",
         workload=resolve_workload(workload),
@@ -173,6 +191,18 @@ def machine_key(spec: Union[str, object]) -> str:
     raise ValueError(f"machine spec {spec!r} is not in MACHINES")
 
 
+#: options :func:`_run_kwargs` hands to the replay unchanged
+_PASSTHROUGH_OPTIONS = (
+    "partition", "repeat", "fuse_rebuild",
+    "assign", "chunk", "chunk_factor",
+    "steal_policy", "steal_cost_cycles", "pop_overhead_cycles",
+)
+#: every option the observe executor reads
+OBSERVE_OPTIONS = frozenset(
+    ("queue_mode", "gc_model", "load") + _PASSTHROUGH_OPTIONS
+)
+
+
 def _run_kwargs(spec: RunSpec) -> Dict[str, Any]:
     """Replay kwargs encoded in a spec's params/plan/pinning/options."""
     from repro.concurrent import QueueMode
@@ -190,11 +220,7 @@ def _run_kwargs(spec: RunSpec) -> Dict[str, Any]:
         kwargs["master_affinity"] = list(spec.master_affinity)
     if "queue_mode" in opts:
         kwargs["queue_mode"] = QueueMode(opts["queue_mode"])
-    for name in (
-        "partition", "repeat", "fuse_rebuild",
-        "assign", "chunk", "chunk_factor",
-        "steal_policy", "steal_cost_cycles", "pop_overhead_cycles",
-    ):
+    for name in _PASSTHROUGH_OPTIONS:
         if name in opts:
             kwargs[name] = opts[name]
     if opts.get("gc_model") == "chaos":
@@ -270,6 +296,7 @@ def _execute_observe(spec: RunSpec, cache: Optional[RunCache]):
         seed=spec.seed,
         name=spec.workload,
         workload=spec.workload,
+        load=spec.options.get("load"),
         **_run_kwargs(spec),
     )
     # the live SimMachine is neither picklable nor an artifact anyone
@@ -780,6 +807,14 @@ def sweep(
 
 
 # -- sweep assemblers --------------------------------------------------------
+
+
+def sweep_seconds(
+    specs: Sequence[RunSpec], cache: Optional[RunCache] = None
+) -> List[float]:
+    """Each observe spec's simulated seconds, in order, from one
+    :func:`sweep` (the Fig. 1 and Table III grids' driver)."""
+    return [obs.result.sim_seconds for obs in sweep(specs, cache).artifacts]
 
 
 def attribute_cached(

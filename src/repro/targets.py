@@ -6,8 +6,10 @@ lives here once.  ``repro scorecard``, the experiment benchmarks
 ``test_table3_pinning.py``) and the gates under ``tests/gates/`` read
 their rows from this module, so a target can only move in one place.
 
-Rows are data plus small pure predicates over measured values; nothing
-here runs a simulation.
+Rows are data plus small pure predicates over measured values; Fig. 1
+and Table III are also run-spec grids (:func:`fig1_specs`,
+:func:`table3_specs`) that every driver sweeps through the run cache.
+Nothing here runs a simulation.
 """
 
 from __future__ import annotations
@@ -53,11 +55,42 @@ FIG1_BANDS = {
 #: ``FIG1_TOLERANCE`` at ``FIG1_STEPS`` steps for every machine seed
 FIG1_CALIBRATED = {"salt": 3.63, "nanocar": 2.85, "Al-1000": 1.41}
 FIG1_STEPS = 20
+#: machine seed of every Fig. 1 replay
+FIG1_SEED = 2
 FIG1_TOLERANCE = 0.01
 #: adding a core may cost at most 8% of the previous speedup
 FIG1_MONOTONE_FLOOR = 0.92
 #: Al-1000 saturates early: its 4-over-2-thread gain stays below this
 FIG1_AL1000_SATURATION = 1.35
+
+
+def fig1_specs(
+    workloads: Sequence[str] = FIG1_ORDER,
+    machine: str = FIG1_MACHINE,
+    threads: Sequence[int] = FIG1_THREADS,
+    steps: int = FIG1_STEPS,
+) -> list:
+    """One observe spec per (workload, thread count), workload-major:
+    the Fig. 1 replays on a fresh ``machine`` seeded with
+    :data:`FIG1_SEED`."""
+    from repro.runcache import observe_spec
+
+    return [
+        observe_spec(w, steps, n, machine, seed=FIG1_SEED)
+        for w in workloads
+        for n in threads
+    ]
+
+
+def fig1_speedups(
+    specs: Sequence, seconds: Sequence[float]
+) -> Dict[str, List[float]]:
+    """``{workload: speedups}`` of a swept :func:`fig1_specs` grid, each
+    curve relative to its workload's first thread count."""
+    runs: Dict[str, List[float]] = {}
+    for spec, s in zip(specs, seconds):
+        runs.setdefault(spec.workload, []).append(s)
+    return {w: [t[0] / x for x in t] for w, t in runs.items()}
 
 
 class Check(NamedTuple):
@@ -160,6 +193,28 @@ def table3_configs(topology) -> List[Tuple[str, int, object]]:
          topology.mask_cores_on_one_socket(8)),
         ("32, OS scheduled", 32, None),
     ]
+
+
+def table3_specs(steps: int, seed: int = TABLE3_SEED) -> dict:
+    """``{row label: observe spec}`` in paper row order: Al-1000 on the
+    4 x Xeon X7560 under the ``"table3"`` background load, one
+    single-thread pool per worker (§V-B), each step twice; a pinned row
+    binds worker i to its mask's i-th PU."""
+    from repro.machine import MACHINES, Topology
+    from repro.runcache import observe_spec
+
+    specs = {}
+    for label, n, mask in table3_configs(Topology(MACHINES[TABLE3_MACHINE])):
+        affinities = None
+        if mask is not None:
+            pus = sorted(mask)
+            affinities = [[pus[i % len(pus)]] for i in range(n)]
+        specs[label] = observe_spec(
+            TABLE3_WORKLOAD, steps, n, TABLE3_MACHINE,
+            seed=seed, affinities=affinities,
+            queue_mode="per-thread", repeat=2, load="table3",
+        )
+    return specs
 
 
 class Relation(NamedTuple):

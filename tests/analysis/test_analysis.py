@@ -1,4 +1,4 @@
-"""Tests for load-balance analysis, speedup sweeps, and reports."""
+"""Tests for load-balance analysis and reports."""
 
 import numpy as np
 import pytest
@@ -6,7 +6,6 @@ import pytest
 from repro.analysis import (
     analyze_run,
     ascii_bar_chart,
-    fig1_sweep,
     fig2_heatmap,
     format_table,
     skew_statistics,
@@ -59,16 +58,6 @@ def test_hides_imbalance_detector():
         steps=100,
     )
     assert report.hides_imbalance("forces")
-
-
-def test_fig1_sweep_structure():
-    wl = build_salt(seed=2)
-    curves = fig1_sweep([wl], threads=(1, 2), steps=5)
-    curve = curves["salt"]
-    assert curve.threads == [1, 2]
-    assert curve.speedups[0] == 1.0
-    assert curve.speedup_at(2) > 1.4
-    assert curve.monotone_nondecreasing()
 
 
 def test_format_table_and_table1():

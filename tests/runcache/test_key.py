@@ -8,7 +8,12 @@ import pytest
 from repro.concurrent import QueueMode
 from repro.core.costmodel import DEFAULT_COST_PARAMS
 from repro.faults import FaultPlan, WorkerCrash
-from repro.runcache import RunSpec, code_version_salt, spec_digest
+from repro.runcache import (
+    RunSpec,
+    code_version_salt,
+    observe_spec,
+    spec_digest,
+)
 from repro.runcache.key import OPTION_DEFAULTS, params_to_spec
 
 
@@ -163,6 +168,29 @@ def test_bad_steps_and_threads_rejected():
         RunSpec(kind="capture", workload="salt", steps=0)
     with pytest.raises(ValueError, match="threads"):
         obs(threads=0)
+
+
+def test_observe_spec_rejects_options_nothing_reads():
+    # a typo would hash into its own entry and replay the single queue
+    with pytest.raises(ValueError, match="queue_mod"):
+        observe_spec("salt", 2, 2, "i7-920", queue_mod="per-thread")
+    spelled = observe_spec("salt", 2, 2, "i7-920", queue_mode="per-thread")
+    assert spelled.options == {"queue_mode": "per-thread"}
+
+
+def test_load_is_a_named_observe_scenario():
+    with pytest.raises(ValueError, match="unknown load scenario"):
+        observe_spec("salt", 2, 2, "i7-920", load="busy")
+    loaded = observe_spec("salt", 2, 2, "i7-920", load="table3")
+    assert spec_digest(loaded) != spec_digest(obs(steps=2))
+    # an explicit None is the default: it hashes like an omitted load
+    assert spec_digest(obs(options={"load": None})) == spec_digest(obs())
+    for kind in ("capture", "trace", "chaos_ref", "chaos_case", "toolerror"):
+        with pytest.raises(ValueError, match="background load"):
+            RunSpec(
+                kind=kind, workload="salt", steps=2, threads=2,
+                machine="i7-920", options={"load": "table3"},
+            )
 
 
 def test_unknown_params_field_rejected_at_encode():

@@ -1,8 +1,11 @@
 """Tests for the command-line interface."""
 
+import importlib
+
 import pytest
 
-from repro.cli import main
+from repro.cli import build_parser, main
+from repro.targets import TABLE3_PAPER, TABLE3_SEED
 
 
 def run_cli(capsys, *argv):
@@ -74,6 +77,53 @@ def test_scorecard_passes(capsys):
     assert out.count("[PASS]") == 7
     assert "[FAIL]" not in out
     assert "7/7 checks pass" in out
+
+
+def test_scorecard_repeat_is_served_from_the_cache(capsys, monkeypatch):
+    sweep_module = importlib.import_module("repro.runcache.sweep")
+    sweeps = []
+    real_sweep = sweep_module.sweep
+
+    def spy(*args, **kwargs):
+        sweeps.append(real_sweep(*args, **kwargs))
+        return sweeps[-1]
+
+    monkeypatch.setattr(sweep_module, "sweep", spy)
+    first = run_cli(capsys, "scorecard", "--steps", "4")
+    assert run_cli(capsys, "scorecard", "--steps", "4") == first
+    repeat = sweeps[-1]
+    assert len(repeat.specs) == 12
+    assert repeat.executed == []
+    assert repeat.hits == len(repeat.specs)
+
+
+def test_table3_prints_every_paper_row(capsys):
+    out = run_cli(capsys, "table3", "--steps", "1")
+    rows = [line for line in out.splitlines() if line[:1].isdigit()]
+    assert [r.split("  ")[0] for r in rows] == list(TABLE3_PAPER)
+
+
+def test_table3_seed_defaults_to_the_target():
+    assert build_parser().parse_args(["table3"]).seed == TABLE3_SEED
+
+
+@pytest.mark.parametrize("threads", ["x", "0,1"])
+def test_fig1_bad_threads_is_one_line_exit_2(capsys, threads):
+    with pytest.raises(SystemExit) as exc:
+        main(["fig1", "--threads", threads])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("repro: error: bad --threads")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["fig1", "table3", "scorecard"])
+def test_zero_steps_exits_2(capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--steps", "0"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "--steps: must be >= 1" in err and "Traceback" not in err
 
 
 def test_version_flag(capsys):
