@@ -28,7 +28,6 @@ examples:
 	PYTHONPATH=src $(PYTHON) examples/quickstart.py
 	PYTHONPATH=src $(PYTHON) examples/salt_melt.py
 	PYTHONPATH=src $(PYTHON) examples/nanocar_drive.py
-	PYTHONPATH=src $(PYTHON) examples/ewald_ionic_crystal.py
 	PYTHONPATH=src $(PYTHON) examples/custom_model.py
 	PYTHONPATH=src $(PYTHON) examples/perf_study.py
 

@@ -7,8 +7,7 @@ constant density:
   neighbor-finding algorithm to O(N)" — candidate pairs examined per
   rebuild grow linearly in N;
 * "Coulombic forces are calculated between every pair of charged
-  particles" — terms grow as N²  (and the Ewald extension's real-space
-  part grows linearly).
+  particles" — terms grow as N².
 """
 
 import numpy as np

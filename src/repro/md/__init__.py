@@ -26,7 +26,6 @@ from repro.md.engine import MDEngine, StepReport
 from repro.md.forces import (
     AngularBondForce,
     CoulombForce,
-    EwaldCoulombForce,
     LennardJonesForce,
     MorseForce,
     RadialBondForce,
@@ -49,7 +48,6 @@ __all__ = [
     "CoulombForce",
     "ELEMENTS",
     "Element",
-    "EwaldCoulombForce",
     "LangevinThermostat",
     "LennardJonesForce",
     "LinkedCellGrid",

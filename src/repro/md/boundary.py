@@ -2,8 +2,7 @@
 
 MW simulates atoms in a closed box with reflective walls (the atoms
 bounce off the viewport edges); :class:`ReflectiveBox` reproduces that.
-:class:`PeriodicBox` provides minimum-image wrapping, used by the Ewald
-extension.
+:class:`PeriodicBox` provides minimum-image wrapping.
 """
 
 from __future__ import annotations

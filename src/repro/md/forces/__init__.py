@@ -6,8 +6,7 @@ performance study — three distinct memory-access characters:
 * :class:`LennardJonesForce` — neighbor-list driven, irregular gathers
   (``A[B[i]]``), low arithmetic intensity: the Al-1000 profile.
 * :class:`CoulombForce` — all charged pairs, linear streaming, heavy
-  arithmetic: the salt profile.  :class:`EwaldCoulombForce` is the
-  O(N log N)-class method the paper names as future work.
+  arithmetic: the salt profile.
 * :class:`RadialBondForce` / :class:`AngularBondForce` /
   :class:`TorsionalBondForce` — bond-list driven, most flops per term,
   up to four atoms with indirect indexing: the nanocar profile.
@@ -20,14 +19,12 @@ from repro.md.forces.bonded import (
     TorsionalBondForce,
 )
 from repro.md.forces.coulomb import CoulombForce
-from repro.md.forces.ewald import EwaldCoulombForce
 from repro.md.forces.lj import LennardJonesForce
 from repro.md.forces.morse import MorseForce
 
 __all__ = [
     "AngularBondForce",
     "CoulombForce",
-    "EwaldCoulombForce",
     "Force",
     "ForceResult",
     "LennardJonesForce",

@@ -14,7 +14,6 @@ from repro.md.system import AtomSystem
 _DOMINANT_LABEL = {
     "lj": "Lennard-Jones",
     "coulomb": "Ionic",
-    "ewald": "Ionic",
     "bonds": "Bonds",
 }
 
@@ -48,17 +47,14 @@ class Workload:
         for name, res in report.force_results.items():
             if name.startswith("bond"):
                 flops["bonds"] += res.flops
-            elif name in ("coulomb", "ewald"):
+            elif name == "coulomb":
                 flops["coulomb"] += res.flops
             elif name == "lj":
                 flops["lj"] += res.flops
         winner = max(flops, key=flops.get)
         if flops[winner] == 0.0:
             return "None"
-        return _DOMINANT_LABEL[
-            "bonds" if winner == "bonds" else
-            ("coulomb" if winner == "coulomb" else "lj")
-        ]
+        return _DOMINANT_LABEL[winner]
 
     def characteristics(self) -> Dict[str, object]:
         """This workload's row of Table I."""

@@ -3,10 +3,13 @@
 from __future__ import annotations
 
 import math
-from typing import List, Optional, Tuple
+from typing import List, Optional, Set, Tuple
 
-import networkx as nx
 import numpy as np
+
+#: a molecule's bond topology: ``graph[i]`` is the set of atoms bonded
+#: to atom ``i``
+BondGraph = List[Set[int]]
 
 
 def cubic_lattice(
@@ -120,11 +123,12 @@ def grid_bonds(shape: Tuple[int, int]) -> np.ndarray:
     return np.array(edges, dtype=np.int64)
 
 
-def bond_graph(n_atoms: int, bonds: np.ndarray) -> nx.Graph:
-    """The molecule's bond topology as a networkx graph."""
-    g = nx.Graph()
-    g.add_nodes_from(range(n_atoms))
-    g.add_edges_from(map(tuple, bonds))
+def bond_graph(n_atoms: int, bonds: np.ndarray) -> BondGraph:
+    """The molecule's bond topology as an adjacency list of sets."""
+    g: BondGraph = [set() for _ in range(n_atoms)]
+    for i, j in np.asarray(bonds, dtype=np.int64).tolist():
+        g[i].add(j)
+        g[j].add(i)
     return g
 
 
@@ -141,28 +145,35 @@ def _stride_sample(rows: list, width: int, limit: Optional[int]) -> np.ndarray:
     return arr[idx]
 
 
-def angle_triples(graph: nx.Graph, limit: Optional[int] = None) -> np.ndarray:
+def angle_triples(
+    graph: BondGraph, limit: Optional[int] = None
+) -> np.ndarray:
     """(a, vertex, c) triples for every pair of bonds sharing a vertex,
     deterministic; ``limit`` keeps a uniform subsample."""
     triples = []
-    for b in sorted(graph.nodes):
-        nbrs = sorted(graph.neighbors(b))
+    for b, bonded in enumerate(graph):
+        nbrs = sorted(bonded)
         for x in range(len(nbrs)):
             for y in range(x + 1, len(nbrs)):
                 triples.append((nbrs[x], b, nbrs[y]))
     return _stride_sample(triples, 3, limit)
 
 
-def torsion_quads(graph: nx.Graph, limit: Optional[int] = None) -> np.ndarray:
-    """(a, b, c, d) simple 3-edge paths, deterministic; ``limit`` keeps
-    a uniform subsample."""
+def torsion_quads(
+    graph: BondGraph, limit: Optional[int] = None
+) -> np.ndarray:
+    """(a, b, c, d) simple 3-edge paths, over the bonds as sorted
+    ``(b, c)`` pairs with ``b < c``, deterministic; ``limit`` keeps a
+    uniform subsample."""
     quads = []
-    for b, c in sorted(graph.edges):
-        for a in sorted(graph.neighbors(b)):
-            if a in (b, c):
-                continue
-            for d in sorted(graph.neighbors(c)):
-                if d in (a, b, c):
+    for b, bonded in enumerate(graph):
+        nbrs_b = sorted(bonded)
+        for c in (x for x in nbrs_b if x > b):
+            for a in nbrs_b:
+                if a in (b, c):
                     continue
-                quads.append((a, b, c, d))
+                for d in sorted(graph[c]):
+                    if d in (a, b, c):
+                        continue
+                    quads.append((a, b, c, d))
     return _stride_sample(quads, 4, limit)

@@ -91,10 +91,8 @@ def test_index_locality_metric():
     assert index_locality(np.array([0]), np.array([100])) == 100.0
 
 
-def test_coulomb_and_ewald_remap_are_identity():
-    from repro.md import CoulombForce, EwaldCoulombForce
+def test_coulomb_remap_is_identity():
+    from repro.md import CoulombForce
 
     c = CoulombForce()
     assert c.remap(np.arange(10)) is c
-    e = EwaldCoulombForce()
-    assert e.remap(np.arange(10)) is e

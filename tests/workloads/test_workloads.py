@@ -1,8 +1,11 @@
 """Tests for the three paper benchmarks and structure generators."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
+from repro.md.forces import RadialBondForce
 from repro.targets import TABLE1, table1_cells
 from repro.workloads import (
     BUILDERS,
@@ -189,14 +192,42 @@ def test_grid_bonds_count():
 def test_angle_and_torsion_enumeration():
     bonds = grid_bonds((2, 3))  # a 2x3 ladder
     g = bond_graph(6, bonds)
+    assert all(j in g[i] and i in g[j] for i, j in bonds)
+    assert sum(map(len, g)) == 2 * len(bonds)
     angles = angle_triples(g)
     assert len(angles) > 0
-    assert all(g.has_edge(a, b) and g.has_edge(b, c) for a, b, c in angles)
+    assert all(a in g[b] and c in g[b] for a, b, c in angles)
     quads = torsion_quads(g)
     assert len(quads) > 0
     for a, b, c, d in quads:
-        assert g.has_edge(a, b) and g.has_edge(b, c) and g.has_edge(c, d)
+        assert a in g[b] and c in g[b] and d in g[c]
         assert len({a, b, c, d}) == 4
+
+
+def test_nanocar_bond_graph_enumeration_is_pinned():
+    """Angle and torsion candidates over the built nanocar's 841 radial
+    bonds (989 atoms, interleaved indices): the order the builder's
+    stride sampling depends on, recorded from the networkx-backed
+    enumeration this adjacency list replaced."""
+    w = build_nanocar()
+    bonds = next(f for f in w.forces if isinstance(f, RadialBondForce)).bonds
+    g = bond_graph(w.system.n_atoms, bonds)
+    angles = angle_triples(g)
+    quads = torsion_quads(g)
+    assert (len(bonds), len(angles), len(quads)) == (841, 2133, 5481)
+    assert angles[:4].tolist() == [
+        [2, 0, 4], [2, 0, 6], [2, 0, 10], [2, 0, 971],
+    ]
+    assert quads[:4].tolist() == [
+        [4, 0, 2, 8], [4, 0, 2, 12], [6, 0, 2, 8], [6, 0, 2, 12],
+    ]
+    assert angles.dtype == quads.dtype == np.int64
+    assert hashlib.sha256(angles.tobytes()).hexdigest() == (
+        "13533973a353d4114522ea2bc71d371b0dce60f0be310dfb219423dabc304b1a"
+    )
+    assert hashlib.sha256(quads.tobytes()).hexdigest() == (
+        "a5d430bfd1d6d59d03a6aed57351caac7d52ceceaf705c9a83fbed007338f76f"
+    )
 
 
 def test_stride_sampling_spreads_selection():
