@@ -2,16 +2,16 @@
 
 PYTHON ?= python
 
-.PHONY: install test bench experiments examples clean
+.PHONY: install test bench experiments clean
 
 install:
 	pip install -e .
 
 # the unit tests plus the gates under tests/gates/ (trace, attribution,
 # chaos, perf, cache, report, leaderboard, resilience, ensemble,
-# autotune), the host-time benchmark's own tests, and every paper
-# table and figure; the gates that render reports write them under
-# benchmarks/out/
+# lockstep, autotune, examples), the host-time benchmark's own tests,
+# and every paper table and figure; the gates that render reports
+# write them under benchmarks/out/
 test:
 	PYTHONPATH=src $(PYTHON) -m pytest tests/
 	PYTHONPATH=src $(PYTHON) -m pytest bench
@@ -23,13 +23,6 @@ bench:
 # regenerate every paper artifact into benchmarks/out/
 experiments: bench
 	@ls benchmarks/out/
-
-examples:
-	PYTHONPATH=src $(PYTHON) examples/quickstart.py
-	PYTHONPATH=src $(PYTHON) examples/salt_melt.py
-	PYTHONPATH=src $(PYTHON) examples/nanocar_drive.py
-	PYTHONPATH=src $(PYTHON) examples/custom_model.py
-	PYTHONPATH=src $(PYTHON) examples/perf_study.py
 
 clean:
 	rm -rf .pytest_cache .hypothesis benchmarks/out

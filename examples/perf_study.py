@@ -71,11 +71,6 @@ def main() -> None:
     })
     print("=> load balance is not the story; the memory subsystem is.")
 
-    from repro.analysis.roofline import phase_roofline, render_roofline
-
-    print("\nRoofline classification of Al-1000's phases:")
-    print(render_roofline(phase_roofline(trace, CORE_I7_920), CORE_I7_920))
-
     section("3. Fig. 2 — thread-to-core residency without pinning")
     print(vtune.thread_to_core_plot(workers))
     print("migrations:", {w[-8:]: vtune.migrations(w) for w in workers})

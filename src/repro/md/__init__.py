@@ -34,11 +34,7 @@ from repro.md.forces import (
 from repro.md.integrator import TaylorPredictorCorrector
 from repro.md.neighbors import NeighborList
 from repro.md.system import AtomSystem
-from repro.md.thermostat import (
-    BerendsenThermostat,
-    LangevinThermostat,
-    VelocityRescaleThermostat,
-)
+from repro.md.thermostat import BerendsenThermostat
 
 __all__ = [
     "AngularBondForce",
@@ -48,7 +44,6 @@ __all__ = [
     "CoulombForce",
     "ELEMENTS",
     "Element",
-    "LangevinThermostat",
     "LennardJonesForce",
     "LinkedCellGrid",
     "MDEngine",
@@ -60,6 +55,5 @@ __all__ = [
     "StepReport",
     "TaylorPredictorCorrector",
     "TorsionalBondForce",
-    "VelocityRescaleThermostat",
     "mix_lorentz_berthelot",
 ]

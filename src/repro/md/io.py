@@ -1,18 +1,15 @@
-"""Trajectory I/O: XYZ read/write and a step-hooked recorder.
+"""Trajectory output: XYZ frames and a step-hooked recorder.
 
-MW saves and loads model files; a reproduction library needs at least
-the interchange basics so users can inspect trajectories in standard
-viewers (VMD, OVITO, ASE all read extended XYZ).
+``repro run --xyz`` writes a run's trajectory so it can be inspected
+in standard viewers (VMD, OVITO, ASE all read XYZ).
 """
 
 from __future__ import annotations
 
 from pathlib import Path
-from typing import List, Optional, TextIO, Tuple, Union
+from typing import Optional, TextIO, Union
 
-import numpy as np
-
-from repro.md.elements import ELEMENTS, ID_TO_SYMBOL
+from repro.md.elements import ID_TO_SYMBOL
 from repro.md.system import AtomSystem
 
 
@@ -25,65 +22,6 @@ def write_xyz_frame(
     symbols = [ID_TO_SYMBOL[int(e)] for e in system.element_ids]
     for sym, (x, y, z) in zip(symbols, system.positions):
         fh.write(f"{sym} {x:.6f} {y:.6f} {z:.6f}\n")
-
-
-def read_xyz(
-    source: Union[str, Path, TextIO],
-) -> List[Tuple[List[str], np.ndarray, str]]:
-    """Read all frames of an XYZ file.
-
-    Returns a list of (symbols, positions (N,3), comment) tuples.
-    """
-    if isinstance(source, (str, Path)):
-        with open(source) as fh:
-            return read_xyz(fh)
-    frames = []
-    while True:
-        header = source.readline()
-        if not header.strip():
-            break
-        try:
-            n = int(header)
-        except ValueError as exc:
-            raise ValueError(f"bad XYZ frame header: {header!r}") from exc
-        comment = source.readline().rstrip("\n")
-        symbols: List[str] = []
-        coords = np.zeros((n, 3))
-        for i in range(n):
-            parts = source.readline().split()
-            if len(parts) < 4:
-                raise ValueError(f"truncated XYZ frame at atom {i}")
-            symbols.append(parts[0])
-            coords[i] = [float(v) for v in parts[1:4]]
-        frames.append((symbols, coords, comment))
-    return frames
-
-
-def system_from_xyz_frame(
-    symbols: List[str],
-    positions: np.ndarray,
-    box: Optional[np.ndarray] = None,
-    margin: float = 8.0,
-) -> AtomSystem:
-    """Build an AtomSystem from one XYZ frame.
-
-    Unknown element symbols raise; the box defaults to the bounding box
-    plus a margin.
-    """
-    positions = np.asarray(positions, dtype=float)
-    unknown = sorted({s for s in symbols if s not in ELEMENTS})
-    if unknown:
-        raise ValueError(f"unknown element symbols: {unknown}")
-    if box is None:
-        box = positions.max(axis=0) + margin
-    system = AtomSystem(box)
-    # add contiguous runs of one element to preserve atom order
-    start = 0
-    for i in range(1, len(symbols) + 1):
-        if i == len(symbols) or symbols[i] != symbols[start]:
-            system.add_atoms(symbols[start], positions[start:i])
-            start = i
-    return system
 
 
 class XyzTrajectoryWriter:

@@ -1,18 +1,15 @@
 """Heat-bath coupling (MW's "heat up / cool down" control).
 
-Three classic options: Berendsen weak coupling (default — gentle,
-non-canonical), hard velocity rescale (MW's heat/cool buttons), and a
-Langevin bath (canonical sampling, adds stochastic collisions).
+Berendsen weak coupling: gentle and non-canonical, it steers the
+temperature of a run toward a target the caller may change between
+steps.
 """
 
 from __future__ import annotations
 
 import math
 
-import numpy as np
-
 from repro.md.system import AtomSystem
-from repro.md.units import ACCEL_UNIT, KB
 
 
 class BerendsenThermostat:
@@ -39,72 +36,3 @@ class BerendsenThermostat:
         lam = math.sqrt(max(lam2, 0.0))
         system.velocities[system.movable] *= lam
         return lam
-
-
-class VelocityRescaleThermostat:
-    """Hard rescale straight to the target every ``every`` steps —
-    MW's 'heat up / cool down' buttons."""
-
-    def __init__(self, target_k: float, every: int = 1):
-        if target_k < 0:
-            raise ValueError(f"negative target temperature: {target_k}")
-        if every < 1:
-            raise ValueError(f"every must be >= 1: {every}")
-        self.target_k = target_k
-        self.every = every
-        self._calls = 0
-
-    def apply(self, system: AtomSystem, dt_fs: float) -> float:
-        """Snap movable velocities to the target temperature."""
-        self._calls += 1
-        if self._calls % self.every:
-            return 1.0
-        t = system.temperature()
-        if t <= 1e-12:
-            return 1.0
-        lam = math.sqrt(self.target_k / t)
-        system.velocities[system.movable] *= lam
-        return lam
-
-
-class LangevinThermostat:
-    """Stochastic bath: v += (-γ v) dt + sqrt(2 γ kB T / m) dW.
-
-    ``gamma_fs`` is the friction rate in 1/fs; samples are drawn from a
-    seeded generator so trajectories stay reproducible.
-    """
-
-    def __init__(
-        self, target_k: float, gamma_fs: float = 0.01, seed: int = 0
-    ):
-        if target_k < 0:
-            raise ValueError(f"negative target temperature: {target_k}")
-        if gamma_fs <= 0:
-            raise ValueError(f"gamma must be positive: {gamma_fs}")
-        self.target_k = target_k
-        self.gamma_fs = gamma_fs
-        self.rng = np.random.default_rng(seed)
-
-    def apply(self, system: AtomSystem, dt_fs: float) -> float:
-        """One Euler-Maruyama bath step on the movable velocities."""
-        mv = system.movable
-        n = int(mv.sum())
-        if n == 0:
-            return 1.0
-        v = system.velocities[mv]
-        masses = system.masses[mv][:, None]
-        drag = -self.gamma_fs * v * dt_fs
-        # noise variance per component: 2 γ kB T dt / m (in Å²/fs²,
-        # via ACCEL_UNIT because kB T / m is in eV/amu)
-        sigma = np.sqrt(
-            2.0
-            * self.gamma_fs
-            * KB
-            * self.target_k
-            * ACCEL_UNIT
-            * dt_fs
-            / masses
-        )
-        v += drag + sigma * self.rng.standard_normal(v.shape)
-        system.velocities[mv] = v
-        return 1.0

@@ -47,8 +47,9 @@ Around the supervisor sit the pieces that make a sweep crash-safe:
 Worker deaths and lost publishes are infrastructure failures: they are
 always retried and never quarantined — only exceptions raised by the
 spec's own execution use up attempts or can poison it.  A batch
-that fails splits into single-spec units, so one bad run cannot take
-its batch-mates down.
+that fails, whatever the error (a runtime fault, or runs that cannot
+share one lockstep engine), splits into single-spec units, so one bad
+run cannot take its batch-mates down.
 """
 
 from __future__ import annotations
@@ -298,12 +299,9 @@ PROPAGATE_POLICY = SupervisionPolicy(max_attempts=1, quarantine=False)
 
 def retryable(exc: BaseException) -> bool:
     """Poisoned specs never retry; everything else may."""
-    try:
-        from repro.faults.process import retryable as _retryable
+    from repro.faults.process import retryable as _retryable
 
-        return _retryable(exc)
-    except ImportError:  # pragma: no cover
-        return True
+    return _retryable(exc)
 
 
 class Backoff:
@@ -345,18 +343,47 @@ class Quarantined:
         }
 
 
-
-
 # -- the supervisor ----------------------------------------------------------
+
+
+#: a batch below this size gains nothing over single runs
+MIN_BATCH = 2
+
+Miss = Tuple[str, RunSpec]
+
+
+def _group_key(spec: RunSpec) -> Optional[tuple]:
+    """Batch key for a spec, or None when it must run on its own."""
+    if spec.fault_plan is not None or spec.kind != "capture":
+        return None
+    return ("capture", spec.workload, spec.steps)
+
+
+def plan_units(misses: List[Miss]) -> List[List[Miss]]:
+    """Group ``misses`` into units, in order of first appearance:
+    capture misses of one workload and step count, varying only in
+    seed and with no fault plan, form one batch once there are
+    ``MIN_BATCH`` of them; every other miss is a unit of its own."""
+    groups: Dict[tuple, List[Miss]] = {}
+    for key, spec in misses:
+        group = _group_key(spec) or ("single", key)
+        groups.setdefault(group, []).append((key, spec))
+    units: List[List[Miss]] = []
+    for group, items in groups.items():
+        if group[0] == "capture" and len(items) >= MIN_BATCH:
+            units.append(items)
+        else:
+            units.extend([item] for item in items)
+    return units
 
 
 @dataclass
 class Unit:
     """One unit of work: a single spec, or a homogeneous capture batch
-    one lockstep engine runs in one pass (:mod:`repro.ensemble.routing`)."""
+    one lockstep engine runs in one pass (:func:`plan_units`)."""
 
     #: ``(digest, spec)`` pairs
-    items: List[Tuple[str, RunSpec]]
+    items: List[Miss]
     #: attempts submitted so far; the journal numbers each one
     attempts: int = 0
     #: attempts that failed in the spec's own execution; only these
@@ -410,9 +437,7 @@ def _shard_attrs(specs: List[RunSpec], sweep_id, attempt: int) -> dict:
 
 
 def _begin(specs: List[RunSpec], digests: List[str], journal, attempt: int):
-    """Prepare a unit and journal its start.  A batch the ensemble
-    engine cannot run raises ``EnsembleUnsupported`` here, before any
-    ``started`` record is written."""
+    """Prepare a unit and journal its start."""
     from repro.runcache.sweep import prepare_unit
 
     execute = prepare_unit(specs)
@@ -724,18 +749,6 @@ class _Supervisor:
         self._journal_failed(unit, message, True)
         self._retry(unit, message)
 
-    def _split(self, unit: Unit, exc: Exception) -> None:
-        """The batch's runs cannot share one lockstep engine: they go
-        back as single-spec units under the same attempt number."""
-        self.emitter.event(
-            "ensemble.fallback", label=unit.label, runs=len(unit.items),
-            reason=str(exc),
-        )
-        self.queue.extend(
-            Unit([item], unit.attempts - 1, unit.errors)
-            for item in unit.items
-        )
-
     def _finished(self, unit: Unit, result: List[Any], pooled: bool) -> None:
         # a pool worker returns digests: reload what it published, in
         # one lookup pass
@@ -785,8 +798,6 @@ class _Supervisor:
     # -- the loop ----------------------------------------------------------
 
     def run(self, units: List[Unit], workers: int = 0) -> None:
-        from repro.ensemble.engine import EnsembleUnsupported
-
         self.queue.extend(units)
         if workers:
             self.workers = workers
@@ -819,8 +830,6 @@ class _Supervisor:
                         self._lost(unit, self._death(
                             fut, "worker process died before completing"
                         ))
-                    except EnsembleUnsupported as exc:
-                        self._split(unit, exc)
                     except Exception as exc:
                         if not self._failed(unit, exc):
                             raise
@@ -834,7 +843,7 @@ class _Supervisor:
 
 
 def supervise(
-    misses: List[Tuple[str, RunSpec]],
+    misses: List[Miss],
     cache,
     jobs: int,
     *,
@@ -844,7 +853,7 @@ def supervise(
 ) -> Outcome:
     """Execute a sweep's cache misses; the one way a sweep runs work.
 
-    Misses group into units (:func:`repro.ensemble.routing.plan_units`),
+    Misses group into units (:func:`plan_units`),
     ordered longest first: stably, by descending ``threads * steps`` of
     their specs, an input property a replay's cost grows with (a
     capture has ``threads = 0`` and keeps its place among captures).
@@ -859,8 +868,6 @@ def supervise(
     only long enough to fold their cache counts.  The parent's own
     lookups (reloads, in-process units) join those counts under its pid.
     """
-    from repro.ensemble.routing import plan_units
-
     # longest first: a replay's cost grows with threads x steps, so the
     # grid's biggest cells start while others fill the remaining
     # workers, instead of the last one running alone (stable: ties and

@@ -498,10 +498,9 @@ def prepare_unit(
     looked up again unless an entry has landed since — a sibling's
     nested capture load, or an earlier attempt that stored before it
     died — in which case it goes through :func:`run_and_store`.
-    Several specs are a capture batch for one lockstep engine, built
-    here so a batch whose runs cannot share one raises
-    :class:`~repro.md.engine.EnsembleUnsupported` before anything
-    executes; each run is stored under its own digest.
+    Several specs are a capture batch of one workload and step count,
+    run by :func:`~repro.ensemble.ensemble_capture`; each run is stored
+    under its own digest.
     """
     if len(specs) == 1:
         (spec,) = specs
@@ -517,17 +516,17 @@ def prepare_unit(
 
         return execute
 
-    from repro.ensemble import routing
-
-    run_batch = routing.prepare_batch(specs)
-
     def execute_batch(cache: Optional[RunCache]) -> List[Any]:
+        from repro.ensemble import ensemble_capture
+
         if "REPRO_PROCESS_FAULTS" in os.environ:  # chaos harness only
             from repro.faults import process as process_faults
 
             for spec in specs:
                 process_faults.execution_fault(spec.label())
-        artifacts = run_batch()
+        artifacts = ensemble_capture(
+            specs[0].workload, specs[0].steps, [spec.seed for spec in specs]
+        )
         if cache is not None:
             for spec, artifact in zip(specs, artifacts):
                 cache.put(spec, artifact)

@@ -1,8 +1,7 @@
 """The lockstep contract: a batch of R seeds pickles (protocol 4) to
 exactly the bytes of R one-run engines, for any homogeneous batch;
 every run's AtomSystem and Verlet list hold its live state — plus the
-EnsembleUnsupported fences that split inhomogeneous batches into
-one-run engines."""
+EnsembleUnsupported fences that reject inhomogeneous batches."""
 
 import pickle
 

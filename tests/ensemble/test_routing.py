@@ -1,14 +1,14 @@
 """Sweep-level batching: an ensemble batch is one unit of work for the
 supervisor, and it must be invisible to every cache/journal consumer —
 byte-equal artifacts under the runs' own digests, the journal trail a
-one-spec sweep leaves, and a transparent split into single-spec units
-when a batch cannot be vectorized."""
+one-spec sweep leaves, and single-spec retries when a batch fails,
+including when it cannot be vectorized."""
 
 import json
 from collections import defaultdict
 
-from repro.ensemble import routing
-from repro.ensemble.engine import EnsembleUnsupported
+import repro.ensemble
+from repro.ensemble import EnsembleUnsupported
 from repro.faults.process import ProcessFaultPlan, activate, deactivate
 from repro.runcache import (
     RunCache,
@@ -106,24 +106,26 @@ def test_journal_records_are_equivalent_across_paths(tmp_path):
 
 
 def test_unsupported_batch_falls_back_to_scalar(tmp_path, monkeypatch):
-    """No registered workload naturally trips EnsembleUnsupported at
-    the batching layer (they are all reflective-box, unthermostatted),
-    so force it: results must still land, bit-equal, with zero batches
-    counted — and the split is not a failed attempt."""
+    """No registered workload trips EnsembleUnsupported at the batching
+    layer (``tests/gates/test_lockstep.py`` holds every one to that),
+    so force it: the batch fails like any other, and its runs land,
+    bit-equal, through single-spec retries with zero batches counted."""
 
-    def unsupported(specs):
+    def unsupported(workload, n_steps, seeds):
         raise EnsembleUnsupported("forced by test")
 
-    monkeypatch.setattr(routing, "prepare_batch", unsupported)
+    monkeypatch.setattr(repro.ensemble, "ensemble_capture", unsupported)
     specs = capture_specs()
     cache = RunCache(tmp_path / "fallback")
     result = sweep(specs, cache, jobs=1, journal=tmp_path / "journal")
     assert (result.ensemble_batches, result.ensemble_runs) == (0, 0)
-    assert result.ok and result.retries == 0
+    assert result.ok
     assert len(result.executed) == N_RUNS
     for trail in journal_trail(tmp_path / "journal").values():
-        assert ("failed", 1) not in trail
-        assert trail[-2:] == [("started", 1), ("finished", 1)]
+        assert trail == [
+            ("submitted", 1), ("started", 1), ("failed", 1),
+            ("submitted", 2), ("started", 2), ("finished", 2),
+        ]
     assert_cache_matches_scalar(cache, specs)
 
 
@@ -182,16 +184,3 @@ def test_replays_are_not_batched_by_default(tmp_path):
     assert (result.ensemble_batches, result.ensemble_runs) == (0, 0)
     assert len(result.executed) == len(specs)
 
-
-def test_fault_plan_specs_never_batch(tmp_path):
-    """Specs with a live fault plan are structurally divergent; the
-    group key must keep them on their own even when they are captures."""
-    spec = RunSpec(
-        kind="capture",
-        workload=WORKLOAD,
-        steps=STEPS,
-        seed=0,
-        fault_plan={"kind": "straggler"},
-    )
-    assert routing._group_key(spec) is None
-    assert routing._group_key(capture_spec(WORKLOAD, STEPS)) is not None

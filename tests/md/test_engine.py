@@ -188,55 +188,3 @@ def test_invalid_timestep():
     s = AtomSystem([10.0, 10.0, 10.0])
     with pytest.raises(ValueError):
         MDEngine(s, forces=[], dt_fs=0.0)
-
-
-def test_velocity_rescale_thermostat():
-    from repro.md import VelocityRescaleThermostat
-
-    rng = np.random.default_rng(3)
-    s = AtomSystem([60.0, 60.0, 60.0])
-    s.add_atoms("Al", rng.uniform(20, 40, (50, 3)))
-    s.set_thermal_velocities(200.0, rng)
-    thermo = VelocityRescaleThermostat(target_k=800.0)
-    engine = MDEngine(s, forces=[], dt_fs=1.0, thermostat=thermo)
-    engine.run(3)
-    assert s.temperature() == pytest.approx(800.0, rel=1e-6)
-    with pytest.raises(ValueError):
-        VelocityRescaleThermostat(-1.0)
-    with pytest.raises(ValueError):
-        VelocityRescaleThermostat(300.0, every=0)
-
-
-def test_langevin_thermostat_equilibrates():
-    from repro.md import LangevinThermostat
-
-    rng = np.random.default_rng(4)
-    s = AtomSystem([80.0, 80.0, 80.0])
-    s.add_atoms("Al", rng.uniform(10, 70, (200, 3)))
-    s.set_thermal_velocities(50.0, rng)
-    thermo = LangevinThermostat(target_k=500.0, gamma_fs=0.05, seed=1)
-    engine = MDEngine(s, forces=[], dt_fs=1.0, thermostat=thermo)
-    temps = []
-    for _ in range(40):
-        engine.run(10)
-        temps.append(s.temperature())
-    # equilibrates near the target (canonical fluctuations allowed)
-    assert np.mean(temps[-10:]) == pytest.approx(500.0, rel=0.15)
-    with pytest.raises(ValueError):
-        LangevinThermostat(300.0, gamma_fs=0.0)
-
-
-def test_langevin_deterministic_by_seed():
-    from repro.md import LangevinThermostat
-
-    def run(seed):
-        rng = np.random.default_rng(5)
-        s = AtomSystem([40.0, 40.0, 40.0])
-        s.add_atoms("Al", rng.uniform(10, 30, (20, 3)))
-        thermo = LangevinThermostat(300.0, gamma_fs=0.02, seed=seed)
-        engine = MDEngine(s, forces=[], dt_fs=1.0, thermostat=thermo)
-        engine.run(20)
-        return s.velocities.copy()
-
-    assert np.array_equal(run(7), run(7))
-    assert not np.array_equal(run(7), run(8))

@@ -1,4 +1,4 @@
-"""Tests for XYZ trajectory I/O."""
+"""Tests for XYZ trajectory output."""
 
 import io
 
@@ -6,12 +6,7 @@ import numpy as np
 import pytest
 
 from repro.md import AtomSystem, LennardJonesForce, MDEngine
-from repro.md.io import (
-    XyzTrajectoryWriter,
-    read_xyz,
-    system_from_xyz_frame,
-    write_xyz_frame,
-)
+from repro.md.io import XyzTrajectoryWriter, write_xyz_frame
 
 
 def small_system():
@@ -21,59 +16,55 @@ def small_system():
     return s
 
 
+def xyz_frames(text):
+    """``(header, comment, symbols, coordinate text)`` per frame of
+    written XYZ text; the header gives each frame's length."""
+    lines = text.splitlines()
+    frames = []
+    while lines:
+        header, comment = lines[0], lines[1]
+        rows = [line.split() for line in lines[2:2 + int(header)]]
+        frames.append((
+            header, comment, [r[0] for r in rows], [r[1:] for r in rows],
+        ))
+        lines = lines[2 + int(header):]
+    return frames
+
+
+def coords(system):
+    """``system``'s positions as XYZ writes them: 6 decimals."""
+    return [[f"{v:.6f}" for v in row] for row in system.positions]
+
+
 def test_write_read_roundtrip():
     s = small_system()
     buf = io.StringIO()
     write_xyz_frame(buf, s, comment="frame zero")
-    buf.seek(0)
-    frames = read_xyz(buf)
+    frames = xyz_frames(buf.getvalue())
     assert len(frames) == 1
-    symbols, pos, comment = frames[0]
-    assert symbols == ["Al", "Al", "Au"]
-    assert np.allclose(pos, s.positions)
+    header, comment, symbols, xyz = frames[0]
+    assert header == "3"
     assert comment == "frame zero"
+    assert symbols == ["Al", "Al", "Au"]
+    assert xyz == coords(s)
 
 
 def test_multi_frame_read():
     s = small_system()
     buf = io.StringIO()
+    written = []
     for k in range(3):
         s.positions += 0.5
         write_xyz_frame(buf, s, comment=f"k={k}")
-    buf.seek(0)
-    frames = read_xyz(buf)
+        written.append(coords(s))
+    frames = xyz_frames(buf.getvalue())
     assert len(frames) == 3
-    assert frames[2][2] == "k=2"
-    assert np.allclose(frames[1][1], frames[0][1] + 0.5)
-
-
-def test_read_truncated_raises():
-    buf = io.StringIO("3\ncomment\nAl 0 0 0\n")
-    with pytest.raises(ValueError, match="truncated"):
-        read_xyz(buf)
-
-
-def test_read_bad_header_raises():
-    buf = io.StringIO("nonsense\n")
-    with pytest.raises(ValueError, match="header"):
-        read_xyz(buf)
-
-
-def test_system_from_xyz_frame():
-    s = small_system()
-    buf = io.StringIO()
-    write_xyz_frame(buf, s)
-    buf.seek(0)
-    symbols, pos, _ = read_xyz(buf)[0]
-    rebuilt = system_from_xyz_frame(symbols, pos)
-    assert rebuilt.n_atoms == 3
-    assert np.allclose(rebuilt.positions, s.positions)
-    assert rebuilt.masses[2] == pytest.approx(196.967)  # Au preserved
-
-
-def test_system_from_xyz_unknown_symbol():
-    with pytest.raises(ValueError, match="unknown element"):
-        system_from_xyz_frame(["Zz"], np.zeros((1, 3)))
+    assert [f[1] for f in frames] == ["k=0", "k=1", "k=2"]
+    assert [f[3] for f in frames] == written
+    assert np.allclose(
+        np.array(frames[1][3], dtype=float),
+        np.array(frames[0][3], dtype=float) + 0.5,
+    )
 
 
 def test_trajectory_writer_every(tmp_path):
@@ -81,14 +72,20 @@ def test_trajectory_writer_every(tmp_path):
     s.add_atoms("Al", [[10, 10, 10], [13, 10, 10]])
     engine = MDEngine(s, [LennardJonesForce()], dt_fs=1.0)
     path = tmp_path / "traj.xyz"
+    written = []
     with XyzTrajectoryWriter(path, every=2) as writer:
-        for _ in range(6):
+        for step in range(6):
             engine.step()
             writer.frame(engine)
+            if step % 2 == 0:
+                written.append(coords(s))
     assert writer.frames_written == 3
-    frames = read_xyz(path)
+    frames = xyz_frames(path.read_text())
     assert len(frames) == 3
-    assert frames[0][2] == "step=1"
+    assert [f[0] for f in frames] == ["2"] * 3
+    assert [f[1] for f in frames] == ["step=1", "step=3", "step=5"]
+    assert [f[2] for f in frames] == [["Al", "Al"]] * 3
+    assert [f[3] for f in frames] == written
 
 
 def test_trajectory_writer_validation(tmp_path):

@@ -18,7 +18,7 @@ import hashlib
 import pytest
 
 from repro.core.simulate import capture_trace
-from repro.ensemble.engine import ensemble_capture
+from repro.ensemble import ensemble_capture
 from repro.runcache.store import dumps_artifact
 from repro.workloads import BUILDERS
 

@@ -15,7 +15,15 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.faults.process import ProcessFaultPlan, PoisonedSpec, activate, deactivate
-from repro.runcache import RunCache, dumps_artifact, observe_spec, sweep
+from repro.runcache import (
+    RunCache,
+    capture_spec,
+    dumps_artifact,
+    observe_spec,
+    resilience,
+    sweep,
+)
+from repro.runcache.key import RunSpec
 from repro.runcache.resilience import (
     JOURNAL_NAME,
     JOURNAL_SCHEMA,
@@ -375,6 +383,23 @@ def test_lost_publish_reruns_under_supervision(cache, arm, tmp_path):
     assert len(shards) == len(executions)
     failed = [r for r in state.records if r["kind"] == "failed"]
     assert len(failed) == 1 and failed[0]["retryable"]
+
+
+# ------------------------------------------------------ batch planning
+
+
+def test_fault_plan_specs_never_batch(tmp_path):
+    """Specs with a live fault plan are structurally divergent; the
+    group key must keep them on their own even when they are captures."""
+    spec = RunSpec(
+        kind="capture",
+        workload="gas-16",
+        steps=2,
+        seed=0,
+        fault_plan={"kind": "straggler"},
+    )
+    assert resilience._group_key(spec) is None
+    assert resilience._group_key(capture_spec("gas-16", 2)) is not None
 
 
 # ------------------------------------------------ nested capture claims
