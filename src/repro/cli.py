@@ -50,6 +50,9 @@ or off.
 Usage errors (unknown workload, bad thread count, unreadable fault
 plan) exit with code 2 and a one-line message on stderr — never a
 traceback.
+
+Each command imports what it uses when it runs, so ``--version``, help
+and usage errors load no numpy and none of the simulation packages.
 """
 
 from __future__ import annotations
@@ -61,21 +64,6 @@ import sys
 from typing import List, Optional
 
 from repro import __version__
-from repro.analysis import ascii_bar_chart, table1, table2, table3
-from repro.core import SimulatedParallelRun, capture_trace
-from repro.machine import MACHINES, SimMachine
-from repro.machine.topology import Topology
-from repro.md.io import XyzTrajectoryWriter
-from repro.obs import (
-    attribute,
-    attribution_csv,
-    compare_tools,
-    render_attribution,
-    result_to_dict,
-    write_folded_stacks,
-)
-from repro.perftools import VTune, topology_report
-from repro.runcache import sweep_seconds
 from repro.targets import (
     TABLE1,
     TABLE3_SEED,
@@ -85,7 +73,6 @@ from repro.targets import (
     table1_checks,
     table3_specs,
 )
-from repro.workloads import BUILDERS, PAPER_WORKLOADS, resolve_workload
 
 
 def _die(message: str):
@@ -95,6 +82,8 @@ def _die(message: str):
 
 
 def _machine_spec(name: str):
+    from repro.machine import MACHINES
+
     if name not in MACHINES:
         _die(f"unknown machine {name!r}; choose from {sorted(MACHINES)}")
     return MACHINES[name]
@@ -102,6 +91,8 @@ def _machine_spec(name: str):
 
 def _workload_name(name: str) -> str:
     """Canonical workload key (tolerates 'al1000'-style aliases)."""
+    from repro.workloads import BUILDERS, resolve_workload
+
     try:
         return resolve_workload(name)
     except KeyError:
@@ -120,6 +111,8 @@ def _positive_int(text: str) -> int:
 
 
 def _workload_names(names: Optional[List[str]]) -> List[str]:
+    from repro.workloads import PAPER_WORKLOADS
+
     if not names:
         return list(PAPER_WORKLOADS)
     return [_workload_name(n) for n in names]
@@ -146,14 +139,23 @@ def _run_cache(args):
 
 
 def cmd_table1(args) -> None:
+    from repro.analysis import table1
+    from repro.workloads import BUILDERS
+
     print(table1([BUILDERS[n]() for n in _workload_names(args.workloads)]))
 
 
 def cmd_table2(args) -> None:
+    from repro.analysis import table2
+    from repro.machine import MACHINES
+
     print(table2(MACHINES.values()))
 
 
 def cmd_fig1(args) -> None:
+    from repro.analysis import ascii_bar_chart
+    from repro.runcache import sweep_seconds
+
     spec = _machine_spec(args.machine)
     threads = _thread_list(args.threads)
     specs = fig1_specs(
@@ -169,6 +171,12 @@ def cmd_fig1(args) -> None:
 
 
 def cmd_fig2(args) -> None:
+    from repro.core import SimulatedParallelRun, capture_trace
+    from repro.machine import SimMachine
+    from repro.machine.topology import Topology
+    from repro.perftools import VTune
+    from repro.workloads import BUILDERS
+
     spec = _machine_spec(args.machine)
     wl = BUILDERS[_workload_name(args.workload)]()
     trace = capture_trace(wl, args.steps)
@@ -193,6 +201,9 @@ def cmd_fig2(args) -> None:
 
 
 def cmd_table3(args) -> None:
+    from repro.analysis import table3
+    from repro.runcache import sweep_seconds
+
     specs = table3_specs(args.steps, args.seed)
     seconds = sweep_seconds(list(specs.values()), _run_cache(args))
     print(table3([
@@ -207,6 +218,9 @@ def cmd_table3(args) -> None:
 def cmd_scorecard(args) -> None:
     """Quick end-to-end reproduction check: Table I + Fig. 1 bands,
     scored against the rows of :mod:`repro.targets`."""
+    from repro.runcache import sweep_seconds
+    from repro.workloads import BUILDERS
+
     workloads = [BUILDERS[n]() for n in TABLE1]
     checks = table1_checks([wl.characteristics() for wl in workloads])
     specs = fig1_specs(steps=args.steps)
@@ -229,10 +243,15 @@ def cmd_scorecard(args) -> None:
 
 
 def cmd_topology(args) -> None:
+    from repro.perftools import topology_report
+
     print(topology_report(_machine_spec(args.machine)))
 
 
 def cmd_run(args) -> None:
+    from repro.md.io import XyzTrajectoryWriter
+    from repro.workloads import BUILDERS
+
     wl = BUILDERS[args.workload]()
     engine = wl.make_engine()
     engine.prime()
@@ -299,6 +318,8 @@ def cmd_trace(args) -> None:
 
 def cmd_compare(args) -> None:
     """Quantify each modeled tool's error against the ground truth."""
+    from repro.obs import compare_tools
+
     _machine_spec(args.machine)
     try:
         report = compare_tools(
@@ -547,6 +568,14 @@ def cmd_sweep(args) -> None:
 
 def cmd_attribute(args) -> None:
     """Decompose the speedup loss of one workload × thread count."""
+    from repro.obs import (
+        attribute,
+        attribution_csv,
+        render_attribution,
+        result_to_dict,
+        write_folded_stacks,
+    )
+
     spec = _machine_spec(args.machine)
     cache = _run_cache(args)
     if cache is None:
@@ -760,6 +789,26 @@ def _add_telemetry_flag(p) -> None:
     )
 
 
+class _WorkloadChoices:
+    """``choices`` of a workload argument that imports the builders
+    only when argparse checks or lists a name (so such an argument
+    needs a ``metavar``: argparse lists a metavar-less argument's
+    choices while building the parser)."""
+
+    def __contains__(self, name) -> bool:
+        from repro.workloads import BUILDERS
+
+        return name in BUILDERS
+
+    def __iter__(self):
+        from repro.workloads import BUILDERS
+
+        return iter(sorted(BUILDERS))
+
+
+_WORKLOADS = _WorkloadChoices()
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -814,7 +863,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="run a workload under ground-truth tracing; write a "
         "Chrome/Perfetto trace and a metrics dump",
     )
-    p.add_argument("workload", choices=sorted(BUILDERS))
+    p.add_argument(
+        "workload", choices=_WORKLOADS, metavar="workload",
+        help="one of: %(choices)s",
+    )
     p.add_argument("--machine", default="i7-920")
     p.add_argument("--threads", type=_positive_int, default=4)
     p.add_argument("--steps", type=int, default=5)
@@ -831,7 +883,10 @@ def build_parser() -> argparse.ArgumentParser:
         "compare",
         help="quantify each modeled perf tool's error vs ground truth",
     )
-    p.add_argument("--workload", default="salt", choices=sorted(BUILDERS))
+    p.add_argument(
+        "--workload", default="salt", choices=_WORKLOADS,
+        metavar="WORKLOAD", help="one of: %(choices)s",
+    )
     p.add_argument("--machine", default="i7-920")
     p.add_argument("--threads", type=_positive_int, default=4)
     p.add_argument("--steps", type=int, default=5)
@@ -1069,7 +1124,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_report)
 
     p = sub.add_parser("run", help="run a workload's physics")
-    p.add_argument("workload", choices=sorted(BUILDERS))
+    p.add_argument(
+        "workload", choices=_WORKLOADS, metavar="workload",
+        help="one of: %(choices)s",
+    )
     p.add_argument("--steps", type=int, default=200)
     p.add_argument("--report-every", type=int, default=50)
     p.add_argument("--xyz", default=None, help="write trajectory here")

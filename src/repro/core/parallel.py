@@ -182,6 +182,14 @@ class ParallelMDEngine:
         if self.thermostat is not None:
             self.thermostat.apply(self.system, self.integrator.dt)
 
+    def _rebuild_if_stale(self) -> bool:
+        """Phases 2+3: rebuild the list if any atom moved past the
+        skin; returns True if it did."""
+        stale = self.neighbors.needs_rebuild(self.system.positions)
+        if stale:
+            self.neighbors.build(self.system.positions, self.boundary)
+        return stale
+
     # -- public API --------------------------------------------------------------
 
     def prime(self) -> None:
@@ -189,7 +197,7 @@ class ParallelMDEngine:
         if self._primed:
             return
         if self._needs_nlist:
-            self.neighbors.ensure(self.system.positions, self.boundary)
+            self._rebuild_if_stale()
         self._phase_forces()
         self._phase_reduce()
         self.integrator.prime(self.system)
@@ -201,9 +209,7 @@ class ParallelMDEngine:
         self._phase_predict()
         rebuilt = False
         if self._needs_nlist:
-            rebuilt = self.neighbors.ensure(
-                self.system.positions, self.boundary
-            )
+            rebuilt = self._rebuild_if_stale()
         merged = self._phase_forces()
         self._phase_reduce()
         self._phase_correct()

@@ -385,6 +385,7 @@ class SimulatedParallelRun:
                         yield Timeout(pause)
                 step_index += 1
         self._finished_at = machine.now
+        machine.workload_finished = True
         self.pool.shutdown()
 
     def plans(self) -> list:

@@ -153,13 +153,15 @@ class FaultInjector:
         )
         self.realized.append(window)
         # pinned background hogs; daemon_body self-terminates at the
-        # (absolute) end time, so the storm cannot outlive its window
+        # (absolute) end time, so the storm cannot outlive its window,
+        # and it fills its window even past the replay's end
         inject_background_load(
             self.machine, f.pus,
             utilization=f.utilization,
             period=f.period,
             duration=self.sim.now + f.duration,
             name_prefix="storm",
+            stop_with_workload=False,
         )
         yield Timeout(f.duration)
         window.end = self.sim.now

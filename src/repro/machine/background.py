@@ -24,11 +24,17 @@ def daemon_body(
     busy_seconds: float,
     idle_seconds: float,
     duration: Optional[float] = None,
+    stop_with_workload: bool = True,
 ):
-    """Generator body: burst/sleep forever (or until ``duration``)."""
+    """Generator body: burst/sleep until ``duration`` (forever if
+    None) or, with ``stop_with_workload``, until the machine's workload
+    has finished (:attr:`SimMachine.workload_finished`): load that
+    outlives the run under study only costs host time."""
     cycles = busy_seconds * machine.spec.freq_hz
     while True:
         if duration is not None and machine.now >= duration:
+            return
+        if stop_with_workload and machine.workload_finished:
             return
         yield WorkCost(cycles=cycles, label="background")
         yield Timeout(idle_seconds)
@@ -42,11 +48,12 @@ def inject_background_load(
     period: float = 0.004,
     duration: Optional[float] = None,
     name_prefix: str = "daemon",
+    stop_with_workload: bool = True,
 ) -> List[SimThread]:
     """Pin one periodic background task to each PU in ``pus``.
 
-    Each task is busy ``utilization`` of every ``period`` seconds.
-    Returns the created threads.
+    Each task is busy ``utilization`` of every ``period`` seconds, and
+    ends as :func:`daemon_body` says.  Returns the created threads.
     """
     if not 0.0 < utilization < 1.0:
         raise ValueError(f"utilization must be in (0,1): {utilization}")
@@ -54,7 +61,7 @@ def inject_background_load(
     idle = period - busy
     threads = []
     for pu in pus:
-        body = daemon_body(machine, busy, idle, duration)
+        body = daemon_body(machine, busy, idle, duration, stop_with_workload)
         threads.append(
             machine.thread(body, f"{name_prefix}{pu}", affinity=[pu])
         )
@@ -86,7 +93,8 @@ def inject_mobile_load(
 
 def table3_load(machine: SimMachine) -> None:
     """Table III's background: pinned daemons on PUs 0, 2, 4 and 16 plus
-    eight unpinned services, for the first 10 simulated seconds."""
+    eight unpinned services, for the first 10 simulated seconds or until
+    the replay finishes."""
     inject_background_load(
         machine, [0, 2, 4, 16], utilization=0.45, duration=10.0
     )

@@ -179,6 +179,10 @@ class SimMachine:
         #: by faults.speed_factor(pu) (straggler cores) and the replay
         #: scales injected GC pauses by faults.gc_multiplier
         self.faults = None
+        #: set once the workload under study has finished (the replay
+        #: master's last step); background daemons end at their next
+        #: burst boundary (repro.machine.background.daemon_body)
+        self.workload_finished = False
 
     # -- time --------------------------------------------------------------
 

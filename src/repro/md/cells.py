@@ -11,12 +11,17 @@ The grid produces *candidate pairs* (i < j) from each cell against
 itself and a half stencil of 13 neighbor cells, so each unordered cell
 pair is visited once.  Distance filtering happens in the caller
 (:mod:`repro.md.neighbors`).
+
+One grid can hold several runs of the same box at once: the runs'
+atoms are concatenated run-major, run ``r``'s cells get the ids
+``[r·n_cells, (r+1)·n_cells)``, and a stencil never leaves its run, so
+one pass yields every run's candidates (and only pairs within a run).
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import List, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -54,7 +59,6 @@ class LinkedCellGrid:
         self._order: np.ndarray = np.zeros(0, dtype=np.int64)
         self._starts: np.ndarray = np.zeros(1, dtype=np.int64)
         self._built = False
-        self.build_count = 0
         #: candidate pairs examined by the last pair sweep (work count)
         self.last_candidates = 0
 
@@ -72,19 +76,33 @@ class LinkedCellGrid:
 
     # -- population ------------------------------------------------------------
 
-    def build(self, positions: np.ndarray) -> None:
-        """Repopulate the cells (counting sort by cell id)."""
+    def build(
+        self,
+        positions: np.ndarray,
+        run_sizes: Optional[Sequence[int]] = None,
+    ) -> None:
+        """Repopulate the cells (counting sort by cell id).
+
+        ``positions`` holds the runs' atoms concatenated run-major,
+        ``run_sizes[r]`` of them for run ``r`` (default: one run), and
+        run ``r``'s atoms land in cells offset by ``r·n_cells``."""
         ids = self.linear_ids(self.cell_coords(positions))
+        n_runs = 1
+        if run_sizes is not None:
+            n_runs = len(run_sizes)
+            ids += self.n_cells * np.repeat(
+                np.arange(n_runs, dtype=np.int64), run_sizes
+            )
         self._order = np.argsort(ids, kind="stable")
         sorted_ids = ids[self._order]
         self._starts = np.searchsorted(
-            sorted_ids, np.arange(self.n_cells + 1)
+            sorted_ids, np.arange(n_runs * self.n_cells + 1)
         )
         self._built = True
-        self.build_count += 1
 
     def atoms_in_cell(self, cell_id: int) -> np.ndarray:
-        """Atom indices currently in one cell (requires build())."""
+        """Atom indices currently in one cell (requires build()); with
+        several runs, ``cell_id`` is the run-offset id."""
         if not self._built:
             raise RuntimeError("grid not built")
         return self._order[self._starts[cell_id] : self._starts[cell_id + 1]]
@@ -108,9 +126,10 @@ class LinkedCellGrid:
         number of *atoms and emitted pairs*, not the number of grid
         cells — dilute systems (huge, mostly-empty grids) previously
         paid thousands of tiny numpy calls per build.  The caller
-        (:meth:`NeighborList.build <repro.md.neighbors.NeighborList.build>`)
-        sorts the surviving pairs, so only the pair *set* is part of
-        the contract, not the emission order.
+        (:func:`repro.md.neighbors.build_lists`) sorts the surviving
+        pairs, so only the pair *set* is part of the contract, not the
+        emission order.  With several runs the indices are into the
+        run-major concatenation and every pair lies within one run.
         """
         if not self._built:
             raise RuntimeError("grid not built")
@@ -122,13 +141,17 @@ class LinkedCellGrid:
         if n == 0:
             self.last_candidates = 0
             return empty, empty.copy()
-        # cell id / coords of every *sorted slot* (atoms grouped by cell)
+        # cell id / coords of every *sorted slot* (atoms grouped by cell);
+        # coords are within the slot's run, whose first cell id is
+        # ``run_base``
         cell_of_slot = np.repeat(
-            np.arange(self.n_cells, dtype=np.int64), np.diff(starts)
+            np.arange(len(starts) - 1, dtype=np.int64), np.diff(starts)
         )
-        sx = cell_of_slot // (d[1] * d[2])
-        sy = (cell_of_slot // d[2]) % d[1]
-        sz = cell_of_slot % d[2]
+        local = cell_of_slot % self.n_cells
+        run_base = cell_of_slot - local
+        sx = local // (d[1] * d[2])
+        sy = (local // d[2]) % d[1]
+        sz = local % d[2]
         slots = np.arange(n, dtype=np.int64)
 
         def expand(first_slot, counts, src_slots):
@@ -175,7 +198,7 @@ class LinkedCellGrid:
                 )
                 nx, ny, nz = nx[valid], ny[valid], nz[valid]
                 a_slots = slots[valid]
-            nid = (nx * d[1] + ny) * d[2] + nz
+            nid = run_base[a_slots] + (nx * d[1] + ny) * d[2] + nz
             if self.periodic:
                 # wrapped offsets can land back on the source cell;
                 # those pairs are the intra-cell ones, already emitted

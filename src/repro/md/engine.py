@@ -22,8 +22,10 @@ all runs:
 * predict, boundary and correct act on ``(R, N, 3)`` stacks whose rows
   are the runs' own :class:`AtomSystem` arrays, so every system always
   holds its live state;
-* each run keeps its Verlet list (rebuild cadence is per run), and the
-  lists are spliced with run offsets into one pair list;
+* each run keeps its Verlet list (rebuild cadence is per run); the runs
+  due a rebuild rebuild together in one stacked linked-cell pass
+  (:func:`~repro.md.neighbors.build_lists`), and the lists are spliced
+  with run offsets into one pair list;
 * each force kernel evaluates every run's terms in one call on the
   run-major ``(R·N, 3)`` view and returns one :class:`ForceResult` per
   run (:meth:`Force.compute_runs`);
@@ -54,7 +56,7 @@ from repro.md.forces.coulomb import CoulombForce
 from repro.md.forces.lj import LennardJonesForce
 from repro.md.forces.morse import MorseForce
 from repro.md.integrator import TaylorPredictorCorrector
-from repro.md.neighbors import NeighborList
+from repro.md.neighbors import NeighborList, build_lists
 from repro.md.system import AtomSystem, kinetic_energies
 from repro.md.thermostat import BerendsenThermostat
 
@@ -322,9 +324,9 @@ class MDEngine:
 
     def _phase_rebuild(self) -> Tuple[List[bool], List[PhaseWork]]:
         """Phases 2+3 (the rebuild half of the fused 3+4 loop): one
-        stacked displacement test decides which runs rebuild; only
-        those runs rebuild their lists, and then the run-offset pair
-        list is re-spliced."""
+        stacked displacement test decides which runs rebuild; those
+        runs rebuild their lists in one stacked pass, and then the
+        run-offset pair list is re-spliced."""
         R, N = self.n_runs, self.system.n_atoms
         # runs that did not rebuild share one zero-work object (see
         # step_all for why sharing across runs is invisible)
@@ -334,13 +336,14 @@ class MDEngine:
         P = self.state.positions
         disp = np.abs(P - self._ref).max(axis=(1, 2))
         rebuilt = (disp > self.neighbors.skin / 2.0).tolist()
+        runs = [r for r in range(R) if rebuilt[r]]
+        self._rebuild(runs)
+        self._ref[runs] = P[runs]
         works = []
         for r, nl in enumerate(self.nlists):
             if not rebuilt[r]:
                 works.append(idle)
                 continue
-            nl.build(P[r], self.boundaries[r])
-            self._ref[r] = nl._ref_positions
             cand = nl.last_candidates
             # candidate examination distributes like list ownership
             per_atom = nl.per_atom_counts(N).astype(np.float64)
@@ -354,6 +357,16 @@ class MDEngine:
         if any(rebuilt):
             self._pairs.refresh(self.nlists, N)
         return rebuilt, works
+
+    def _rebuild(self, runs: List[int]) -> None:
+        """Rebuild the lists of ``runs`` from their current positions
+        in one stacked pass (:func:`build_lists`)."""
+        P = self.state.positions
+        build_lists(
+            [self.nlists[r] for r in runs],
+            [P[r] for r in runs],
+            [self.boundaries[r] for r in runs],
+        )
 
     def _phase_forces(self) -> List[tuple]:
         """Phases 4+5: each kernel evaluates every run's terms in one
@@ -424,10 +437,10 @@ class MDEngine:
         self._kernels = [f.replicate(R, N) for f in self.forces]
         self._pairs = None
         if self._needs_nlist:
-            for nl, positions, boundary in zip(
-                self.nlists, self.state.positions, self.boundaries
-            ):
-                nl.ensure(positions, boundary)
+            self._rebuild([
+                r for r, nl in enumerate(self.nlists)
+                if nl.needs_rebuild(self.state.positions[r])
+            ])
             #: stacked rebuild-reference positions, so the validity
             #: check is one array operation for every run
             self._ref = np.stack([nl._ref_positions for nl in self.nlists])

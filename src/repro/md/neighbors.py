@@ -11,11 +11,16 @@ is computed and stored for both atoms.  Thus, lower numbered atoms in
 general require more computation than higher indexed atoms."  The CSR
 view (:meth:`NeighborList.per_atom_counts`) exposes exactly that
 asymmetric per-atom work for the load-balance experiments.
+
+:func:`build_lists` rebuilds many runs' lists at once: runs that share
+a box, periodicity, cutoff and skin go through one stacked linked-cell
+pass, one distance filter and one sort.  :meth:`NeighborList.build` is
+its one-run case, so there is one build path.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -43,7 +48,6 @@ class NeighborList:
         self.pairs_i = np.zeros(0, dtype=np.int64)
         self.pairs_j = np.zeros(0, dtype=np.int64)
         self._ref_positions: Optional[np.ndarray] = None
-        self._grid: Optional[LinkedCellGrid] = None
         self.rebuild_count = 0
         self.last_candidates = 0
 
@@ -67,32 +71,7 @@ class NeighborList:
 
     def build(self, positions: np.ndarray, boundary: Boundary) -> None:
         """Phase 3: repopulate the linked cells and rebuild the list."""
-        reach = self.cutoff + self.skin
-        grid = LinkedCellGrid(
-            boundary.box, reach, periodic=boundary.periodic
-        )
-        grid.build(positions)
-        ci, cj = grid.candidate_pairs()
-        self.last_candidates = len(ci)
-        if len(ci):
-            dr = boundary.displacement(positions[ci] - positions[cj])
-            r2 = np.einsum("ij,ij->i", dr, dr)
-            keep = r2 <= reach * reach
-            ci, cj = ci[keep], cj[keep]
-        # sort by owner for CSR-style per-atom iteration
-        order = np.lexsort((cj, ci))
-        self.pairs_i = ci[order]
-        self.pairs_j = cj[order]
-        self._ref_positions = positions.copy()
-        self._grid = grid
-        self.rebuild_count += 1
-
-    def ensure(self, positions: np.ndarray, boundary: Boundary) -> bool:
-        """Rebuild if needed; returns True if a rebuild happened."""
-        if self.needs_rebuild(positions):
-            self.build(positions, boundary)
-            return True
-        return False
+        build_lists([self], [positions], [boundary])
 
     def per_atom_counts(self, n_atoms: int) -> np.ndarray:
         """Pairs *owned* by each atom (the lower index owns the pair) —
@@ -120,3 +99,70 @@ class NeighborList:
         if keep.all():  # skip the no-op filtered copies
             return self.pairs_i, self.pairs_j, dr
         return self.pairs_i[keep], self.pairs_j[keep], dr[keep]
+
+
+def build_lists(
+    nlists: Sequence[NeighborList],
+    positions: Sequence[np.ndarray],
+    boundaries: Sequence[Boundary],
+) -> None:
+    """Rebuild ``nlists[r]`` from run ``r``'s ``positions[r]`` inside
+    ``boundaries[r]``, for every run: one stacked linked-cell pass per
+    group of runs with the same boundary box, periodicity, cutoff and
+    skin.  Each list ends exactly as a build of its run alone would
+    leave it: the same pairs in the same order, the same
+    ``last_candidates``."""
+    groups: Dict[tuple, List[int]] = {}
+    for r, (nl, boundary) in enumerate(zip(nlists, boundaries)):
+        key = (
+            type(boundary), boundary.box.tobytes(), boundary.periodic,
+            nl.cutoff, nl.skin,
+        )
+        groups.setdefault(key, []).append(r)
+    for runs in groups.values():
+        _build_group(
+            [nlists[r] for r in runs],
+            [positions[r] for r in runs],
+            boundaries[runs[0]],
+        )
+
+
+def _build_group(
+    nlists: Sequence[NeighborList],
+    positions: Sequence[np.ndarray],
+    boundary: Boundary,
+) -> None:
+    """One linked-cell pass, filter and sort for runs sharing
+    ``boundary`` and their lists' cutoff and skin."""
+    reach = nlists[0].cutoff + nlists[0].skin
+    sizes = [len(p) for p in positions]
+    offsets = np.zeros(len(sizes) + 1, dtype=np.int64)
+    np.cumsum(sizes, out=offsets[1:])
+    # one copy: the candidates' coordinates and every run's reference
+    flat = np.concatenate(positions)
+    grid = LinkedCellGrid(boundary.box, reach, periodic=boundary.periodic)
+    grid.build(flat, sizes)
+    ci, cj = grid.candidate_pairs()
+    # every pair lies within one run, so its run follows from i
+    run_of = np.repeat(np.arange(len(sizes)), sizes)
+    candidates = np.bincount(run_of[ci], minlength=len(sizes))
+    if len(ci):
+        dr = boundary.displacement(flat[ci] - flat[cj])
+        r2 = np.einsum("ij,ij->i", dr, dr)
+        keep = r2 <= reach * reach
+        ci, cj = ci[keep], cj[keep]
+    # sort by owner for CSR-style per-atom iteration; the global sort
+    # leaves each run's pairs contiguous and in run order
+    order = np.lexsort((cj, ci))
+    ci, cj = ci[order], cj[order]
+    cuts = np.searchsorted(ci, offsets).tolist()
+    shift = offsets[run_of[ci]]
+    ci -= shift
+    cj -= shift
+    for r, nl in enumerate(nlists):
+        lo, hi = cuts[r], cuts[r + 1]
+        nl.pairs_i = ci[lo:hi]
+        nl.pairs_j = cj[lo:hi]
+        nl._ref_positions = flat[offsets[r]:offsets[r + 1]]
+        nl.last_candidates = int(candidates[r])
+        nl.rebuild_count += 1

@@ -112,6 +112,29 @@ def _reduce_plain(obj: Any) -> tuple:
     return copyreg.__newobj__, (type(obj),), obj.__dict__ or None
 
 
+#: numpy's reconstructor and dummy-dtype byte, taken from a real
+#: reduce so pickle's memo sees the very objects numpy's own path uses
+_RECONSTRUCT, (_, _, _DUMMY_DTYPE), _ = np.zeros(0).__reduce__()
+#: a name, not a literal ``(0,)``: a constant tuple would be one object
+#: for every array, and the memo would emit a reference after its first
+_ZERO = 0
+
+
+def _reduce_ndarray(a: np.ndarray) -> tuple:
+    """``np.ndarray.__reduce__``'s tuple, built in Python for a
+    C-contiguous array without object items (numpy's C path imports
+    its reconstructor's module on every call).  The inner tuples are
+    fresh per call, as numpy's are, so the memo emits the same
+    opcodes.  Every other array takes numpy's path."""
+    if not a.flags.c_contiguous or a.dtype.hasobject:
+        return a.__reduce__()
+    return (
+        _RECONSTRUCT,
+        (np.ndarray, (_ZERO,), _DUMMY_DTYPE),
+        (1, a.shape, a.dtype, False, a.tobytes()),
+    )
+
+
 #: per-type reducers for the objects a capture trace holds thousands
 #: of; each returns exactly what the default path would, so the pickle
 #: bytes are unchanged (``tests/runcache/test_pickle_oracle.py``)
@@ -119,7 +142,7 @@ _REDUCERS = {
     StepReport: _reduce_plain,
     PhaseWork: _reduce_plain,
     ForceResult: _reduce_plain,
-    np.ndarray: np.ndarray.__reduce__,
+    np.ndarray: _reduce_ndarray,
 }
 
 

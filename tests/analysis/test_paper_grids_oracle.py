@@ -46,8 +46,7 @@ from repro.targets import (
 )
 from repro.workloads import BUILDERS
 
-#: Table III's cost is its background load (ten simulated seconds per
-#: row, whatever the step count), so one step shows every row
+#: one step shows every row's configuration and background load
 TABLE3_STEPS = 1
 
 # -- the old drivers ----------------------------------------------------------

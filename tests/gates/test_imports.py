@@ -1,16 +1,20 @@
 """Import footprint gate: the package's entry points and the nanocar
-builder load neither scipy nor networkx.
+builder load neither scipy nor networkx, and the CLI's ``--version``,
+help and usage errors load no numpy.
 
 Every ``repro`` command, sweep worker and benchmark process pays for
-what these modules import at start-up.  The check runs in a fresh
-interpreter, so nothing an earlier test imported can mask a regression,
-and it reads ``sys.modules`` only — no timing.
+what these modules import at start-up.  The checks run in fresh
+interpreters, so nothing an earlier test imported can mask a
+regression, and they read which modules were imported only — no
+timing.
 """
 
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 SRC = Path(__file__).resolve().parents[2] / "src"
 
@@ -31,3 +35,31 @@ def test_entry_points_and_nanocar_import_no_scipy_or_networkx():
         env=env, capture_output=True, text=True, check=True,
     )
     assert proc.stdout.split() == []
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["--version"], 0),
+        ([], 2),                      # no command: help
+        (["fig1", "--steps", "0"], 2),  # a usage error
+        (["no-such-command"], 2),
+    ],
+)
+def test_cli_version_help_and_usage_errors_import_no_numpy(argv, code):
+    """``python -m repro`` imports each command's modules only when
+    the command runs; ``-X importtime`` lists every module the
+    interpreter imported."""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run(
+        [sys.executable, "-X", "importtime", "-m", "repro", *argv],
+        env=env, capture_output=True, text=True,
+    )
+    assert proc.returncode == code
+    imported = [
+        line.rsplit("|", 1)[-1].strip()
+        for line in proc.stderr.splitlines()
+        if line.startswith("import time:")
+    ]
+    assert "repro.cli" in imported
+    assert [m for m in imported if m.split(".")[0] == "numpy"] == []

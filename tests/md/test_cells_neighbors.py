@@ -144,15 +144,17 @@ def test_needs_rebuild_on_displacement():
     assert nl.needs_rebuild(moved)
 
 
-def test_ensure_rebuild_counting():
+def test_rebuild_counting():
     rng = np.random.default_rng(4)
     box = np.array([20.0, 20.0, 20.0])
     pos = rng.uniform(0, 20, (50, 3))
     boundary = ReflectiveBox(box)
     nl = NeighborList(cutoff=4.0, skin=1.0)
-    assert nl.ensure(pos, boundary) is True
-    assert nl.ensure(pos, boundary) is False
+    nl.build(pos, boundary)
+    assert not nl.needs_rebuild(pos)
     assert nl.rebuild_count == 1
+    nl.build(pos, boundary)
+    assert nl.rebuild_count == 2
 
 
 def test_per_atom_counts_ownership_asymmetry():

@@ -82,6 +82,42 @@ def test_edge_objects_match_pickle():
     ])
 
 
+@pytest.mark.parametrize(
+    "array",
+    [
+        np.asfortranarray(np.arange(12.0).reshape(3, 4)),
+        np.arange(20.0)[::3],
+        np.arange(24.0).reshape(4, 6)[1:, ::2],
+        np.array(3.5),
+        np.zeros(0),
+        np.zeros((0, 3), dtype=np.int64),
+        np.array([True, False, True]),
+        np.arange(5, dtype=np.int32),
+        np.arange(4.0).astype(">f8"),
+        np.array([1, "a", None], dtype=object),
+        np.arange(3.0).view(Sub),
+    ],
+    ids=[
+        "fortran", "strided", "strided-2d", "0-d", "empty", "empty-2d",
+        "bool", "int32", "big-endian", "object", "subclass",
+    ],
+)
+def test_array_kinds_match_pickle(array):
+    """The table's ndarray reducer builds numpy's own reduce tuple for
+    C-contiguous arrays and hands every other array to numpy."""
+    _same_bytes(array)
+    _same_bytes({"a": [array, array], "b": (array,)})
+
+
+def test_repeated_arrays_hit_the_memo_like_pickle():
+    """One array object several times in one artifact pickles once and
+    is then memo references; equal but distinct arrays do not share."""
+    a = np.arange(8.0)
+    f = np.asfortranarray(np.ones((2, 3)))
+    _same_bytes([a, a, np.arange(8.0), f, a, f, {"k": a}])
+    _same_bytes([PhaseWork(a), PhaseWork(a), a])
+
+
 @pytest.mark.parametrize("cls", [StepReport, PhaseWork, ForceResult])
 def test_table_classes_keep_the_default_reduce(cls):
     """The table is only exact while these classes pickle by the
