@@ -33,8 +33,9 @@ attribute  speedup-loss decomposition (work inflation, idle,
 chaos      fault-injection sweep: arm fault plans, assert the
            self-healing runtime completes every run
 cache      content-addressed run cache: stats | clear | verify |
-           salt (trace/attribute/chaos cache by default; opt out
-           with --no-cache; fig1/table3/scorecard always cache)
+           salt (trace/attribute/chaos cache by default; with
+           --no-cache they sweep through a throwaway store;
+           fig1/table3/scorecard always cache)
 report     merge a telemetry run directory into a unified
            timeline, a Perfetto trace, a Prometheus exposition,
            and one self-contained HTML sweep report
@@ -125,7 +126,8 @@ def _ensure_outdir(path: str) -> str:
 
 
 def _run_cache(args):
-    """The content-addressed run cache, or None under ``--no-cache``.
+    """The content-addressed run cache, or None under ``--no-cache``
+    (a sweep then runs against a throwaway store it removes on return).
 
     The cache changes wall-clock only — every cached artifact is
     byte-identical to a fresh run (see ``repro cache verify``) — so
@@ -282,21 +284,18 @@ def cmd_run(args) -> None:
 def cmd_trace(args) -> None:
     """Run a workload under ground-truth tracing; write trace + metrics.
 
-    Both the cached and the fresh path produce the same artifact bundle
-    (file bytes + summary) through ``repro.runcache.sweep``, so the
-    files and the stdout summary are byte-identical either way.
+    The artifact bundle (file bytes + summary) comes from one
+    ``repro.runcache.sweep`` — through the run cache, or its throwaway
+    store under ``--no-cache`` — so the files and the stdout summary
+    are byte-identical either way.
     """
-    from repro.runcache import execute_spec, run_and_store, trace_spec
+    from repro.runcache import sweep, trace_spec
 
     _machine_spec(args.machine)  # validate before digesting
     spec = trace_spec(
         args.workload, args.steps, args.threads, args.machine, args.seed
     )
-    cache = _run_cache(args)
-    if cache is None:
-        artifact = execute_spec(spec)
-    else:
-        artifact, _hit = run_and_store(cache, spec)
+    (artifact,) = sweep([spec], _run_cache(args)).artifacts
 
     _ensure_outdir(args.out)
     paths = {}
@@ -569,35 +568,23 @@ def cmd_sweep(args) -> None:
 def cmd_attribute(args) -> None:
     """Decompose the speedup loss of one workload × thread count."""
     from repro.obs import (
-        attribute,
         attribution_csv,
         render_attribution,
         result_to_dict,
         write_folded_stacks,
     )
+    from repro.runcache import attribute_cached
 
-    spec = _machine_spec(args.machine)
-    cache = _run_cache(args)
-    if cache is None:
-        res = attribute(
-            _workload_name(args.workload),
-            args.threads,
-            spec=spec,
-            steps=args.steps,
-            seed=args.seed,
-        )
-    else:
-        from repro.runcache import attribute_cached
-
-        res = attribute_cached(
-            _workload_name(args.workload),
-            args.threads,
-            spec=args.machine,
-            steps=args.steps,
-            seed=args.seed,
-            cache=cache,
-            jobs=args.jobs,
-        )
+    _machine_spec(args.machine)  # validate before digesting
+    res = attribute_cached(
+        _workload_name(args.workload),
+        args.threads,
+        spec=args.machine,
+        steps=args.steps,
+        seed=args.seed,
+        cache=_run_cache(args),
+        jobs=args.jobs,
+    )
     print(render_attribution(res))
     if args.out:
         _ensure_outdir(args.out)
@@ -765,7 +752,8 @@ def _add_cache_flags(p, jobs: bool = True) -> None:
     cache by default."""
     p.add_argument(
         "--no-cache", action="store_true",
-        help="bypass the run cache and re-simulate from scratch",
+        help="bypass the run cache: re-simulate from scratch through "
+        "a throwaway store",
     )
     p.add_argument(
         "--cache-dir", default=None,

@@ -22,11 +22,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence, Union
 
 from repro.concurrent import QueueMode
-from repro.core.simulate import (
-    SimulatedParallelRun,
-    capture_trace,
-    trace_atoms,
-)
+from repro.core.simulate import SimulatedParallelRun, trace_atoms
 from repro.faults.plan import (
     FaultPlan,
     GcAmplify,
@@ -41,7 +37,7 @@ from repro.machine.machine import SimMachine
 from repro.machine.topology import CORE_I7_920, MachineSpec
 from repro.obs.tracer import Tracer
 from repro.telemetry import runtime as telemetry_runtime
-from repro.workloads import BUILDERS, resolve_workload
+from repro.workloads import resolve_workload
 
 CHAOS_SCHEMA = "repro.chaos/1"
 
@@ -163,18 +159,19 @@ def _traced_replay(
 
 
 def run_chaos_case(
-    workload: Union[str, object],
+    workload: str,
     plan: Optional[FaultPlan],
     n_threads: int = 4,
     *,
     spec: Union[str, MachineSpec] = CORE_I7_920,
     steps: int = 3,
     seed: int = 0,
-    trace=None,
+    trace,
     phase_timeout_factor: float = 20.0,
     queue_mode: QueueMode = QueueMode.SINGLE,
 ) -> dict:
-    """One workload × plan chaos case; returns the checks dict.
+    """One workload × plan chaos case on a captured ``trace`` of
+    ``steps`` steps; returns the checks dict.
 
     ``phase_timeout_factor`` scales the fault-free duration into the
     hardened master's per-phase stall bound (generous: a phase is
@@ -184,12 +181,7 @@ def run_chaos_case(
         from repro.machine import MACHINES
 
         spec = MACHINES[spec]
-    wl = None if isinstance(workload, str) else workload
-    name = wl.name if wl is not None else resolve_workload(workload)
-    if trace is None:
-        trace = capture_trace(
-            wl if wl is not None else BUILDERS[name](), steps
-        )
+    name = resolve_workload(workload)
     # the capture carries the atom count: a replay builds no workload
     n_atoms = trace_atoms(trace)
     physics = physics_invariants(trace, n_atoms)
@@ -306,71 +298,69 @@ def chaos_sweep(
 
     With ``plans=None`` the default plan battery is generated per
     workload from its measured fault-free duration (plus a fault-free
-    control case).  With a :class:`repro.runcache.RunCache`, the
-    fault-free references and every case run through the content-
-    addressed store (misses fanned out over ``jobs`` workers) — the
-    payload is value-identical to the uncached sweep's.
+    control case).  Two staged spec sweeps run it: the fault-free
+    references first (the default battery's timings derive from them),
+    then every case.  Both go through the content-addressed store
+    (misses fanned out over ``jobs`` workers); ``cache=None`` is the
+    sweep's throwaway store, so the payload is the same either way.
     """
+    from repro.runcache.key import RunSpec
+    from repro.runcache.sweep import machine_key
+    from repro.runcache.sweep import sweep as run_sweep
+
     if isinstance(spec, str):
         from repro.machine import MACHINES
 
         spec = MACHINES[spec]
     names = [resolve_workload(w) for w in workloads]
+    mkey = machine_key(spec)
+
+    def _spec(kind, wname, fault_plan=None):
+        return RunSpec(
+            kind=kind,
+            workload=wname,
+            steps=steps,
+            seed=seed,
+            threads=n_threads,
+            machine=mkey,
+            fault_plan=fault_plan,
+            options={"gc_model": "chaos"},
+        )
+
     with telemetry_runtime.current().span(
         "chaos.sweep",
         workloads=",".join(names),
         threads=n_threads,
         cached=cache is not None,
     ):
-        if cache is not None:
-            return _chaos_sweep_cached(
-                names, n_threads, plans=plans, spec=spec, steps=steps,
-                seed=seed, cache=cache, jobs=jobs,
+        ref_specs = {name: _spec("chaos_ref", name) for name in names}
+        ref_result = run_sweep(list(ref_specs.values()), cache, jobs=jobs)
+
+        order: List[tuple] = []  # (plan-name, spec)
+        for name in names:
+            t0 = ref_result.artifact_for(ref_specs[name])["sim_seconds"]
+            battery = (
+                plans
+                if plans is not None
+                else default_plans(t0, n_threads, spec.n_pus)
             )
-        return _chaos_sweep_serial(
-            names, n_threads, plans=plans, spec=spec, steps=steps,
-            seed=seed,
-        )
+            cases: Dict[str, Optional[FaultPlan]] = {"none": None}
+            cases.update(battery)
+            for pname, plan in cases.items():
+                order.append((
+                    pname,
+                    _spec(
+                        "chaos_case", name,
+                        plan.to_dict() if plan is not None else None,
+                    ),
+                ))
+        case_result = run_sweep([s for _, s in order], cache, jobs=jobs)
 
-
-def _chaos_sweep_serial(
-    names: Sequence[str],
-    n_threads: int,
-    *,
-    plans: Optional[Dict[str, FaultPlan]],
-    spec: MachineSpec,
-    steps: int,
-    seed: int,
-) -> dict:
     runs: List[dict] = []
-    for wname in names:
-        wl = BUILDERS[wname]()
-        trace = capture_trace(wl, steps)
-        machine0 = SimMachine(spec, seed=seed)
-        ref = SimulatedParallelRun(
-            trace, wl.system.n_atoms, machine0, n_threads,
-            name=wl.name, gc_model=_chaos_gc_model(),
-        ).run()
-        battery = (
-            plans
-            if plans is not None
-            else default_plans(
-                ref.sim_seconds, n_threads, spec.n_pus
-            )
-        )
-        cases: Dict[str, Optional[FaultPlan]] = {"none": None}
-        cases.update(battery)
-        for pname, plan in cases.items():
-            case = run_chaos_case(
-                wl, plan, n_threads,
-                spec=spec, steps=steps, seed=seed, trace=trace,
-            )
-            case["plan"] = pname
-            runs.append(case)
-    return _chaos_payload(spec, steps, seed, n_threads, list(names), runs)
-
-
-def _chaos_payload(spec, steps, seed, n_threads, names, runs) -> dict:
+    for (pname, _), case in zip(order, case_result.artifacts):
+        case = dict(case)  # cached artifacts may be shared; never mutate
+        case["plan"] = pname
+        runs.append(case)
     return {
         "schema": CHAOS_SCHEMA,
         "machine": spec.name,
@@ -386,72 +376,6 @@ def _chaos_payload(spec, steps, seed, n_threads, names, runs) -> dict:
         "all_ok": all(r["ok"] for r in runs),
         "runs": runs,
     }
-
-
-def _chaos_sweep_cached(
-    names: Sequence[str],
-    n_threads: int,
-    *,
-    plans: Optional[Dict[str, FaultPlan]],
-    spec: MachineSpec,
-    steps: int,
-    seed: int,
-    cache,
-    jobs: Optional[int],
-) -> dict:
-    """Cache-backed sweep body: two staged spec sweeps (fault-free
-    references first — the default battery's timings derive from them —
-    then every case), value-identical to the serial path."""
-    from repro.runcache.key import RunSpec
-    from repro.runcache.sweep import machine_key
-    from repro.runcache.sweep import sweep as run_sweep
-
-    mkey = machine_key(spec)
-
-    def _spec(kind, wname, fault_plan=None):
-        return RunSpec(
-            kind=kind,
-            workload=wname,
-            steps=steps,
-            seed=seed,
-            threads=n_threads,
-            machine=mkey,
-            fault_plan=fault_plan,
-            options={"gc_model": "chaos"},
-        )
-
-    ref_specs = {name: _spec("chaos_ref", name) for name in names}
-    ref_result = run_sweep(list(ref_specs.values()), cache, jobs=jobs)
-
-    order: List[tuple] = []  # (workload, plan-name, spec)
-    for name in names:
-        t0 = ref_result.artifact_for(ref_specs[name])["sim_seconds"]
-        battery = (
-            plans
-            if plans is not None
-            else default_plans(t0, n_threads, spec.n_pus)
-        )
-        cases: Dict[str, Optional[FaultPlan]] = {"none": None}
-        cases.update(battery)
-        for pname, plan in cases.items():
-            order.append((
-                name,
-                pname,
-                _spec(
-                    "chaos_case", name,
-                    plan.to_dict() if plan is not None else None,
-                ),
-            ))
-    case_result = run_sweep([s for _, _, s in order], cache, jobs=jobs)
-
-    runs: List[dict] = []
-    for (name, pname, _cspec), case in zip(
-        order, case_result.artifacts
-    ):
-        case = dict(case)  # cached artifacts may be shared; never mutate
-        case["plan"] = pname
-        runs.append(case)
-    return _chaos_payload(spec, steps, seed, n_threads, list(names), runs)
 
 
 def render_chaos(payload: dict) -> str:

@@ -55,10 +55,11 @@ def toolerror_cell(
     *,
     seed: int = 0,
     periods: Sequence[float] = DEFAULT_PERIODS,
-    trace: Optional[Sequence] = None,
+    trace: Sequence,
     fault_plan=None,
 ) -> dict:
-    """Score every modeled tool on one (workload, machine) cell.
+    """Score every modeled tool on one (workload, machine) cell of a
+    captured ``trace``.
 
     Returns a JSON-able dict: per-tool ``{error, metric, detail}`` plus
     the JXPerf wasteful-op ranking and the timer-ablation distortions.
@@ -68,11 +69,7 @@ def toolerror_cell(
     the cell — ground truth and tools alike — so the errors measure how
     each tool copes with a *perturbed* execution, not a different one.
     """
-    from repro.core.simulate import (
-        SimulatedParallelRun,
-        capture_trace,
-        trace_atoms,
-    )
+    from repro.core.simulate import SimulatedParallelRun, trace_atoms
     from repro.jvm.gc import AllocationRecorder
     from repro.jvm.layout import VECTOR3_LAYOUT, atom_object_graph
     from repro.machine import MACHINES, SimMachine
@@ -93,12 +90,10 @@ def toolerror_cell(
         profiler_disagreement,
         true_hot_methods,
     )
-    from repro.workloads import BUILDERS, resolve_workload
+    from repro.workloads import resolve_workload
 
     name = resolve_workload(workload)
     spec = MACHINES[machine]
-    if trace is None:
-        trace = capture_trace(BUILDERS[name](), steps)
     # the capture carries the atom count: a replay builds no workload
     n_atoms = trace_atoms(trace)
 

@@ -7,9 +7,9 @@ lockstep MD engine runs in one pass.  The loop owns submission, retries
 with decorrelated-jitter backoff, quarantine, the journal records and
 the ``shard`` spans; the only thing that varies is where a unit runs:
 
-* **in-process** when there is no cache, ``jobs=1`` or a single unit,
-  and after *degradation*: the pool could not start, or broke more
-  than ``pool_restart_limit`` times (each break halves it);
+* **in-process** when ``jobs=1`` or there is a single unit, and after
+  *degradation*: the pool could not start, or broke more than
+  :data:`POOL_RESTART_LIMIT` times (each break halves it);
 * **in a** ``ProcessPoolExecutor`` **worker** otherwise.  A worker
   publishes into the shared cache and the parent reloads the artifact;
   an artifact missing on reload is a failed attempt re-run in-process.
@@ -265,6 +265,16 @@ def journal_specs(state: JournalState) -> List[RunSpec]:
 # -- supervision -------------------------------------------------------------
 
 
+#: decorrelated-jitter backoff between retries: sleep ~ U(base, 3*prev),
+#: capped, from a seeded generator
+BASE_BACKOFF = 0.05
+MAX_BACKOFF = 2.0
+BACKOFF_SEED = 0
+#: pool rebuilds (each halving the worker count) before the remaining
+#: units run in-process
+POOL_RESTART_LIMIT = 3
+
+
 @dataclass(frozen=True)
 class SupervisionPolicy:
     """How hard the sweep fights before giving up on a spec."""
@@ -274,18 +284,9 @@ class SupervisionPolicy:
     max_attempts: int = 3
     #: per-attempt wall-clock limit in seconds; None = unlimited
     timeout: Optional[float] = None
-    #: decorrelated-jitter backoff: sleep ~ U(base, 3*prev), capped
-    base_backoff: float = 0.05
-    max_backoff: float = 2.0
-    backoff_seed: int = 0
-    #: pool rebuilds (each halving the worker count) before the
-    #: remaining units run in-process
-    pool_restart_limit: int = 3
     #: True: exhausted/poisoned specs land in SweepResult.quarantined;
     #: False: the final error propagates (the historical semantics)
     quarantine: bool = True
-    #: on resume, re-attempt previously quarantined digests
-    retry_quarantined: bool = False
     #: injection point for tests; production is time.sleep
     sleep: Callable[[float], None] = field(
         default=time.sleep, repr=False, compare=False
@@ -308,16 +309,13 @@ class Backoff:
     """Decorrelated-jitter exponential backoff (seeded, so chaos runs
     sleep the same schedule every time)."""
 
-    def __init__(self, policy: SupervisionPolicy):
-        self._rng = random.Random(policy.backoff_seed)
-        self._base = max(policy.base_backoff, 0.0)
-        self._cap = max(policy.max_backoff, self._base)
-        self._prev = self._base
+    def __init__(self):
+        self._rng = random.Random(BACKOFF_SEED)
+        self._prev = BASE_BACKOFF
 
     def next(self) -> float:
         self._prev = min(
-            self._cap,
-            self._rng.uniform(self._base, max(self._prev * 3, self._base)),
+            MAX_BACKOFF, self._rng.uniform(BASE_BACKOFF, self._prev * 3)
         )
         return self._prev
 
@@ -527,7 +525,7 @@ class _Supervisor:
         self.journal = journal
         self.emitter = emitter
         self.out = Outcome()
-        self.backoff = Backoff(policy)
+        self.backoff = Backoff()
         self.sweep_id: Optional[str] = None
         self.tel_root: Optional[str] = None
         self.queue: Deque[Unit] = deque()
@@ -573,7 +571,7 @@ class _Supervisor:
 
     def _rebuild(self) -> None:
         """Replace a broken pool with one half its size; past
-        ``pool_restart_limit``, degrade to in-process."""
+        :data:`POOL_RESTART_LIMIT`, degrade to in-process."""
         # every sibling future of a broken pool is doomed
         for fut, (unit, pooled) in list(self.pending.items()):
             if pooled:
@@ -589,7 +587,7 @@ class _Supervisor:
             "sweep.pool_restart", restarts=self.restarts,
             workers=self.workers,
         )
-        if self.restarts > self.policy.pool_restart_limit:
+        if self.restarts > POOL_RESTART_LIMIT:
             self._degrade()
             return
         self.policy.sleep(self.backoff.next())
@@ -745,7 +743,7 @@ class _Supervisor:
         """An infrastructure failure — a worker death, a timeout kill, a
         lost publish — is always retried and never quarantined.  It uses
         up no attempts: each death breaks the pool, so
-        ``pool_restart_limit`` bounds them."""
+        :data:`POOL_RESTART_LIMIT` bounds them."""
         self._journal_failed(unit, message, True)
         self._retry(unit, message)
 
@@ -859,8 +857,8 @@ def supervise(
     capture has ``threads = 0`` and keeps its place among captures).
     The order decides which unit claims a nested capture and what the
     journal's ``submitted`` records follow; ``executed`` stays in miss
-    order.  The units run in-process when there is no cache, ``jobs`` is 1 or
-    there is only one unit; otherwise under a ``fanout`` span across a
+    order.  The units run in-process when ``jobs`` is 1 or there is
+    only one unit; otherwise under a ``fanout`` span across a
     ``ProcessPoolExecutor`` of ``min(jobs, units)`` workers that
     publish into the shared store, degrading to in-process when the
     pool cannot start or breaks too often.  With a telemetry run active
@@ -879,7 +877,7 @@ def supervise(
     sup = _Supervisor(cache, policy, journal, emitter)
     sup.out.units = len(units)
     workers = min(jobs, len(units))
-    if cache is None or workers < 2:
+    if workers < 2:
         sup.run(units)
     else:
         ephemeral = None

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import os
 import tempfile
-from contextvars import ContextVar
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
@@ -241,25 +240,12 @@ def nested_capture(spec: RunSpec) -> Optional[RunSpec]:
     return capture_spec(spec.workload, spec.steps)
 
 
-#: per no-cache sweep: capture encoding -> trace, so a sweep without a
-#: cache captures each nested dependency once; None outside such a sweep
-_SWEEP_CAPTURES: ContextVar[Optional[Dict[str, Any]]] = ContextVar(
-    "repro_sweep_captures", default=None
-)
-
-
 def _load_capture(cache: Optional[RunCache], spec: RunSpec):
-    """A capture artifact through the cache, or — without one — the
-    current no-cache sweep's memo, else a fresh capture."""
-    if cache is not None:
-        return run_and_store(cache, spec)[0]
-    memo = _SWEEP_CAPTURES.get()
-    if memo is None:
+    """A capture artifact through the cache, or a fresh capture without
+    one."""
+    if cache is None:
         return _execute_capture(spec)
-    key = spec.encode()
-    if key not in memo:
-        memo[key] = _execute_capture(spec)
-    return memo[key]
+    return run_and_store(cache, spec)[0]
 
 
 def cached_capture(
@@ -267,9 +253,8 @@ def cached_capture(
 ):
     """The captured physics trace for a workload, through the cache.
 
-    ``cache=None`` degrades to a plain :func:`capture_trace` call
-    (memoized inside a no-cache :func:`sweep`), so callers need no
-    branching.
+    ``cache=None`` degrades to a plain :func:`capture_trace` call, so
+    callers need no branching.
     """
     return _load_capture(cache, capture_spec(workload, steps))
 
@@ -490,14 +475,14 @@ def run_and_store(
 
 def prepare_unit(
     specs: Sequence[RunSpec],
-) -> Callable[[Optional[RunCache]], List[Any]]:
+) -> Callable[[RunCache], List[Any]]:
     """A unit of work as a deferred ``execute(cache) -> artifacts``.
 
-    One spec executes and is stored (plain :func:`execute_spec` without
-    a cache): the sweep's lookup pass already missed it, so it is not
-    looked up again unless an entry has landed since — a sibling's
-    nested capture load, or an earlier attempt that stored before it
-    died — in which case it goes through :func:`run_and_store`.
+    One spec executes and is stored: the sweep's lookup pass already
+    missed it, so it is not looked up again unless an entry has landed
+    since — a sibling's nested capture load, or an earlier attempt that
+    stored before it died — in which case it goes through
+    :func:`run_and_store`.
     Several specs are a capture batch of one workload and step count,
     run by :func:`~repro.ensemble.ensemble_capture`; each run is stored
     under its own digest.
@@ -505,9 +490,7 @@ def prepare_unit(
     if len(specs) == 1:
         (spec,) = specs
 
-        def execute(cache: Optional[RunCache]) -> List[Any]:
-            if cache is None:
-                return [execute_spec(spec)]
+        def execute(cache: RunCache) -> List[Any]:
             if cache.contains(spec):
                 return [run_and_store(cache, spec)[0]]
             artifact = execute_spec(spec, cache=cache)
@@ -516,7 +499,7 @@ def prepare_unit(
 
         return execute
 
-    def execute_batch(cache: Optional[RunCache]) -> List[Any]:
+    def execute_batch(cache: RunCache) -> List[Any]:
         from repro.ensemble import ensemble_capture
 
         if "REPRO_PROCESS_FAULTS" in os.environ:  # chaos harness only
@@ -527,9 +510,8 @@ def prepare_unit(
         artifacts = ensemble_capture(
             specs[0].workload, specs[0].steps, [spec.seed for spec in specs]
         )
-        if cache is not None:
-            for spec, artifact in zip(specs, artifacts):
-                cache.put(spec, artifact)
+        for spec, artifact in zip(specs, artifacts):
+            cache.put(spec, artifact)
         return artifacts
 
     return execute_batch
@@ -630,18 +612,18 @@ def sweep(
 ) -> SweepResult:
     """Dedupe ``specs`` against the cache and execute the misses.
 
-    Without a cache every *distinct* spec executes in-process
-    (duplicates still dedupe).  The misses go to the supervisor
+    ``cache=None`` runs against a throwaway :class:`RunCache` in a
+    temporary directory, removed when the sweep returns, so a cache-less
+    sweep takes the same path as a cached one and only misses.  The
+    misses go to the supervisor
     (:func:`repro.runcache.resilience.supervise`) as units of work — a
     homogeneous capture batch runs through one lockstep engine as one
-    unit.  With a cache and more than one unit they run
-    across a ``ProcessPoolExecutor`` of ``jobs`` workers (default
-    :func:`default_jobs`) that publish into the shared store; a pool
-    that cannot start degrades to in-process.  A unit whose
-    :func:`nested_capture` another pending pool unit is computing is
-    held back until that unit ends or the capture is stored, so each
-    capture is computed once; without a cache the sweep memoizes its
-    nested captures in memory for its own lifetime.
+    unit.  More than one unit runs across a ``ProcessPoolExecutor`` of
+    ``jobs`` workers (default :func:`default_jobs`) that publish into
+    the shared store; a pool that cannot start degrades to in-process.
+    A unit whose :func:`nested_capture` another pending pool unit is
+    computing is held back until that unit ends or the capture is
+    stored, so each capture is computed once.
 
     Crash safety (see :mod:`repro.runcache.resilience`):
 
@@ -649,15 +631,20 @@ def sweep(
       ``dir/sweep-journal.jsonl``;
     * ``resume=dir`` additionally *replays* that journal first —
       digests journaled finished and still cached are served without
-      re-execution, previously quarantined digests stay quarantined
-      (unless ``policy.retry_quarantined``), and journaling continues
-      into the same file;
+      re-execution, previously quarantined digests stay quarantined,
+      and journaling continues into the same file;
     * ``policy`` sets retries/timeout/quarantine.  Plain calls get
       :data:`~repro.runcache.resilience.PROPAGATE_POLICY` (first error
       propagates); journaled or resumed sweeps default to the
       supervised :class:`SupervisionPolicy` (bounded retries,
       quarantine instead of raise).
     """
+    if cache is None:
+        with tempfile.TemporaryDirectory(prefix="repro-sweep-") as tmp:
+            return sweep(
+                specs, RunCache(tmp), jobs,
+                journal=journal, resume=resume, policy=policy,
+            )
     if resume is not None and journal is not None and (
         Path(resume) != Path(journal)
     ):
@@ -690,19 +677,12 @@ def sweep(
             unique: Dict[str, RunSpec] = {}
             keys: List[str] = []
             for spec in specs:
-                key = (
-                    cache.digest(spec)
-                    if cache is not None
-                    else spec.encode()
-                )
+                key = cache.digest(spec)
                 keys.append(key)
                 unique.setdefault(key, spec)
 
             prior_completed = prior.completed if prior else set()
-            prior_quarantined = (
-                {} if prior is None or policy.retry_quarantined
-                else prior.quarantined
-            )
+            prior_quarantined = prior.quarantined if prior else {}
             artifacts: Dict[str, Any] = {}
             hit_by_key: Dict[str, bool] = {}
             misses: List[Tuple[str, RunSpec]] = []
@@ -723,11 +703,7 @@ def sweep(
                 else:
                     lookup.append((key, spec))
             # one pass over the store for every spec still wanted
-            found = (
-                cache._lookup([spec for _, spec in lookup])
-                if cache is not None
-                else [None] * len(lookup)
-            )
+            found = cache._lookup([spec for _, spec in lookup])
             for (key, spec), artifact in zip(lookup, found):
                 if artifact is not None:
                     artifacts[key] = artifact
@@ -751,20 +727,14 @@ def sweep(
                 resumed=resume is not None,
             )
 
-            # without a cache, each nested capture is memoized for the
-            # lifetime of this sweep only
-            memo = _SWEEP_CAPTURES.set({} if cache is None else None)
-            try:
-                outcome = (
-                    resilience.supervise(
-                        misses, cache, jobs,
-                        policy=policy, journal=jrnl, emitter=emitter,
-                    )
-                    if misses
-                    else resilience.Outcome()
+            outcome = (
+                resilience.supervise(
+                    misses, cache, jobs,
+                    policy=policy, journal=jrnl, emitter=emitter,
                 )
-            finally:
-                _SWEEP_CAPTURES.reset(memo)
+                if misses
+                else resilience.Outcome()
+            )
             artifacts.update(outcome.artifacts)
             quarantined.extend(outcome.quarantined)
             result = SweepResult(
@@ -823,13 +793,14 @@ def attribute_cached(
     spec: Union[str, object] = "i7-920",
     steps: int = 5,
     seed: int = 0,
-    cache: RunCache,
+    cache: Optional[RunCache] = None,
     jobs: Optional[int] = None,
 ):
     """Cache-backed :func:`repro.obs.attribution.attribute` (defaults
     only — no fault plan / custom params): capture and both
-    observations come through the store, the pure decomposition is
-    recomputed fresh.  Value-identical to the uncached call."""
+    observations come through one :func:`sweep` (``cache=None`` is its
+    throwaway store), the pure decomposition is recomputed fresh.
+    Value-identical to the uncached call."""
     from repro.obs.attribution import attribute_observations
     from repro.workloads import resolve_workload
 

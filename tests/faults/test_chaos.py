@@ -88,7 +88,7 @@ def test_run_chaos_case_passes_and_reports(al1000, crash_plan):
     wl, trace = al1000
     plan, _ = crash_plan
     case = run_chaos_case(
-        wl, plan, THREADS, steps=STEPS, trace=trace
+        wl.name, plan, THREADS, steps=STEPS, trace=trace
     )
     assert case["ok"] and case["completed"]
     assert case["deterministic"]

@@ -13,7 +13,7 @@ from repro.obs import (
 )
 from repro.obs.leaderboard import TOOLERROR_SCHEMA
 from repro.perftools.timers import VARIANTS
-from repro.runcache import RunCache, sweep, toolerror_spec
+from repro.runcache import RunCache, cached_capture, sweep, toolerror_spec
 
 VECTOR3 = "org.mw.math.Vector3"
 
@@ -30,7 +30,8 @@ def board():
 
 
 def test_cell_scores_every_tool():
-    cell = toolerror_cell("al1000", 2, 2, "i7-920")
+    trace = cached_capture(None, "al1000", 2)
+    cell = toolerror_cell("al1000", 2, 2, "i7-920", trace=trace)
     assert cell["workload"] == "Al-1000"  # alias resolved
     assert cell["machine"] == "i7-920"
     assert len(cell["tools"]) >= 8

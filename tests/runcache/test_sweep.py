@@ -357,11 +357,52 @@ def test_no_cache_sweep_captures_each_workload_once(monkeypatch):
         return real_capture(*args, **kwargs)
 
     monkeypatch.setattr(simulate, "capture_trace", counting_capture)
-    result = sweep(specs, None)
+    # in-process, so the counter sees every capture
+    result = sweep(specs, None, jobs=1)
     assert len(calls) == 2
     assert [dumps_artifact(a) for a in result.artifacts] == fresh
-    sweep(specs[:1], None)
+    sweep(specs[:1], None, jobs=1)
     assert len(calls) == 3  # nothing outlives the sweep
+
+
+def test_no_cache_sweep_fans_out_like_a_cached_one(tmp_path):
+    """A cache-less sweep runs against a throwaway store, so it takes
+    the cached path: it fans out, and its bytes equal a cached sweep's."""
+    specs = [
+        observe_spec(w, 1, n, "i7-920")
+        for w in ("salt", "nanocar") for n in (1, 2)
+    ]
+    plain = sweep(specs, None, jobs=2)
+    assert plain.fanout and plain.ok
+    assert plain.hits == 0 and len(plain.executed) == len(specs)
+    cached = sweep(specs, RunCache(tmp_path / "store"), jobs=2)
+    assert [dumps_artifact(a) for a in plain.artifacts] == [
+        dumps_artifact(a) for a in cached.artifacts
+    ]
+
+
+def test_no_cache_sweep_leaves_no_store_behind(tmp_path, monkeypatch):
+    import tempfile
+
+    from repro.runcache.sweep import _EXECUTORS
+
+    scratch = tmp_path / "tmp"
+    scratch.mkdir()
+    monkeypatch.setattr(tempfile, "tempdir", str(scratch))
+
+    def leftovers():
+        return sorted(p.name for p in scratch.glob("repro-sweep-*"))
+
+    sweep([capture_spec("salt", 1)], None, jobs=1)
+    assert leftovers() == []
+
+    def broken(spec, cache):
+        raise RuntimeError("spec failed")
+
+    monkeypatch.setitem(_EXECUTORS, "capture", broken)
+    with pytest.raises(RuntimeError, match="spec failed"):
+        sweep([capture_spec("salt", 1)], None, jobs=1)
+    assert leftovers() == []
 
 
 def test_parallel_sweep_computes_each_nested_capture_once(tmp_path):

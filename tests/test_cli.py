@@ -304,6 +304,40 @@ def test_trace_cached_and_uncached_outputs_match(capsys, tmp_path):
         )
 
 
+def test_attribute_cached_and_uncached_outputs_match(capsys, tmp_path):
+    args = ["attribute", "--workload", "salt", "--threads", "2",
+            "--steps", "1"]
+    cached = run_cli(
+        capsys, *args, "--out", str(tmp_path / "a"),
+        "--cache-dir", str(tmp_path / "store"),
+    )
+    plain = run_cli(
+        capsys, *args, "--out", str(tmp_path / "b"), "--no-cache"
+    )
+    assert cached.replace(str(tmp_path / "a"), "OUT") == plain.replace(
+        str(tmp_path / "b"), "OUT"
+    )
+    for path in sorted((tmp_path / "a").iterdir()):
+        assert path.read_bytes() == (tmp_path / "b" / path.name).read_bytes()
+
+
+def test_chaos_cached_and_uncached_payloads_match(capsys, tmp_path):
+    args = ["chaos", "--workloads", "salt", "--steps", "1"]
+    cached = run_cli(
+        capsys, *args, "--out", str(tmp_path / "a"),
+        "--cache-dir", str(tmp_path / "store"),
+    )
+    plain = run_cli(
+        capsys, *args, "--out", str(tmp_path / "b"), "--no-cache"
+    )
+    assert cached.replace(str(tmp_path / "a"), "OUT") == plain.replace(
+        str(tmp_path / "b"), "OUT"
+    )
+    assert (tmp_path / "a" / "chaos.json").read_bytes() == (
+        tmp_path / "b" / "chaos.json"
+    ).read_bytes()
+
+
 def test_cache_stats_clear_verify_cycle(capsys, tmp_path):
     store = str(tmp_path / "store")
     run_cli(
