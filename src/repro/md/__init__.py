@@ -27,7 +27,6 @@ from repro.md.forces import (
     AngularBondForce,
     CoulombForce,
     LennardJonesForce,
-    MorseForce,
     RadialBondForce,
     TorsionalBondForce,
 )
@@ -47,7 +46,6 @@ __all__ = [
     "LennardJonesForce",
     "LinkedCellGrid",
     "MDEngine",
-    "MorseForce",
     "NeighborList",
     "PeriodicBox",
     "RadialBondForce",

@@ -27,9 +27,11 @@ all runs:
   (:func:`~repro.md.neighbors.build_lists`), and the lists are spliced
   with run offsets into one pair list;
 * each force kernel evaluates every run's terms in one call on the
-  run-major ``(R·N, 3)`` view and returns one :class:`ForceResult` per
-  run (:meth:`Force.compute_runs`);
-* each run's report is assembled from its own results.
+  run-major ``(R·N, 3)`` view and returns per-run columns
+  (:meth:`Force.compute_runs`), which are summed across kernels with
+  numpy;
+* one pass then builds each run's :class:`ForceResult` objects, work
+  records and report from the columns' rows.
 
 A run's reports pickle to exactly the bytes the same run produces
 alone, which keeps the content-addressed run cache sound whatever the
@@ -46,7 +48,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.md.boundary import Boundary, ReflectiveBox
-from repro.md.forces.base import Force, ForceResult
+from repro.md.forces.base import Force, ForceColumns, ForceResult
 from repro.md.forces.bonded import (
     AngularBondForce,
     RadialBondForce,
@@ -54,7 +56,6 @@ from repro.md.forces.bonded import (
 )
 from repro.md.forces.coulomb import CoulombForce
 from repro.md.forces.lj import LennardJonesForce
-from repro.md.forces.morse import MorseForce
 from repro.md.integrator import TaylorPredictorCorrector
 from repro.md.neighbors import NeighborList, build_lists
 from repro.md.system import AtomSystem, kinetic_energies
@@ -164,13 +165,6 @@ def _force_signature(force: Force) -> tuple:
             "lj", force.cutoff_factor, force.skip_fixed_pairs,
             None if ex is None else (ex.shape, ex.tobytes()),
         )
-    if isinstance(force, MorseForce):
-        if force.owner_range is not None:
-            raise EnsembleUnsupported("owner-restricted Morse force")
-        return (
-            "morse", force.depth, force.width, force.r0, force.cutoff,
-            force.skip_fixed_pairs,
-        )
     if isinstance(force, CoulombForce):
         if force.owner_range is not None:
             raise EnsembleUnsupported("owner-restricted Coulomb force")
@@ -215,13 +209,13 @@ def _validate(engines: Sequence["MDEngine"]) -> None:
             )
         if e.n_runs != 1 or e.step_count or e._primed:
             raise EnsembleUnsupported("engines must be unstepped single runs")
+    # one stacked comparison per array (the atom counts agree)
     mismatched = [
         name for name in _STATIC
-        if any(
-            not np.array_equal(getattr(e.system, name),
-                               getattr(base.system, name))
-            for e in engines[1:]
-        )
+        if not (
+            np.stack([getattr(e.system, name) for e in engines])
+            == getattr(base.system, name)
+        ).all()
     ]
     if mismatched:
         raise EnsembleUnsupported(
@@ -368,47 +362,19 @@ class MDEngine:
             [self.boundaries[r] for r in runs],
         )
 
-    def _phase_forces(self) -> List[tuple]:
+    def _phase_forces(self) -> Tuple[List[ForceColumns], ForceColumns]:
         """Phases 4+5: each kernel evaluates every run's terms in one
-        call.  Returns ``(potential, results, kernel work, phase
-        work)`` per run."""
+        call.  Returns the kernels' columns and their sum in force
+        order (the zero start and each add are the same IEEE adds as
+        a per-run Python ``+=`` over the kernels)."""
         R, N = self.n_runs, self.system.n_atoms
         self.state.forces[...] = 0.0
         flat = self._flat
-        per_force = [
+        columns = [
             f.compute_runs(flat, self._box, self._pairs, flat.forces, R)
             for f in self._kernels
         ]
-        per_atom = np.zeros((R, N))
-        for results in per_force:
-            per_atom = per_atom + np.stack(
-                [res.per_atom_work for res in results]
-            )
-        names = [f.name for f in self.forces]
-        rows = []
-        for r in range(R):
-            run = [results[r] for results in per_force]
-            potential = flops = irregular = regular = 0.0
-            terms = 0
-            for res in run:
-                potential += res.energy
-                flops += res.flops
-                irregular += res.bytes_irregular
-                regular += res.bytes_regular
-                terms += res.terms
-            kernels = {
-                name: PhaseWork(
-                    per_atom=res.per_atom_work,
-                    flops=res.flops,
-                    bytes_irregular=res.bytes_irregular,
-                    bytes_regular=res.bytes_regular,
-                    terms=res.terms,
-                )
-                for name, res in zip(names, run)
-            }
-            work = PhaseWork(per_atom[r], flops, irregular, regular, terms)
-            rows.append((potential, dict(zip(names, run)), kernels, work))
-        return rows
+        return columns, sum(columns, ForceColumns.empty(R, N))
 
     @staticmethod
     def _one(rows: list):
@@ -460,7 +426,7 @@ class MDEngine:
         integ.predict(state)
         self._box.apply(state.positions, state.velocities)
         rebuilt, rebuild_works = self._phase_rebuild()
-        forces = self._phase_forces()
+        columns, total = self._phase_forces()
         integ.correct(state)
         if self.thermostat is not None:  # one-run engines only
             self.thermostat.apply(self.system, integ.dt)
@@ -482,24 +448,42 @@ class MDEngine:
             flops=integ.CORRECT_FLOPS * N,
             bytes_regular=integ.BYTES_PER_ATOM * N,
         )
-        return [
-            StepReport(
-                step=self.step_count,
-                rebuilt=rebuilt[r],
-                potential_energy=potential,
-                kinetic_energy=kinetic[r],
-                force_results=results,
-                kernel_work=kernels,
-                phase_work={
+        # A run's kernel PhaseWork holds the very per-atom row its
+        # ForceResult holds, so pickle writes that array once and then
+        # a memo reference, as it always has.
+        names = [f.name for f in self.forces]
+        per_kernel = [c.results() for c in columns]
+        # per run: the summed energy, then the sums in PhaseWork order
+        totals = zip(
+            total.energy.tolist(), total.per_atom_work, total.flops.tolist(),
+            total.bytes_irregular.tolist(), total.bytes_regular.tolist(),
+            total.terms.tolist(),
+        )
+        reports = []
+        for r, (potential, *work) in enumerate(totals):
+            results = {}
+            kernels = {}
+            for name, runs in zip(names, per_kernel):
+                results[name] = res = runs[r]
+                kernels[name] = PhaseWork(
+                    res.per_atom_work, res.flops, res.bytes_irregular,
+                    res.bytes_regular, res.terms,
+                )
+            reports.append(StepReport(
+                self.step_count,
+                rebuilt[r],
+                potential,
+                kinetic[r],
+                results,
+                {
                     "predict": predict_work,
                     "rebuild": rebuild_works[r],
-                    "forces": force_work,
+                    "forces": PhaseWork(*work),
                     "correct": correct_work,
                 },
-            )
-            for r, (potential, results, kernels, force_work)
-            in enumerate(forces)
-        ]
+                kernels,
+            ))
+        return reports
 
     def run_all(self, n_steps: int) -> List[List[StepReport]]:
         """Run ``n_steps`` timesteps; returns one trace per run."""
@@ -519,4 +503,4 @@ class MDEngine:
         """Potential energy of a one-run engine at the current positions
         (no state change other than refreshed forces)."""
         self.prime()
-        return self._one(self._phase_forces())[0]
+        return self._one(self._phase_forces()[1].energy.tolist())

@@ -20,7 +20,6 @@ from repro.md.forces.bonded import (
 )
 from repro.md.forces.coulomb import CoulombForce
 from repro.md.forces.lj import LennardJonesForce
-from repro.md.forces.morse import MorseForce
 
 __all__ = [
     "AngularBondForce",
@@ -28,7 +27,6 @@ __all__ = [
     "Force",
     "ForceResult",
     "LennardJonesForce",
-    "MorseForce",
     "RadialBondForce",
     "TorsionalBondForce",
 ]

@@ -12,7 +12,7 @@ the paper's load imbalance: the lower-indexed atom of a pair owns it.
 from __future__ import annotations
 
 import abc
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -37,6 +37,50 @@ class ForceResult:
     def empty(n_atoms: int) -> "ForceResult":
         """A zero result (no terms evaluated) over ``n_atoms`` atoms."""
         return ForceResult(0.0, 0, np.zeros(n_atoms), 0.0, 0.0, 0.0)
+
+
+@dataclass
+class ForceColumns:
+    """The results of one many-run force evaluation as per-run columns:
+    one ``(R,)`` array per :class:`ForceResult` field (``terms`` is
+    int64, the rest float64) and the ``(R, N)`` per-atom work, whose
+    row ``r`` is run ``r``'s."""
+
+    energy: np.ndarray
+    terms: np.ndarray
+    per_atom_work: np.ndarray
+    flops: np.ndarray
+    bytes_irregular: np.ndarray
+    bytes_regular: np.ndarray
+
+    @staticmethod
+    def empty(n_runs: int, n_atoms: int) -> "ForceColumns":
+        """Zero columns (no terms evaluated) for ``n_runs`` runs."""
+        zero = np.zeros(n_runs)
+        return ForceColumns(
+            zero, np.zeros(n_runs, dtype=np.int64),
+            np.zeros((n_runs, n_atoms)), zero, zero, zero,
+        )
+
+    def __add__(self, other: "ForceColumns") -> "ForceColumns":
+        """Field-by-field elementwise sums: each float64 add is the
+        same IEEE add as a Python ``+=`` of the runs' scalars."""
+        return ForceColumns(*(
+            getattr(self, f.name) + getattr(other, f.name)
+            for f in fields(self)
+        ))
+
+    def results(self) -> List[ForceResult]:
+        """One :class:`ForceResult` per run, holding Python ``int`` and
+        ``float`` scalars and its row of the per-atom work."""
+        return [
+            ForceResult(*row)
+            for row in zip(
+                self.energy.tolist(), self.terms.tolist(),
+                self.per_atom_work, self.flops.tolist(),
+                self.bytes_irregular.tolist(), self.bytes_regular.tolist(),
+            )
+        ]
 
 
 #: the ``(owner, e_terms)`` of a kernel call in which no term survived
@@ -96,18 +140,22 @@ def split_runs(
     n_runs: int,
     n_atoms: int,
     weight: float = 1.0,
-) -> Tuple[List[Tuple[int, float]], np.ndarray]:
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Cut the terms of a run-major ``n_runs``-run kernel call into
-    runs: per-run ``(terms, energy)`` and the ``(n_runs, n_atoms)``
-    per-atom work (``weight`` per owned term).  Row ``r`` of the work
-    array pickles exactly like a one-run tally of run ``r``'s terms."""
+    runs: the per-run term counts and energies as columns, and the
+    ``(n_runs, n_atoms)`` per-atom work (``weight`` per owned term).
+    Row ``r`` of the work array pickles exactly like a one-run tally
+    of run ``r``'s terms."""
     counts = owner_counts(owner, n_runs * n_atoms, weight)
     if n_runs == 1:
         seg = [len(owner)]
     else:
         seg = np.bincount(owner // n_atoms, minlength=n_runs).tolist()
-    runs = list(zip(seg, segment_sums(e_terms, seg)))
-    return runs, counts.reshape(n_runs, n_atoms)
+    return (
+        np.array(seg, dtype=np.int64),
+        np.array(segment_sums(e_terms, seg)),
+        counts.reshape(n_runs, n_atoms),
+    )
 
 
 def scatter_forces(forces_out, indices, vectors) -> None:
@@ -150,7 +198,6 @@ class Force(abc.ABC):
     #: short identifier used in phase reports ("lj", "coulomb", "bond"...)
     name: str = "force"
 
-    @abc.abstractmethod
     def compute(
         self,
         system: AtomSystem,
@@ -159,8 +206,13 @@ class Force(abc.ABC):
         forces_out: np.ndarray,
     ) -> ForceResult:
         """Accumulate forces (eV/Å) into ``forces_out`` and return the
-        result record.  Must be additive: callers zero the buffer."""
+        result record: the one-run case of :meth:`compute_runs`.  Must
+        be additive: callers zero the buffer."""
+        return self.compute_runs(
+            system, boundary, neighbors, forces_out, 1
+        ).results()[0]
 
+    @abc.abstractmethod
     def compute_runs(
         self,
         system: AtomSystem,
@@ -168,18 +220,12 @@ class Force(abc.ABC):
         neighbors: Optional[NeighborList],
         forces_out: np.ndarray,
         n_runs: int,
-    ) -> List[ForceResult]:
-        """:meth:`compute` over ``n_runs`` runs of one system laid out
-        run-major in ``system`` (run ``r`` owns atoms
-        ``[r·n, (r+1)·n)``), using a copy from :meth:`replicate`;
-        returns one result per run, each exactly what :meth:`compute`
-        returns for that run alone.  Forces without a many-run form
-        run one run at a time."""
-        if n_runs != 1:
-            raise NotImplementedError(
-                f"{type(self).__name__} computes one run at a time"
-            )
-        return [self.compute(system, boundary, neighbors, forces_out)]
+    ) -> ForceColumns:
+        """Accumulate the forces of ``n_runs`` runs of one system laid
+        out run-major in ``system`` (run ``r`` owns atoms
+        ``[r·n, (r+1)·n)``; several runs use a copy from
+        :meth:`replicate`) and return their results as columns, row
+        ``r`` exactly what run ``r`` alone gives."""
 
     def replicate(self, n_runs: int, n_atoms: int) -> "Force":
         """A copy for :meth:`compute_runs` over ``n_runs`` run-major

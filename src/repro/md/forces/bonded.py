@@ -14,14 +14,14 @@ irregular — bond endpoints are scattered through the atom array.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Optional
 
 import numpy as np
 
 from repro.md.boundary import Boundary
 from repro.md.forces.base import (
     Force,
-    ForceResult,
+    ForceColumns,
     scatter_forces,
     split_runs,
 )
@@ -90,15 +90,6 @@ class _BondedForce(Force):
                   for name in self._fields[1:])
         return type(self)(index, *params)
 
-    def compute(
-        self,
-        system: AtomSystem,
-        boundary: Boundary,
-        neighbors: Optional[NeighborList],
-        forces_out: np.ndarray,
-    ) -> ForceResult:
-        return self.compute_runs(system, boundary, neighbors, forces_out, 1)[0]
-
     def compute_runs(
         self,
         system: AtomSystem,
@@ -106,25 +97,22 @@ class _BondedForce(Force):
         neighbors: Optional[NeighborList],
         forces_out: np.ndarray,
         n_runs: int,
-    ) -> List[ForceResult]:
+    ) -> ForceColumns:
         n = system.n_atoms // n_runs
         if len(self._index) == 0:
-            return [ForceResult.empty(n) for _ in range(n_runs)]
+            return ForceColumns.empty(n_runs, n)
         owner, e_terms = self._bundle(system, boundary, forces_out)
-        runs, per_atom = split_runs(
+        terms, energy, per_atom = split_runs(
             owner, e_terms, n_runs, n, weight=self.work_weight
         )
-        return [
-            ForceResult(
-                energy=energy,
-                terms=m,
-                per_atom_work=per_atom[r],
-                flops=self.flops_per_term * m,
-                bytes_irregular=self.lines_per_term * LINE_BYTES * m,
-                bytes_regular=0.0,
-            )
-            for r, (m, energy) in enumerate(runs)
-        ]
+        return ForceColumns(
+            energy=energy,
+            terms=terms,
+            per_atom_work=per_atom,
+            flops=self.flops_per_term * terms,
+            bytes_irregular=self.lines_per_term * LINE_BYTES * terms,
+            bytes_regular=np.zeros(n_runs),
+        )
 
 
 class RadialBondForce(_BondedForce):

@@ -31,7 +31,7 @@ is heavy — the compute-bound profile.
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import List, NamedTuple, Optional, Tuple
+from typing import NamedTuple, Optional, Tuple
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
@@ -39,7 +39,7 @@ from numpy.lib.stride_tricks import as_strided
 from repro.md.boundary import Boundary
 from repro.md.forces.base import (
     Force,
-    ForceResult,
+    ForceColumns,
     owner_counts,
     scatter_components,
     segment_sums,
@@ -197,15 +197,6 @@ class CoulombForce(Force):
             cache.popitem(last=False)
         return plan
 
-    def compute(
-        self,
-        system: AtomSystem,
-        boundary: Boundary,
-        neighbors: Optional[NeighborList],
-        forces_out: np.ndarray,
-    ) -> ForceResult:
-        return self.compute_runs(system, boundary, neighbors, forces_out, 1)[0]
-
     def compute_runs(
         self,
         system: AtomSystem,
@@ -213,7 +204,7 @@ class CoulombForce(Force):
         neighbors: Optional[NeighborList],
         forces_out: np.ndarray,
         n_runs: int,
-    ) -> List[ForceResult]:
+    ) -> ForceColumns:
         """The ring is laid over each run's own charged atoms: pairing
         charged atoms of different runs would be wrong physics."""
         n = system.n_atoms // n_runs
@@ -221,7 +212,7 @@ class CoulombForce(Force):
         m = len(charged) // n_runs  # every run shares the charges
         plan = self._plan(charged[:m], system.movable, n, n_runs)
         if not plan.terms:
-            return [ForceResult.empty(n) for _ in range(n_runs)]
+            return ForceColumns.empty(n_runs, n)
         pos = system.positions[charged].reshape(n_runs, m, 3)
         q = system.charges[charged].reshape(n_runs, m)
         dr = np.empty((n_runs, plan.width, 3))
@@ -241,15 +232,12 @@ class CoulombForce(Force):
         np.multiply(coef, dr.T, out=fvec[:, 0])
         np.negative(fvec[:, 0], out=fvec[:, 1])
         scatter_components(forces_out, plan.index, fvec.reshape(3, -1))
-        energies = segment_sums(qq / r, [plan.terms] * n_runs)
-        return [
-            ForceResult(
-                energy=energy,
-                terms=plan.terms,
-                per_atom_work=plan.per_atom[run].copy(),
-                flops=FLOPS_PER_PAIR * plan.terms,
-                bytes_irregular=0.0,
-                bytes_regular=REGULAR_BYTES_PER_ATOM * m,
-            )
-            for run, energy in enumerate(energies)
-        ]
+        terms = np.full(n_runs, plan.terms)
+        return ForceColumns(
+            energy=np.array(segment_sums(qq / r, [plan.terms] * n_runs)),
+            terms=terms,
+            per_atom_work=plan.per_atom.copy(),
+            flops=FLOPS_PER_PAIR * terms,
+            bytes_irregular=np.zeros(n_runs),
+            bytes_regular=np.full(n_runs, REGULAR_BYTES_PER_ATOM * m),
+        )

@@ -13,7 +13,7 @@ simulation space, though not necessarily near one another in memory"
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -21,7 +21,7 @@ from repro.md.boundary import Boundary
 from repro.md.forces.base import (
     NO_TERMS,
     Force,
-    ForceResult,
+    ForceColumns,
     scatter_forces,
     split_runs,
 )
@@ -168,15 +168,6 @@ class LennardJonesForce(Force):
         e_terms = 4.0 * eps * (inv12 - inv6) - e_shift
         return i, e_terms
 
-    def compute(
-        self,
-        system: AtomSystem,
-        boundary: Boundary,
-        neighbors: Optional[NeighborList],
-        forces_out: np.ndarray,
-    ) -> ForceResult:
-        return self.compute_runs(system, boundary, neighbors, forces_out, 1)[0]
-
     def compute_runs(
         self,
         system: AtomSystem,
@@ -184,21 +175,17 @@ class LennardJonesForce(Force):
         neighbors: Optional[NeighborList],
         forces_out: np.ndarray,
         n_runs: int,
-    ) -> List[ForceResult]:
+    ) -> ForceColumns:
         n = system.n_atoms // n_runs
         owner, e_terms = (
             self._bundle(system, boundary, neighbors, forces_out) or NO_TERMS
         )
-        runs, per_atom = split_runs(owner, e_terms, n_runs, n)
-        owners = (per_atom > 0).sum(axis=1).tolist()
-        return [
-            ForceResult(
-                energy=energy,
-                terms=m,
-                per_atom_work=per_atom[r],
-                flops=FLOPS_PER_PAIR * m,
-                bytes_irregular=IRREGULAR_BYTES_PER_PAIR * m,
-                bytes_regular=REGULAR_BYTES_PER_ATOM * owners[r],
-            )
-            for r, (m, energy) in enumerate(runs)
-        ]
+        terms, energy, per_atom = split_runs(owner, e_terms, n_runs, n)
+        return ForceColumns(
+            energy=energy,
+            terms=terms,
+            per_atom_work=per_atom,
+            flops=FLOPS_PER_PAIR * terms,
+            bytes_irregular=IRREGULAR_BYTES_PER_PAIR * terms,
+            bytes_regular=REGULAR_BYTES_PER_ATOM * (per_atom > 0).sum(axis=1),
+        )

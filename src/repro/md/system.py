@@ -108,13 +108,26 @@ class AtomSystem:
     ) -> None:
         """Maxwell-Boltzmann velocities for movable atoms; net momentum
         of the movable set is removed."""
+        self.draw_velocities(self.thermal_scale(temperature_k), rng)
+
+    def thermal_scale(self, temperature_k: float) -> np.ndarray:
+        """Per movable atom, the RMS speed per Cartesian component at
+        ``temperature_k`` (the scale :meth:`draw_velocities` takes)."""
+        return np.array([
+            thermal_velocity(temperature_k, m)
+            for m in self.masses[self.movable]
+        ])
+
+    def draw_velocities(
+        self, scale: np.ndarray, rng: np.random.Generator
+    ) -> None:
+        """Normal velocities of per-atom ``scale`` for the movable
+        atoms, drawn from ``rng``; net momentum of the movable set is
+        removed."""
         mv = self.movable
         n = int(mv.sum())
         if n == 0:
             return
-        scale = np.array(
-            [thermal_velocity(temperature_k, m) for m in self.masses[mv]]
-        )
         v = rng.standard_normal((n, 3)) * scale[:, None]
         # remove center-of-mass drift
         mom = (v * self.masses[mv][:, None]).sum(axis=0)
@@ -173,18 +186,7 @@ class AtomSystem:
         n = self.n_atoms
         if sorted(order.tolist()) != list(range(n)):
             raise ValueError("order must be a permutation of all atoms")
-        for name in (
-            "positions",
-            "velocities",
-            "accelerations",
-            "forces",
-            "masses",
-            "charges",
-            "sigma",
-            "epsilon",
-            "element_ids",
-            "movable",
-        ):
+        for name in self._ARRAY_FIELDS:
             setattr(self, name, getattr(self, name)[order])
         inverse = np.empty(n, dtype=np.int64)
         inverse[order] = np.arange(n)
@@ -226,19 +228,9 @@ class AtomSystem:
 
     def copy(self) -> "AtomSystem":
         """Deep copy of the whole state."""
-        other = AtomSystem(self.box.copy())
-        for name in (
-            "positions",
-            "velocities",
-            "accelerations",
-            "forces",
-            "masses",
-            "charges",
-            "sigma",
-            "epsilon",
-            "element_ids",
-            "movable",
-        ):
+        other = object.__new__(AtomSystem)  # the box is valid already
+        other.box = self.box.copy()
+        for name in self._ARRAY_FIELDS:
             setattr(other, name, getattr(self, name).copy())
         return other
 

@@ -49,7 +49,6 @@ TOOLERROR_SCHEMA = "repro.toolerror/1"
 
 def toolerror_cell(
     workload: str,
-    steps: int,
     threads: int,
     machine: str,
     *,
@@ -59,7 +58,7 @@ def toolerror_cell(
     fault_plan=None,
 ) -> dict:
     """Score every modeled tool on one (workload, machine) cell of a
-    captured ``trace``.
+    captured ``trace``, whose length is the cell's step count.
 
     Returns a JSON-able dict: per-tool ``{error, metric, detail}`` plus
     the JXPerf wasteful-op ranking and the timer-ablation distortions.

@@ -39,6 +39,7 @@ from repro.runcache.store import (
     VerifyReport,
     default_cache_dir,
     dumps_artifact,
+    dumps_artifacts,
 )
 from repro.runcache.sweep import (
     SweepResult,
@@ -77,6 +78,7 @@ __all__ = [
     "default_cache_dir",
     "default_jobs",
     "dumps_artifact",
+    "dumps_artifacts",
     "execute_spec",
     "journal_specs",
     "load_journal",

@@ -3,7 +3,7 @@
 Layout (under ``RunCache.root``, default ``~/.cache/repro/runcache`` or
 ``$REPRO_RUNCACHE_DIR``)::
 
-    objects/<aa>/<digest>.entry   one file per entry:
+    objects/<a>/<digest>.entry    one file per entry:
         {"digest":…,"label":…,"spec":{…},"artifact_bytes":N,…}\n
         <N bytes: the pickled artifact, unchanged>
     counters.jsonl                cumulative hit/miss/put-failure counters:
@@ -22,9 +22,10 @@ Guarantees:
 * **atomic writes** — an entry lands via one ``os.replace`` of a
   same-dir temp file, so readers never observe a partial entry and
   concurrent writers of the same digest are last-writer-wins with
-  identical bytes (the digest pins the content).  A shard directory
-  removed behind a handle (``clear()``, another process) is created
-  again and the write retried once;
+  identical bytes (the digest pins the content).  A handle creates a
+  shard directory before its first write there; a shard removed behind
+  the handle (``clear()``, another process) is created again and the
+  write retried once;
 * **corruption recovery** — an entry that exists but is unreadable
   (bad header, body shorter or longer than the header says, an
   unpicklable body) is treated as a miss and deleted, never raised to
@@ -60,14 +61,16 @@ from __future__ import annotations
 
 import copyreg
 import io
+import itertools
 import json
 import os
 import pickle
-import tempfile
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Sequence
+from typing import (
+    Any, Dict, Iterable, Iterator, List, Optional, Sequence, Set,
+)
 
 import numpy as np
 
@@ -89,8 +92,17 @@ ORPHAN_TMP_MAX_AGE = 3600.0
 #: file name suffix of a one-file entry (header line + pickle bytes)
 _ENTRY_SUFFIX = ".entry"
 
+#: leading digest characters that name an entry's shard directory: one
+#: hex digit, 16 shards, so a sweep into a fresh store makes at most 16
+#: directories (a new directory costs a mkdir and a slow first create)
+_SHARD_CHARS = 1
+
 #: the cumulative counters: one JSON record per line, appended
 _COUNTERS = "counters.jsonl"
+
+#: temp-file sequence (:meth:`RunCache._atomic_write`): one per
+#: process, so no two handles or threads of a process share a name
+_TMP_SEQ = itertools.count()
 
 _ENV_DIR = "REPRO_RUNCACHE_DIR"
 _ENV_MAX = "REPRO_RUNCACHE_MAX_BYTES"
@@ -146,16 +158,31 @@ _REDUCERS = {
 }
 
 
-def dumps_artifact(artifact: Any) -> bytes:
-    """Canonical byte encoding of an artifact (the verify currency):
-    ``pickle.dumps(artifact, protocol=4)``, byte for byte."""
+def dumps_artifacts(artifacts: Iterable[Any]) -> Iterator[bytes]:
+    """Canonical byte encoding of each artifact in turn (the verify
+    currency): ``pickle.dumps(artifact, protocol=4)``, byte for byte.
+
+    One pickler encodes the whole batch.  Its memo is cleared after
+    every artifact, so an object two artifacts share (a lockstep
+    step's predict work) is written in full into each.  Encoding is
+    lazy: a caller that stores each blob before it asks for the next
+    holds one blob at a time."""
     buf = io.BytesIO()
     pickler = pickle.Pickler(buf, protocol=PICKLE_PROTOCOL)
     # a pickler's own table replaces copyreg's, so it carries copyreg's
     # registrations too (read per call: libraries may add to them)
     pickler.dispatch_table = {**copyreg.dispatch_table, **_REDUCERS}
-    pickler.dump(artifact)
-    return buf.getvalue()
+    for artifact in artifacts:
+        pickler.dump(artifact)
+        pickler.clear_memo()
+        yield buf.getvalue()
+        buf.seek(0)
+        buf.truncate()
+
+
+def dumps_artifact(artifact: Any) -> bytes:
+    """:func:`dumps_artifacts` of one artifact."""
+    return next(dumps_artifacts([artifact]))
 
 
 @dataclass
@@ -249,6 +276,8 @@ class RunCache:
         #: happens when the estimate crosses the cap (see
         #: :meth:`_enforce_cap`, which resyncs it).
         self._approx_bytes: Optional[int] = None
+        #: shard directories this handle has made sure of
+        self._shards: Set[str] = set()
         self.reap_orphans()
 
     # -- paths -----------------------------------------------------------
@@ -257,7 +286,8 @@ class RunCache:
         return self.root / "objects"
 
     def _path(self, digest: str) -> Path:
-        return self._objects() / digest[:2] / f"{digest}{_ENTRY_SUFFIX}"
+        shard = digest[:_SHARD_CHARS]
+        return self._objects() / shard / f"{digest}{_ENTRY_SUFFIX}"
 
     def digest(self, spec: RunSpec) -> str:
         return spec_digest(spec, self._salt)
@@ -376,10 +406,13 @@ class RunCache:
 
                 data = process_faults.corrupt_put(spec.kind, data)
             entry = header.encode() + b"\n" + data
+            if path.parent.name not in self._shards:
+                path.parent.mkdir(parents=True, exist_ok=True)
+                self._shards.add(path.parent.name)
             try:
                 self._atomic_write(path, entry)
             except FileNotFoundError:
-                # a new shard, or one removed behind this handle
+                # the shard was removed behind this handle
                 path.parent.mkdir(parents=True, exist_ok=True)
                 self._atomic_write(path, entry)
         except OSError as exc:
@@ -415,9 +448,13 @@ class RunCache:
         return self.put_bytes(spec, dumps_artifact(artifact))
 
     def _atomic_write(self, path: Path, data: bytes) -> None:
-        fd, tmp = tempfile.mkstemp(
-            dir=path.parent, prefix=f".{path.name}.", suffix=".tmp"
-        )
+        """Write ``data`` to a fresh same-dir temp file, then replace
+        ``path`` with it.  The temp name (``.<entry>.<pid>.<n>.tmp``)
+        is unique to this process, and ``O_EXCL`` fails the write
+        rather than share a file with another writer."""
+        seq = next(_TMP_SEQ)
+        tmp = path.with_name(f".{path.name}.{os.getpid()}.{seq}.tmp")
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o600)
         try:
             with os.fdopen(fd, "wb") as fh:
                 fh.write(data)

@@ -32,7 +32,7 @@ from repro.runcache.resilience import (
     SupervisionPolicy,
     SweepJournal,
 )
-from repro.runcache.store import RunCache
+from repro.runcache.store import RunCache, dumps_artifacts
 from repro.telemetry import runtime as telemetry_runtime
 
 #: artifact schema stamp stored alongside trace-kind artifacts
@@ -423,7 +423,6 @@ def _execute_toolerror(spec: RunSpec, cache: Optional[RunCache]) -> dict:
     periods = tuple(spec.options.get("periods") or (1.0, 0.005))
     return toolerror_cell(
         spec.workload,
-        spec.steps,
         spec.threads,
         spec.machine,
         seed=spec.seed,
@@ -510,8 +509,10 @@ def prepare_unit(
         artifacts = ensemble_capture(
             specs[0].workload, specs[0].steps, [spec.seed for spec in specs]
         )
-        for spec, artifact in zip(specs, artifacts):
-            cache.put(spec, artifact)
+        # one pickler for the batch; each blob is stored before the
+        # next is encoded
+        for spec, data in zip(specs, dumps_artifacts(artifacts)):
+            cache.put_bytes(spec, data)
         return artifacts
 
     return execute_batch

@@ -57,7 +57,8 @@ def gather_oracle(force, system, boundary, forces_out, n_runs):
     gi = (gi[keep] + offsets).ravel()
     gj = (gj[keep] + offsets).ravel()
     owner, e_terms = _pair_bundle(force, system, boundary, gi, gj, forces_out)
-    runs, per_atom = split_runs(owner, e_terms, n_runs, n)
+    counts, energies, per_atom = split_runs(owner, e_terms, n_runs, n)
+    runs = zip(counts.tolist(), energies.tolist())
     return [
         ForceResult(
             energy=energy,
@@ -129,7 +130,7 @@ def test_property_ring_blocks_match_gather_oracle(
     boundary = PeriodicBox(BOX / 3) if periodic else ReflectiveBox(BOX)
     start = rng.normal(size=s.positions.shape)  # kernels are additive
     out_new, out_old = start.copy(), start.copy()
-    new = force.compute_runs(s, boundary, None, out_new, n_runs)
+    new = force.compute_runs(s, boundary, None, out_new, n_runs).results()
     old = gather_oracle(force, s, boundary, out_old, n_runs)
     assert_same(new, old, out_new, out_old)
 
@@ -149,7 +150,7 @@ def test_one_force_object_across_charged_layouts():
         systems.append(run_major_system(rng, 30, charges, movable, 1, 10.0))
     for s in systems + systems[::-1]:
         out_new, out_old = np.zeros((30, 3)), np.zeros((30, 3))
-        new = force.compute_runs(s, boundary, None, out_new, 1)
+        new = force.compute_runs(s, boundary, None, out_new, 1).results()
         old = gather_oracle(force, s, boundary, out_old, 1)
         assert_same(new, old, out_new, out_old)
 

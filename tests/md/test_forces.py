@@ -315,74 +315,3 @@ def test_empty_bond_lists():
         res, f = eval_force(force, s)
         assert res.energy == 0.0
         assert res.terms == 0
-
-
-# -------------------------------------------------------------- Morse ----
-
-
-def test_morse_zero_force_at_minimum():
-    from repro.md import MorseForce
-
-    r0 = 2.9
-    s = make_system("Al", [[10, 10, 10], [10 + r0, 10, 10]])
-    force = MorseForce(depth=0.35, width=1.4, r0=r0, cutoff=8.0)
-    res, f = eval_force(force, s, with_nlist=True)
-    assert res.terms == 1
-    assert np.allclose(f, 0.0, atol=1e-10)
-    # the well bottom is -D (modulo the cutoff shift)
-    assert res.energy < 0
-
-
-def test_morse_matches_numerical_gradient():
-    from repro.md import MorseForce
-
-    rng = np.random.default_rng(11)
-    pos = np.array([20.0, 20.0, 20.0]) + rng.uniform(0, 5, (6, 3))
-    s = make_system("Al", pos)
-    force = MorseForce(depth=0.4, width=1.6, r0=2.8, cutoff=9.0)
-    _, analytic = eval_force(force, s, with_nlist=True)
-    numeric = numerical_gradient(force, s, with_nlist=True)
-    assert np.allclose(analytic, numeric, rtol=1e-4, atol=1e-7)
-
-
-def test_morse_momentum_conserved_and_restrict():
-    from repro.md import MorseForce
-    from repro.core.partition import block_partition
-
-    rng = np.random.default_rng(12)
-    pos = np.array([20.0, 20.0, 20.0]) + rng.uniform(0, 8, (20, 3))
-    s = make_system("Al", pos)
-    force = MorseForce(cutoff=9.0)
-    _, full = eval_force(force, s, with_nlist=True)
-    assert np.allclose(full.sum(axis=0), 0.0, atol=1e-10)
-    # restricted copies partition exactly
-    boundary = ReflectiveBox(s.box)
-    nl = NeighborList(cutoff=12.0, skin=1.0)
-    nl.build(s.positions, boundary)
-    acc = np.zeros_like(s.positions)
-    for lo, hi in block_partition(20, 3):
-        force.restrict(lo, hi).compute(s, boundary, nl, acc)
-    assert np.allclose(acc, full, atol=1e-10)
-
-
-def test_morse_softer_wall_than_lj():
-    """At short range the Morse repulsion is weaker than LJ's r^-12."""
-    from repro.md import MorseForce
-
-    s = make_system("Al", [[10, 10, 10], [11.8, 10, 10]])  # compressed
-    _, f_morse = eval_force(
-        MorseForce(depth=0.3922, width=1.5, r0=2.94, cutoff=8.0),
-        s,
-        with_nlist=True,
-    )
-    _, f_lj = eval_force(LennardJonesForce(), s, with_nlist=True)
-    assert abs(f_morse[0, 0]) < abs(f_lj[0, 0])
-
-
-def test_morse_validation():
-    from repro.md import MorseForce
-
-    with pytest.raises(ValueError):
-        MorseForce(depth=0.0)
-    with pytest.raises(ValueError):
-        MorseForce(cutoff=-1.0)

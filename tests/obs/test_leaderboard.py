@@ -31,7 +31,7 @@ def board():
 
 def test_cell_scores_every_tool():
     trace = cached_capture(None, "al1000", 2)
-    cell = toolerror_cell("al1000", 2, 2, "i7-920", trace=trace)
+    cell = toolerror_cell("al1000", 2, "i7-920", trace=trace)
     assert cell["workload"] == "Al-1000"  # alias resolved
     assert cell["machine"] == "i7-920"
     assert len(cell["tools"]) >= 8

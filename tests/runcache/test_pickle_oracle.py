@@ -19,6 +19,7 @@ from repro.runcache import (
     RunCache,
     capture_spec,
     dumps_artifact,
+    dumps_artifacts,
     execute_spec,
     observe_spec,
 )
@@ -50,6 +51,22 @@ def test_capture_bytes_match_pickle(workload, cache):
 
 def test_ensemble_batch_bytes_match_pickle():
     _same_bytes(ensemble_capture("gas-8", 2, seeds=(0, 1, 2)))
+
+
+@pytest.mark.parametrize("workload", ["gas-8", "ionic-64", "nanocar"])
+def test_batch_encoder_matches_pickle_per_trace(workload):
+    """One pickler encodes a lockstep batch run by run: each blob is
+    that trace's own ``pickle.dumps``, although the runs share each
+    step's predict, correct and idle-rebuild work objects (which a
+    memo carried from one run into the next would reference)."""
+    traces = ensemble_capture(workload, 2, seeds=(0, 1, 2))
+    first, second = traces[0][0], traces[1][0]
+    assert first.phase_work["predict"] is second.phase_work["predict"]
+    blobs = list(dumps_artifacts(traces))
+    assert blobs == [
+        pickle.dumps(trace, protocol=PICKLE_PROTOCOL) for trace in traces
+    ]
+    assert dumps_artifact(traces[1]) == blobs[1]
 
 
 def test_observation_bytes_match_pickle(cache):

@@ -289,6 +289,60 @@ def test_orphaned_tmp_files_reaped_on_open(cache, tmp_path):
     assert reopened.get(spec()) == 1  # sound entries untouched
 
 
+def test_put_temp_files_are_reaped_when_orphaned(cache, monkeypatch):
+    """A put's own temp-file name is one ``reap_orphans`` matches and
+    the entry scan skips: a writer that dies between writing it and
+    the replace leaves an orphan the next open removes once it is
+    older than ``ORPHAN_TMP_MAX_AGE``."""
+    import time
+
+    from repro.runcache.store import ORPHAN_TMP_MAX_AGE
+
+    temps = []
+    replace = os.replace
+
+    def spy(src, dst):
+        temps.append(src)
+        replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", spy)
+    cache.put(spec(), 1)
+    cache.put(spec(1), 2)
+    monkeypatch.undo()
+    old, young = temps
+    old.write_bytes(b"half a put")
+    stale = time.time() - ORPHAN_TMP_MAX_AGE - 60
+    os.utime(old, (stale, stale))
+    young.write_bytes(b"in flight")
+    assert old.name.startswith(".") and old.name.endswith(".tmp")
+    assert old.name != young.name
+    assert cache.stats().entries == 2  # temp files are not entries
+
+    reopened = RunCache(cache.root)
+    assert not old.exists()
+    assert young.exists()
+    assert reopened.get(spec()) == 1
+
+
+def test_put_into_a_new_shard_writes_once(cache, monkeypatch):
+    """A handle makes each shard before its first write there, so a
+    put into a new shard writes its temp file once and leaves none."""
+    writes = []
+    atomic_write = RunCache._atomic_write
+
+    def counted(self, path, data):
+        writes.append(path)
+        atomic_write(self, path, data)
+
+    monkeypatch.setattr(RunCache, "_atomic_write", counted)
+    for i in range(5):
+        cache.put(spec(i), i)
+    assert len(writes) == 5
+    assert cache.session_put_failures == 0
+    assert [cache.get(spec(i)) for i in range(5)] == list(range(5))
+    assert not [p for p in cache.root.rglob("*") if p.name.endswith(".tmp")]
+
+
 # -------------------------------------------- incremental byte estimate
 
 
