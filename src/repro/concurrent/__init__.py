@@ -2,8 +2,9 @@
 
 The paper parallelized Molecular Workbench with fixed-size thread pools
 managed by Java ``ExecutorService`` objects, work queues (single shared
-or one per thread), ``CountDownLatch`` completion tracking, and simple
-barriers.  This package reproduces those structures twice:
+or one per thread) and ``CountDownLatch`` completion tracking: every
+phase closes on a latch.  This package reproduces those structures
+twice:
 
 * :mod:`~repro.concurrent.executor` / :mod:`~repro.concurrent.sync` —
   **real** Python ``threading`` implementations.  Used to exercise the
@@ -12,7 +13,7 @@ barriers.  This package reproduces those structures twice:
   limitation the repro brief anticipates.
 * :mod:`~repro.concurrent.simexec` / :mod:`~repro.concurrent.simsync` —
   implementations that run on the :class:`~repro.machine.SimMachine`,
-  where queue contention, latch waits, barrier skew, thread parking and
+  where queue contention, latch waits and skew, thread parking and
   wake-up migration all happen in simulated time.  Used for every
   *performance* experiment.
 """
@@ -30,25 +31,23 @@ from repro.concurrent.simexec import (
     SimFuture,
     SimTask,
 )
-from repro.concurrent.simsync import SimCountDownLatch, SimCyclicBarrier
+from repro.concurrent.simsync import SimCountDownLatch
 from repro.concurrent.stealing import (
     STEAL_POLICIES,
     StealableDeque,
     StealingExecutorService,
 )
-from repro.concurrent.sync import CountDownLatch, CyclicBarrier
+from repro.concurrent.sync import CountDownLatch
 
 __all__ = [
     "ASSIGN_POLICIES",
     "CountDownLatch",
-    "CyclicBarrier",
     "ExecutorService",
     "Future",
     "Instrumentation",
     "QueueMode",
     "STEAL_POLICIES",
     "SimCountDownLatch",
-    "SimCyclicBarrier",
     "SimExecutorService",
     "SimFuture",
     "SimTask",

@@ -1,7 +1,7 @@
-"""Real-thread synchronization primitives (CountDownLatch, CyclicBarrier).
+"""Real-thread synchronization: the countdown latch.
 
-These mirror ``java.util.concurrent.CountDownLatch`` and
-``CyclicBarrier`` closely enough for the MW parallelization pattern:
+It mirrors ``java.util.concurrent.CountDownLatch`` closely enough for
+the MW parallelization pattern:
 "When the thread finishes its work, it decrements a countdown latch so
 the program knows when all work in the phase is complete."
 """
@@ -9,7 +9,7 @@ the program knows when all work in the phase is complete."
 from __future__ import annotations
 
 import threading
-from typing import Callable, Optional
+from typing import Optional
 
 
 class CountDownLatch:
@@ -42,72 +42,3 @@ class CountDownLatch:
             if self._count == 0:
                 return True
             return self._cond.wait_for(lambda: self._count == 0, timeout)
-
-
-class BrokenBarrierError(RuntimeError):
-    """Raised by waiters when a barrier is reset while they wait."""
-
-
-class CyclicBarrier:
-    """Reusable barrier for a fixed party count.
-
-    ``await_()`` blocks until ``parties`` threads have arrived, then all
-    are released and the barrier resets for the next generation.  The
-    optional ``action`` runs once per trip, in the last-arriving thread
-    (Java's barrier action).  ``await_()`` returns the arrival index:
-    0 for the last thread to arrive (which ran the action), matching
-    Java's "number of parties still to arrive" convention loosely.
-    """
-
-    def __init__(self, parties: int, action: Optional[Callable[[], None]] = None):
-        if parties < 1:
-            raise ValueError(f"parties must be >= 1: {parties}")
-        self.parties = parties
-        self._action = action
-        self._cond = threading.Condition()
-        self._waiting = 0
-        self._generation = 0
-        self._broken_gens: set = set()
-        self.trips = 0
-
-    @property
-    def waiting(self) -> int:
-        with self._cond:
-            return self._waiting
-
-    def await_(self, timeout: Optional[float] = None) -> int:
-        """Block until all parties arrive; returns the arrival index."""
-        with self._cond:
-            gen = self._generation
-            self._waiting += 1
-            index = self.parties - self._waiting
-            if self._waiting == self.parties:
-                # last to arrive: run action, trip, advance generation
-                if self._action is not None:
-                    self._action()
-                self.trips += 1
-                self._waiting = 0
-                self._generation += 1
-                self._cond.notify_all()
-                return index
-            ok = self._cond.wait_for(
-                lambda: self._generation != gen, timeout
-            )
-            if gen in self._broken_gens:
-                raise BrokenBarrierError("barrier broken while waiting")
-            if not ok:
-                self._break_locked(gen)
-                raise BrokenBarrierError("barrier wait timed out")
-            return index
-
-    def reset(self) -> None:
-        """Break the current generation (waiters raise); the barrier is
-        immediately reusable for a fresh generation."""
-        with self._cond:
-            self._break_locked(self._generation)
-
-    def _break_locked(self, gen: int) -> None:
-        self._broken_gens.add(gen)
-        self._waiting = 0
-        self._generation += 1
-        self._cond.notify_all()

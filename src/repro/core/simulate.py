@@ -87,11 +87,6 @@ class RunResult:
         """The paper's headline display metric."""
         return 1.0 / self.seconds_per_step if self.steps else 0.0
 
-    def mean_skew(self, phase: str = "forces") -> float:
-        """Mean latch skew (last minus first arrival) of one phase."""
-        skews = self.phase_skews.get(phase, [])
-        return float(np.mean(skews)) if skews else 0.0
-
 
 class SimulatedParallelRun:
     """One parallel MW execution on the simulated machine.

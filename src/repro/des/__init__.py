@@ -33,15 +33,13 @@ from repro.des.errors import (
     SimulationDeadlock,
     SyncTimeout,
 )
-from repro.des.events import AllOf, AnyOf, Event, Timeout
+from repro.des.events import Event, Timeout
 from repro.des.process import Process
 from repro.des.resources import FifoStore, Lock, Semaphore
 from repro.des.simulator import Simulator, Timer
 from repro.des.trace import TraceEvent, serialize_events
 
 __all__ = [
-    "AllOf",
-    "AnyOf",
     "DeadlockError",
     "DesError",
     "Event",

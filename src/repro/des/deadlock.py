@@ -10,8 +10,8 @@ exists, and renders it as an owner/waiter chain so the resulting
 :class:`~repro.des.errors.SimulationDeadlock` names the culprits
 instead of just counting them.
 
-Processes blocked on resources with no owner (events, empty stores,
-barriers) appear in the report as terminal waits — they cannot form a
+Processes blocked on resources with no owner (events, latches, empty
+stores) appear in the report as terminal waits — they cannot form a
 cycle edge but are listed with what they wait on.
 """
 
@@ -29,9 +29,6 @@ def _request_resource(request) -> Tuple[str, Optional[object]]:
     store = getattr(request, "store", None)
     if store is not None:
         return f"store {store.name!r}", None
-    barrier = getattr(request, "barrier", None)
-    if barrier is not None:
-        return f"barrier {barrier.name!r}", None
     name = getattr(request, "name", "")
     label = type(request).__name__
     return (f"{label} {name!r}" if name else label), None

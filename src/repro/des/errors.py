@@ -39,9 +39,8 @@ DeadlockError = SimulationDeadlock
 
 
 class SyncTimeout(DesError):
-    """A timed wait (latch ``wait(timeout=...)`` surfaced as a failure,
-    or barrier ``arrive(timeout=...)``) expired before the sync point
-    tripped."""
+    """A timed latch ``wait(timeout=...)``, surfaced as a failure,
+    expired before the latch tripped."""
 
     def __init__(self, what: str, timeout: float):
         self.what = what

@@ -14,8 +14,6 @@ The concrete requests defined here are:
     Resume after a fixed simulated delay.
 :class:`Event`
     A one-shot broadcast signal; every waiter resumes when it fires.
-:class:`AllOf` / :class:`AnyOf`
-    Composite waits over several events.
 """
 
 from __future__ import annotations
@@ -119,77 +117,3 @@ class Event:
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         state = "fired" if self._fired else f"{len(self._waiters)} waiters"
         return f"Event({self.name!r}, {state})"
-
-
-class AllOf:
-    """Wait until every one of ``events`` has fired.
-
-    The yield returns a list of the events' values in argument order.
-    """
-
-    __slots__ = ("events",)
-
-    def __init__(self, events):
-        self.events = list(events)
-
-    def _subscribe(self, sim, process) -> None:
-        pending = [e for e in self.events if not e.fired]
-        if not pending:
-            sim._schedule(
-                0.0, process._resume, [e.value for e in self.events]
-            )
-            return
-        remaining = {"n": len(pending)}
-
-        def on_fire(_value, _remaining=remaining):
-            _remaining["n"] -= 1
-            if _remaining["n"] == 0:
-                process._resume([e.value for e in self.events])
-
-        for event in pending:
-            event._waiters.append(_CallbackWaiter(on_fire, process._fail))
-
-
-class AnyOf:
-    """Wait until at least one of ``events`` has fired.
-
-    The yield returns the ``(index, value)`` of the first event to fire.
-    """
-
-    __slots__ = ("events",)
-
-    def __init__(self, events):
-        self.events = list(events)
-
-    def _subscribe(self, sim, process) -> None:
-        for i, event in enumerate(self.events):
-            if event.fired:
-                sim._schedule(0.0, process._resume, (i, event.value))
-                return
-        done = {"done": False}
-
-        def make(i):
-            def on_fire(value):
-                if not done["done"]:
-                    done["done"] = True
-                    process._resume((i, value))
-
-            return on_fire
-
-        def on_fail(exc):
-            if not done["done"]:
-                done["done"] = True
-                process._fail(exc)
-
-        for i, event in enumerate(self.events):
-            event._waiters.append(_CallbackWaiter(make(i), on_fail))
-
-
-class _CallbackWaiter:
-    """Adapter so plain callbacks can sit in an Event's waiter list."""
-
-    __slots__ = ("_resume", "_fail")
-
-    def __init__(self, resume, fail):
-        self._resume = resume
-        self._fail = fail

@@ -49,11 +49,6 @@ class Semaphore:
         """Permits currently free."""
         return self._available
 
-    @property
-    def queue_length(self) -> int:
-        """Processes currently waiting."""
-        return len(self._queue)
-
     def acquire(self) -> "_AcquireRequest":
         """Return a request object to ``yield``."""
         return self._acquire_req

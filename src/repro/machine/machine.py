@@ -208,10 +208,6 @@ class SimMachine:
         """A FIFO mutex living in this machine's simulated time."""
         return Lock(self.sim, name=name)
 
-    def llc_for_pu(self, pu: int) -> LlcState:
-        """The warmth state of the LLC serving a PU."""
-        return self._llc_of_pu[pu]
-
     # -- cost evaluation -------------------------------------------------------
 
     def burst_duration(self, pu: int, cost: WorkCost) -> float:

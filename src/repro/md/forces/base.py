@@ -113,9 +113,10 @@ def owner_counts(owner: np.ndarray, n_atoms: int, weight: float = 1.0) -> np.nda
     return np.bincount(owner, weights=buf[:m], minlength=n_atoms)
 
 
-def segment_sums(e_terms: np.ndarray, seg: List[int]) -> List[float]:
-    """Per-run energy: the sum of each run's contiguous slice of a
-    run-major term array, ``seg[r]`` terms for run ``r``.
+def segment_sums(e_terms: np.ndarray, seg: List[int]) -> np.ndarray:
+    """Per-run energy, as an ``(R,)`` float64 array: the sum of each
+    run's contiguous slice of a run-major term array, ``seg[r]`` terms
+    for run ``r``.
 
     When every run has the same term count (no rebuild divergence —
     the common case), one ``reshape(R, m).sum(axis=1)`` replaces R
@@ -126,12 +127,13 @@ def segment_sums(e_terms: np.ndarray, seg: List[int]) -> List[float]:
     """
     m = seg[0] if seg else 0
     if m and all(v == m for v in seg):
-        return e_terms.reshape(len(seg), m).sum(axis=1).tolist()
+        return e_terms.reshape(len(seg), m).sum(axis=1)
     offs = np.concatenate(([0], np.cumsum(seg))).tolist()
-    return [
-        float(e_terms[offs[r]:offs[r + 1]].sum()) if seg[r] else 0.0
-        for r in range(len(seg))
-    ]
+    out = np.zeros(len(seg))
+    for r, n in enumerate(seg):
+        if n:
+            out[r] = e_terms[offs[r]:offs[r + 1]].sum()
+    return out
 
 
 def split_runs(
@@ -153,7 +155,7 @@ def split_runs(
         seg = np.bincount(owner // n_atoms, minlength=n_runs).tolist()
     return (
         np.array(seg, dtype=np.int64),
-        np.array(segment_sums(e_terms, seg)),
+        segment_sums(e_terms, seg),
         counts.reshape(n_runs, n_atoms),
     )
 

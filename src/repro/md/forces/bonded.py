@@ -218,10 +218,6 @@ class TorsionalBondForce(_BondedForce):
             np.asarray(phi0, dtype=np.float64), (m,)
         ).copy()
 
-    @property
-    def n_torsions(self) -> int:
-        return len(self.quads)
-
     def _bundle(self, system: AtomSystem, boundary: Boundary, forces_out):
         """Term math + scatter; returns ``(owner, e_terms)`` (see
         :meth:`RadialBondForce._bundle`)."""

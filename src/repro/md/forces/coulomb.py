@@ -234,7 +234,7 @@ class CoulombForce(Force):
         scatter_components(forces_out, plan.index, fvec.reshape(3, -1))
         terms = np.full(n_runs, plan.terms)
         return ForceColumns(
-            energy=np.array(segment_sums(qq / r, [plan.terms] * n_runs)),
+            energy=segment_sums(qq / r, [plan.terms] * n_runs),
             terms=terms,
             per_atom_work=plan.per_atom.copy(),
             flops=FLOPS_PER_PAIR * terms,

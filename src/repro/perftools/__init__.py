@@ -20,7 +20,6 @@ module           models
 ``visualvm``     per-method instrumentation, live-objects view
 ``sampling``     thread-state samplers (VisualVM 1 s, VTune 5-10 ms)
 ``vtune``        thread->core plots (Fig. 2), HW cache counters
-``shark``        timestamped call-stack profiles
 ``heapviewer``   class histograms (and the wished-for views)
 ``topoview``     the hwloc-like topology report (§V-C's wish)
 ``memtrace``     address-accurate synthetic load/store streams
@@ -62,8 +61,6 @@ from repro.perftools.sampling import (
     ThreadState,
     ThreadStateSampler,
 )
-from repro.perftools.shark import SharkProfile
-from repro.perftools.timeline import TimelineRenderer
 from repro.perftools.timers import (
     TimerAblationReport,
     TimerVariantRow,
@@ -83,10 +80,8 @@ __all__ = [
     "MonitorStats",
     "RandomSamplingProfiler",
     "SampledTimeline",
-    "SharkProfile",
     "ThreadState",
     "ThreadStateSampler",
-    "TimelineRenderer",
     "TimerAblationReport",
     "TimerVariantRow",
     "VTune",

@@ -58,8 +58,6 @@ import json
 import multiprocessing
 import os
 import random
-import shutil
-import tempfile
 import threading
 import time
 from collections import deque
@@ -76,8 +74,6 @@ from typing import Any, Callable, Deque, Dict, List, Optional, Set, Tuple
 
 from repro.runcache.key import RunSpec
 from repro.telemetry import runtime as telemetry_runtime
-from repro.telemetry.emit import new_trace_id
-from repro.telemetry.merge import load_records, worker_cache_counts
 
 JOURNAL_SCHEMA = "repro.sweepjournal/1"
 JOURNAL_NAME = "sweep-journal.jsonl"
@@ -408,8 +404,6 @@ class Outcome:
     #: executed digests, in miss order
     executed: List[str] = field(default_factory=list)
     quarantined: List[Quarantined] = field(default_factory=list)
-    #: per process: ``{"hits": n, "misses": n}`` (pooled sweeps only)
-    worker_cache: Dict[str, Dict[str, int]] = field(default_factory=dict)
     units: int = 0
     fanout: bool = False
     retries: int = 0
@@ -448,12 +442,12 @@ def _pool_worker(args) -> List[str]:
     """Run one unit in a pool worker, publishing into the shared
     on-disk cache; returns the digests the parent reloads.
 
-    The worker joins the parent's telemetry run: it wraps the execution
-    in a ``shard`` span parented to the fan-out and publishes its cache
-    hit/miss counts as sweep-labeled counters the parent folds into
-    :attr:`SweepResult.worker_cache`.  The ``started`` records precede
-    the process-fault hook, so a killed worker leaves a started-but-
-    never-finished trail.
+    When the parent has a telemetry run active (``tel_root``), the
+    worker joins it: it wraps the execution in a ``shard`` span parented
+    to the fan-out and emits its cache hit/miss counts as sweep-labeled
+    ``worker_cache_*`` counters.  Otherwise it emits nothing.  The
+    ``started`` records precede the process-fault hook, so a killed
+    worker leaves a started-but-never-finished trail.
     """
     from repro.runcache.store import RunCache
 
@@ -468,6 +462,9 @@ def _pool_worker(args) -> List[str]:
 
             for spec in specs:
                 process_faults.worker_started(spec.label())
+        if tel_root is None:
+            execute(cache)
+            return digests
         emitter = telemetry_runtime.activate(tel_root, parent_id=sweep_id)
         try:
             attrs = _shard_attrs(specs, sweep_id, attempt)
@@ -862,9 +859,7 @@ def supervise(
     ``ProcessPoolExecutor`` of ``min(jobs, units)`` workers that
     publish into the shared store, degrading to in-process when the
     pool cannot start or breaks too often.  With a telemetry run active
-    the workers emit into it; otherwise into a scratch directory kept
-    only long enough to fold their cache counts.  The parent's own
-    lookups (reloads, in-process units) join those counts under its pid.
+    the workers emit into it; otherwise they emit nothing.
     """
     # longest first: a replay's cost grows with threads x steps, so the
     # grid's biggest cells start while others fill the remaining
@@ -880,33 +875,13 @@ def supervise(
     if workers < 2:
         sup.run(units)
     else:
-        ephemeral = None
         if telemetry_runtime.active():
             sup.tel_root = str(emitter.run.root)
-        else:
-            ephemeral = tempfile.mkdtemp(prefix="repro-telemetry-")
-            sup.tel_root = ephemeral
-        hits0, misses0 = cache.session_hits, cache.session_misses
-        try:
-            with emitter.span(
-                "fanout", n_misses=len(misses), jobs=workers
-            ) as fanout_span:
-                sup.sweep_id = fanout_span.span_id or new_trace_id()[:12]
-                sup.run(units, workers)
-            records, _skipped = load_records(sup.tel_root)
-            counts = worker_cache_counts(records, sup.sweep_id)
-        finally:
-            if ephemeral is not None:
-                shutil.rmtree(ephemeral, ignore_errors=True)
-        delta_h = cache.session_hits - hits0
-        delta_m = cache.session_misses - misses0
-        if delta_h or delta_m:
-            mine = counts.setdefault(
-                str(os.getpid()), {"hits": 0, "misses": 0}
-            )
-            mine["hits"] += delta_h
-            mine["misses"] += delta_m
-        sup.out.worker_cache = counts
+        with emitter.span(
+            "fanout", n_misses=len(misses), jobs=workers
+        ) as fanout_span:
+            sup.sweep_id = fanout_span.span_id
+            sup.run(units, workers)
         sup.out.fanout = True
     sup.out.executed = [
         key for key, _ in misses if key in sup.out.artifacts

@@ -535,9 +535,6 @@ class SweepResult:
     #: True when the misses ran under a fan-out span — across the
     #: process pool, or in-process after the pool degraded
     fanout: bool = False
-    #: per pool worker: ``{"hits": n, "misses": n}`` against the shared
-    #: store, folded out of the workers' telemetry by the merge step
-    worker_cache: Dict[str, Dict[str, int]] = field(default_factory=dict)
     #: specs the supervisor gave up on (permanent failures); their
     #: artifact slots hold None
     quarantined: List[Quarantined] = field(default_factory=list)
@@ -568,14 +565,6 @@ class SweepResult:
     @property
     def misses(self) -> int:
         return len(self.hit_flags) - self.hits
-
-    @property
-    def worker_hits(self) -> int:
-        return sum(c["hits"] for c in self.worker_cache.values())
-
-    @property
-    def worker_misses(self) -> int:
-        return sum(c["misses"] for c in self.worker_cache.values())
 
     @property
     def hit_rate(self) -> float:
@@ -745,7 +734,6 @@ def sweep(
                 jobs=jobs if outcome.units > 1 else 1,
                 executed=outcome.executed,
                 fanout=outcome.fanout,
-                worker_cache=outcome.worker_cache,
                 quarantined=quarantined,
                 retries=outcome.retries,
                 timeouts=outcome.timeouts,

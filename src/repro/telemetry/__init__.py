@@ -34,7 +34,6 @@ from repro.telemetry.merge import (
     load_records,
     merge_key,
     registry_from_samples,
-    worker_cache_counts,
     write_merged,
 )
 from repro.telemetry.schema import (
@@ -63,6 +62,5 @@ __all__ = [
     "new_trace_id",
     "registry_from_samples",
     "validate_record",
-    "worker_cache_counts",
     "write_merged",
 ]

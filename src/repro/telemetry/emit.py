@@ -106,10 +106,6 @@ class TelemetryRun:
                 except OSError:
                     pass
 
-    def telemetry_files(self) -> List[Path]:
-        """Sorted per-process JSONL files currently in the run."""
-        return sorted(self.root.glob(f"{FILE_PREFIX}*.jsonl"))
-
 
 class SpanHandle:
     """Context manager for one open span; carries its id for children."""

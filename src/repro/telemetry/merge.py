@@ -11,8 +11,7 @@ set of files and stable under re-merging.
 On top of the merged timeline sit the folds the report consumes:
 metric samples → a :class:`repro.obs.metrics.MetricsRegistry`
 (counters sum their deltas, gauges keep the last sample in merge
-order), per-worker cache hit/miss counts for one sweep fan-out, and
-cache-event tallies.
+order) and cache-event tallies.
 """
 
 from __future__ import annotations
@@ -106,31 +105,6 @@ def registry_from_samples(records: List[dict]):
                 sample["value"]
             )
     return registry
-
-
-def worker_cache_counts(
-    records: List[dict], sweep_id: str
-) -> Dict[str, Dict[str, int]]:
-    """Per-worker cache hit/miss totals for one sweep fan-out.
-
-    Pool workers emit ``worker_cache_hits`` / ``worker_cache_misses``
-    counter samples labeled with the fan-out's sweep id and their own
-    worker id; this folds them into ``{worker: {"hits": n, "misses": n}}``.
-    """
-    out: Dict[str, Dict[str, int]] = {}
-    for sample in metric_samples(records):
-        if sample["name"] not in (
-            "worker_cache_hits", "worker_cache_misses"
-        ):
-            continue
-        labels = sample["labels"]
-        if labels.get("sweep") != sweep_id:
-            continue
-        worker = labels.get("worker", str(sample["pid"]))
-        slot = out.setdefault(worker, {"hits": 0, "misses": 0})
-        key = "hits" if sample["name"] == "worker_cache_hits" else "misses"
-        slot[key] += int(sample["value"])
-    return out
 
 
 def cache_event_tally(records: List[dict]) -> Dict[str, int]:

@@ -1,8 +1,8 @@
-"""Tests for simulated-time latch and barrier."""
+"""Tests for the simulated-time latch."""
 
 import pytest
 
-from repro.concurrent import SimCountDownLatch, SimCyclicBarrier
+from repro.concurrent import SimCountDownLatch
 from repro.des import Simulator, Timeout
 
 
@@ -64,81 +64,3 @@ def test_latch_negative_rejected():
     sim = Simulator()
     with pytest.raises(ValueError):
         SimCountDownLatch(sim, -2)
-
-
-def test_barrier_trips_and_cycles():
-    sim = Simulator()
-    barrier = SimCyclicBarrier(sim, 3)
-    log = []
-
-    def party(i, delays):
-        for d in delays:
-            yield Timeout(d)
-            yield barrier.arrive()
-            log.append((sim.now, i))
-
-    sim.spawn(party(0, [1.0, 1.0]))
-    sim.spawn(party(1, [2.0, 1.0]))
-    sim.spawn(party(2, [3.0, 1.0]))
-    sim.run()
-    assert barrier.trips == 2
-    # first trip at t=3 (slowest party), everyone resumes together
-    first_trip = [e for e in log if e[0] == 3.0]
-    assert len(first_trip) == 3
-    # second trip at t=4
-    second_trip = [e for e in log if e[0] == 4.0]
-    assert len(second_trip) == 3
-
-
-def test_barrier_skew_per_trip():
-    sim = Simulator()
-    barrier = SimCyclicBarrier(sim, 2)
-
-    def party(delay):
-        yield Timeout(delay)
-        yield barrier.arrive()
-
-    sim.spawn(party(1.0))
-    sim.spawn(party(5.0))
-    sim.run()
-    assert barrier.skew_per_trip() == [pytest.approx(4.0)]
-    first, last, arrivals = barrier.trip_arrivals[0]
-    assert (first, last) == (1.0, 5.0)
-    assert arrivals == [1.0, 5.0]
-
-
-def test_barrier_action_runs_on_trip():
-    sim = Simulator()
-    actions = []
-    barrier = SimCyclicBarrier(sim, 2, action=lambda: actions.append(1))
-
-    def party():
-        yield barrier.arrive()
-
-    sim.spawn(party())
-    sim.spawn(party())
-    sim.run()
-    assert actions == [1]
-
-
-def test_barrier_single_party():
-    sim = Simulator()
-    barrier = SimCyclicBarrier(sim, 1)
-    times = []
-
-    def solo():
-        for _ in range(3):
-            yield Timeout(1.0)
-            yield barrier.arrive()
-            times.append(sim.now)
-
-    sim.spawn(solo())
-    sim.run()
-    assert times == [1.0, 2.0, 3.0]
-    assert barrier.trips == 3
-
-
-def test_barrier_invalid_parties():
-    sim = Simulator()
-    with pytest.raises(ValueError):
-        SimCyclicBarrier(sim, 0)

@@ -1,12 +1,11 @@
-"""Tests for real-thread CountDownLatch and CyclicBarrier."""
+"""Tests for the real-thread CountDownLatch."""
 
 import threading
 import time
 
 import pytest
 
-from repro.concurrent import CountDownLatch, CyclicBarrier
-from repro.concurrent.sync import BrokenBarrierError
+from repro.concurrent import CountDownLatch
 
 
 def test_latch_basic():
@@ -56,101 +55,3 @@ def test_latch_releases_blocked_threads():
     for t in threads:
         t.join(timeout=2.0)
     assert len(released) == 3
-
-
-def test_barrier_trips_when_full():
-    barrier = CyclicBarrier(3)
-    reached = []
-
-    def party(i):
-        barrier.await_()
-        reached.append(i)
-
-    threads = [threading.Thread(target=party, args=(i,)) for i in range(3)]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join(timeout=2.0)
-    assert sorted(reached) == [0, 1, 2]
-    assert barrier.trips == 1
-
-
-def test_barrier_is_cyclic():
-    barrier = CyclicBarrier(2)
-    counter = {"n": 0}
-
-    def party():
-        for _ in range(5):
-            barrier.await_()
-            counter["n"] += 1
-
-    threads = [threading.Thread(target=party) for _ in range(2)]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join(timeout=5.0)
-    assert barrier.trips == 5
-    assert counter["n"] == 10
-
-
-def test_barrier_action_runs_once_per_trip():
-    actions = []
-    barrier = CyclicBarrier(2, action=lambda: actions.append(1))
-
-    def party():
-        barrier.await_()
-
-    threads = [threading.Thread(target=party) for _ in range(2)]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join(timeout=2.0)
-    assert actions == [1]
-
-
-def test_barrier_timeout_breaks_generation():
-    barrier = CyclicBarrier(2)
-    with pytest.raises(BrokenBarrierError):
-        barrier.await_(timeout=0.05)
-    # barrier is reusable for the next generation
-    results = []
-
-    def party():
-        results.append(barrier.await_())
-
-    threads = [threading.Thread(target=party) for _ in range(2)]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join(timeout=2.0)
-    assert len(results) == 2
-
-
-def test_barrier_reset_releases_waiters_with_error():
-    barrier = CyclicBarrier(2)
-    errors = []
-
-    def party():
-        try:
-            barrier.await_()
-        except BrokenBarrierError:
-            errors.append(1)
-
-    t = threading.Thread(target=party)
-    t.start()
-    time.sleep(0.02)
-    barrier.reset()
-    t.join(timeout=2.0)
-    assert errors == [1]
-
-
-def test_barrier_single_party_never_blocks():
-    barrier = CyclicBarrier(1)
-    for _ in range(3):
-        assert barrier.await_(timeout=0.1) == 0
-    assert barrier.trips == 3
-
-
-def test_barrier_invalid_parties():
-    with pytest.raises(ValueError):
-        CyclicBarrier(0)

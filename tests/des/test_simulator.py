@@ -3,8 +3,6 @@
 import pytest
 
 from repro.des import (
-    AllOf,
-    AnyOf,
     Event,
     Interrupted,
     SimulationDeadlock,
@@ -223,46 +221,6 @@ def test_event_fail_raises_in_waiter():
     assert caught == ["boom"]
 
 
-def test_allof_waits_for_every_event():
-    sim = Simulator()
-    evts = [Event(f"e{i}") for i in range(3)]
-    done = []
-
-    def waiter():
-        values = yield AllOf(evts)
-        done.append((sim.now, values))
-
-    def firer(i, delay):
-        yield Timeout(delay)
-        evts[i].fire(i * 10, sim=sim)
-
-    sim.spawn(waiter())
-    for i, delay in enumerate([3.0, 1.0, 2.0]):
-        sim.spawn(firer(i, delay))
-    sim.run()
-    assert done == [(3.0, [0, 10, 20])]
-
-
-def test_anyof_returns_first():
-    sim = Simulator()
-    evts = [Event(f"e{i}") for i in range(3)]
-    done = []
-
-    def waiter():
-        idx, value = yield AnyOf(evts)
-        done.append((sim.now, idx, value))
-
-    def firer(i, delay):
-        yield Timeout(delay)
-        evts[i].fire(f"v{i}", sim=sim)
-
-    sim.spawn(waiter())
-    for i, delay in enumerate([3.0, 1.0, 2.0]):
-        sim.spawn(firer(i, delay))
-    sim.run()
-    assert done == [(1.0, 1, "v1")]
-
-
 def test_interrupt_blocked_process():
     sim = Simulator()
     log = []
@@ -411,27 +369,6 @@ def test_daemon_processes_exempt_from_deadlock():
     sim.spawn(worker(), name="worker")
     # no SimulationDeadlock: the daemon is expected to wait forever
     assert sim.run() == 1.0
-
-
-def test_anyof_failure_propagates():
-    sim = Simulator()
-    evts = [Event("a"), Event("b")]
-    caught = []
-
-    def waiter():
-        try:
-            yield AnyOf(evts)
-        except RuntimeError as exc:
-            caught.append(str(exc))
-
-    def failer():
-        yield Timeout(1.0)
-        evts[0].fail(RuntimeError("bad"), sim=sim)
-
-    sim.spawn(waiter())
-    sim.spawn(failer())
-    sim.run()
-    assert caught == ["bad"]
 
 
 def test_interrupt_dead_process_is_noop():

@@ -84,7 +84,7 @@ def test_segment_sums_equal_segments_match_per_row_sums_bitwise():
             float(e_terms[offs[r]:offs[r + 1]].sum())
             for r in range(n_runs)
         ]
-        assert got == want
+        assert got.tolist() == want
 
 
 def test_segment_sums_ragged_segments_and_empty_runs():
@@ -98,8 +98,8 @@ def test_segment_sums_ragged_segments_and_empty_runs():
         float(e_terms[offs[r]:offs[r + 1]].sum()) if seg[r] else 0.0
         for r in range(4)
     ]
-    assert got == want
-    assert segment_sums(np.zeros(0), []) == []
+    assert got.tolist() == want
+    assert segment_sums(np.zeros(0), []).tolist() == []
 
 
 # ------------------------------------------- the unsupported-batch fence

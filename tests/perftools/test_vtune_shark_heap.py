@@ -1,4 +1,4 @@
-"""Tests for the VTune, Shark, heap-viewer and topology-report models."""
+"""Tests for the VTune, heap-viewer and topology-report models."""
 
 import numpy as np
 import pytest
@@ -8,7 +8,6 @@ from repro.jvm import AllocationRecorder, Heap, PlacementPolicy
 from repro.machine import CORE_I7_920, SimMachine, XEON_X7560_4S
 from repro.perftools import (
     HeapViewer,
-    SharkProfile,
     VTune,
     topology_report,
 )
@@ -68,34 +67,6 @@ def test_vtune_bandwidth_report(unpinned_run):
     machine, _ = unpinned_run
     report = VTune(machine).memory_bandwidth_report()
     assert report[0]["bytes_served"] > 0
-
-
-def test_shark_views(unpinned_run):
-    machine, workers = unpinned_run
-    shark = SharkProfile(machine)
-    w = workers[0]
-    thread_view = shark.single_thread_view(w)
-    assert len(thread_view) > 10
-    # the thread moved between cores
-    assert len({pu for _, pu, _ in thread_view}) >= 3
-    # core view exists for a PU the thread used
-    pu = thread_view[0][1]
-    core_view = shark.single_core_view(pu)
-    assert any(t == w for _, t, _ in core_view)
-
-
-def test_shark_wished_for_moment_view(unpinned_run):
-    """The §IV-C wish: what is every thread executing at time t."""
-    machine, workers = unpinned_run
-    shark = SharkProfile(machine)
-    t = machine.now / 2
-    snapshot = shark.all_threads_at(t, workers)
-    assert set(snapshot) == set(workers)
-    labels = {v for v in snapshot.values() if v is not None}
-    assert labels <= {"predict", "forces", "rebuild", "reduce", "correct",
-                      "queue-pop", ""}
-    text = shark.render_moment(t, workers)
-    assert "ms" in text
 
 
 def test_heap_viewer_faithful_and_extended():

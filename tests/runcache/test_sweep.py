@@ -193,17 +193,10 @@ def test_machine_key_rejects_unknown_machine():
         machine_key("cray-1")
 
 
-# -------------------------------------------- worker cache accounting
+# ------------------------------------------------ pooled sweep accounting
 
 
-def test_serial_sweep_has_no_worker_cache(cache):
-    result = sweep([capture_spec("salt", 1)], cache, jobs=1)
-    assert result.fanout is False
-    assert result.worker_cache == {}
-    assert result.worker_hits == 0 and result.worker_misses == 0
-
-
-def test_parallel_sweep_reports_per_worker_cache_counts(cache):
+def test_parallel_sweep_captures_the_nested_capture_once(cache):
     specs = [
         observe_spec("salt", 1, n, "i7-920", seed=0) for n in (1, 2, 3, 4)
     ]
@@ -212,20 +205,44 @@ def test_parallel_sweep_reports_per_worker_cache_counts(cache):
     assert len(result.executed) == len(specs)
     if not result.fanout:  # pragma: no cover - single-CPU / no-pool box
         pytest.skip("process pool unavailable; sweep fell back to serial")
-    # the telemetry merge recovered per-worker tallies.  A shard's own
-    # spec is not looked up again (the parent's pass missed it), so the
-    # one miss is the nested capture's load by the shard that computes
-    # it; the shards held back until it was stored load it as a hit
-    assert result.worker_cache
-    for counts in result.worker_cache.values():
-        assert set(counts) == {"hits", "misses"}
-    assert result.worker_misses == 1
-    assert result.worker_hits >= len(specs) - 1
+    # the store's cross-process counters: the parent's lookup pass
+    # misses the four observes; a shard's own spec is not looked up
+    # again, so the one further miss is the nested capture's load by
+    # the shard that computes it.  The shards held back until it was
+    # stored load it as a hit, so it is captured once.
+    assert cache.stats().misses == len(specs) + 1
     # a warm re-sweep is served from the parent's cache: no fan-out
     warm = sweep(specs, cache, jobs=2)
     assert warm.hit_rate == 1.0
     assert warm.fanout is False
-    assert warm.worker_cache == {}
+    assert cache.stats().misses == len(specs) + 1
+
+
+def test_pooled_sweep_without_telemetry_stays_untraced(
+    cache, tmp_path, monkeypatch
+):
+    """With no telemetry run active, a pooled sweep writes no
+    telemetry anywhere: no scratch run directory, no per-process
+    JSONL.  Directory removal is disabled so nothing can be written
+    and then cleaned up unseen."""
+    import shutil
+    import tempfile
+
+    from repro.telemetry import runtime as telemetry_runtime
+    from repro.telemetry.emit import FILE_PREFIX
+
+    scratch = tmp_path / "tmp"
+    scratch.mkdir()
+    monkeypatch.setattr(tempfile, "tempdir", str(scratch))
+    monkeypatch.setattr(shutil, "rmtree", lambda *_a, **_k: None)
+    assert not telemetry_runtime.active()
+    specs = [capture_spec("salt", 1), capture_spec("salt", 2)]
+    result = sweep(specs, cache, jobs=2)
+    assert result.ok and len(result.executed) == 2
+    if not result.fanout:  # pragma: no cover - single-CPU / no-pool box
+        pytest.skip("process pool unavailable; sweep fell back to serial")
+    assert list(scratch.glob("repro-telemetry-*")) == []
+    assert list(tmp_path.rglob(f"{FILE_PREFIX}*.jsonl")) == []
 
 
 # ----------------------------------------------------------- pool width

@@ -8,7 +8,6 @@ from repro.telemetry.merge import (
     load_records,
     merge_key,
     registry_from_samples,
-    worker_cache_counts,
     write_merged,
 )
 from repro.telemetry.prom import prometheus_text
@@ -106,32 +105,6 @@ def test_registry_folds_counters_sum_gauges_last(tmp_path):
     assert "depth 4" in text
     assert "# TYPE hits counter" in text
     assert "# TYPE depth gauge" in text
-
-
-def test_worker_cache_counts_filters_by_sweep(tmp_path):
-    records = [
-        _metric(10, 0, 1.0, "worker_cache_hits", "counter", 3,
-                sweep="s1", worker="10"),
-        _metric(10, 1, 1.1, "worker_cache_misses", "counter", 1,
-                sweep="s1", worker="10"),
-        _metric(11, 0, 1.2, "worker_cache_hits", "counter", 2,
-                sweep="s1", worker="11"),
-        # a different sweep sharing the run must not leak in
-        _metric(11, 1, 1.3, "worker_cache_hits", "counter", 9,
-                sweep="s2", worker="11"),
-        _metric(11, 2, 1.4, "other_metric", "counter", 9,
-                sweep="s1", worker="11"),
-    ]
-    _write_run(tmp_path, records)
-    merged, _ = load_records(tmp_path)
-    assert worker_cache_counts(merged, "s1") == {
-        "10": {"hits": 3, "misses": 1},
-        "11": {"hits": 2, "misses": 0},
-    }
-    assert worker_cache_counts(merged, "s2") == {
-        "11": {"hits": 9, "misses": 0},
-    }
-    assert worker_cache_counts(merged, "nope") == {}
 
 
 def test_cache_event_tally_folds_store_events(tmp_path):
