@@ -178,20 +178,9 @@ def scatter_forces(forces_out, indices, vectors) -> None:
     bins and in the same order."""
     idx = indices[0] if len(indices) == 1 else np.concatenate(indices)
     vec = vectors[0] if len(vectors) == 1 else np.concatenate(vectors)
-    scatter_components(forces_out, idx, vec.T)
-
-
-def scatter_components(forces_out, idx, components) -> None:
-    """The bincount half of :func:`scatter_forces`: ``components[k]``
-    holds every term's axis-``k`` force, in the order of ``idx``.
-    A kernel that builds C-contiguous ``(3, T)`` components hands
-    ``np.bincount`` its weights as-is; a strided column (``vec[:, k]``)
-    is copied inside every call.  Same sums either way."""
     n = len(forces_out)
     for k in range(3):
-        forces_out[:, k] += np.bincount(
-            idx, weights=components[k], minlength=n
-        )
+        forces_out[:, k] += np.bincount(idx, weights=vec[:, k], minlength=n)
 
 
 class Force(abc.ABC):

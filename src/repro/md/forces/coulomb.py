@@ -19,8 +19,11 @@ gathering both ends of every pair: block ``k`` pairs the packed
 charged positions ``P[i]`` with ``P[(i+k) mod M]``, which is a strided
 view of ``P`` laid end to end twice, and the even-M half ring is
 ``P[:M/2]`` against ``P[M/2:]``.  Per step the only gather is of the M
-charged rows; the owner/partner atom index that the force scatter and
-the ownership tally need is fixed by the ring and built once.
+charged rows, and the charge products k·q_i·q_j are fixed by the ring
+and built once.  The forces are summed the same way, in ring order: an
+in-order reduction over the blocks gives each atom's owner terms, and
+one over a skewed view of the same blocks its partner terms, so no
+per-pair atom index is kept or scattered through.
 
 Memory character: the charged atoms are visited "in a linear fashion,
 taking advantage of spatial memory locality if most atoms are charged"
@@ -40,8 +43,6 @@ from repro.md.boundary import Boundary
 from repro.md.forces.base import (
     Force,
     ForceColumns,
-    owner_counts,
-    scatter_components,
     segment_sums,
 )
 from repro.md.neighbors import NeighborList
@@ -85,15 +86,13 @@ def half_shell_pairs(m: int) -> Tuple[np.ndarray, np.ndarray]:
 
 class _RingPlan(NamedTuple):
     """The step-invariant part of one force copy's ring over one
-    charged layout: which ring columns it evaluates and the atom index
-    its pairs scatter through."""
+    charged layout: which ring columns it evaluates and the charge
+    products of its pairs."""
 
     #: owner columns [lo, hi) of every shifted block (charged-atom
     #: ranks; an owner range is a column range because ``charged`` is
     #: sorted) and the end of the even-M half ring's columns
-    lo: int
-    hi: int
-    half_hi: int
+    cols: Tuple[int, int, int]
     #: pairs per run in those columns
     width: int
     #: mask over the column-restricted ring pairs dropping pairs whose
@@ -101,20 +100,21 @@ class _RingPlan(NamedTuple):
     keep: Optional[np.ndarray]
     #: surviving pairs per run
     terms: int
-    #: run-major owner atoms of every run, then their partners
-    index: np.ndarray
+    #: run-major k·q_i·q_j of every surviving pair
+    qq: np.ndarray
     #: ``(n_runs, n_atoms)`` pairs owned per atom
     per_atom: np.ndarray
 
 
-def _ring(op, owner, partner, plan: _RingPlan, out: np.ndarray) -> None:
+def _ring(op, owner, partner, cols: Tuple[int, int, int], out) -> None:
     """``out[r, t] = op(owner[r, i], partner[r, j])`` for the t-th pair
-    (i, j) of the column-restricted ring, in :func:`half_shell_pairs`
-    order: block k = 1..⌊(m-1)/2⌋ over columns [lo, hi), then the
-    half ring.  ``owner``/``partner`` are ``(n_runs, m, ...)``."""
+    (i, j) of the ring restricted to ``cols`` (see :class:`_RingPlan`),
+    in :func:`half_shell_pairs` order: block k = 1..⌊(m-1)/2⌋ over
+    columns [lo, hi), then the half ring.  ``owner``/``partner`` are
+    ``(n_runs, m, ...)``."""
     m = partner.shape[1]
-    shifts = (m - 1) // 2
-    lo, hi = plan.lo, plan.hi
+    shifts = max((m - 1) // 2, 0)
+    lo, hi, half_hi = cols
     width = hi - lo
     doubled = np.concatenate([partner, partner], axis=1)
     run, row = doubled.strides[:2]
@@ -127,12 +127,64 @@ def _ring(op, owner, partner, plan: _RingPlan, out: np.ndarray) -> None:
     )
     blocks = out[:, :shifts * width].reshape(shifted.shape)
     op(owner[:, None, lo:hi], shifted, out=blocks)
-    if plan.half_hi > lo:
-        half = slice(lo + m // 2, plan.half_hi + m // 2)
-        op(
-            owner[:, lo:plan.half_hi], partner[:, half],
-            out=out[:, shifts * width:],
-        )
+    if half_hi > lo:
+        half = slice(lo + m // 2, half_hi + m // 2)
+        op(owner[:, lo:half_hi], partner[:, half], out=out[:, shifts * width:])
+
+
+def _scatter_ring(
+    forces_out: np.ndarray,
+    charged: np.ndarray,
+    coef: np.ndarray,
+    dr: np.ndarray,
+    plan: _RingPlan,
+    m: int,
+    scratch: np.ndarray,
+) -> None:
+    """``forces_out[charged] += `` each charged atom's ring force, axis
+    by axis, summed in the order a scatter of the owner-then-partner
+    pair index would add them: the atom's owner terms k = 1..S, its
+    half-ring owner term, its partner terms k = 1..S, then its half-ring
+    partner term (S = ⌊(m-1)/2⌋).
+
+    Rows 1..S of one ``(R, S+1, 2m)`` buffer hold ``[F_k | F_k]``, block
+    k's force on each owner column, laid end to end twice.  An add
+    reduction over k gives the owner sums, kept in row 0's right half;
+    a subtract reduction over the skewed view whose row k reads
+    ``F_k[(j-k) mod m]`` then takes off the partner terms.  A reduction
+    over a non-inner axis adds row by row, in order.  Columns outside
+    the owner range and pairs of two fixed atoms are +0.0 entries, which
+    leave every sum as it was: a sum starts at +0.0 and ``forces_out``
+    never holds -0.0."""
+    n_runs = len(charged) // m
+    shifts = (m - 1) // 2
+    lo, hi, half_hi = plan.cols
+    blocks = shifts * (hi - lo)
+    buf = np.zeros((n_runs, shifts + 1, 2 * m))
+    run, row, elem = buf.strides
+    ring = buf[:, 1:]
+    owned = buf[:, 0, m:]
+    # partners[r, k, j] = F_k[(j - k) mod m]; row 0 is the owner sums
+    partners = as_strided(
+        buf[:, :, m:],
+        shape=(n_runs, shifts + 1, m),
+        strides=(run, row - elem, elem),
+        writeable=False,
+    )
+    full = None if plan.keep is None else np.zeros((n_runs, plan.width))
+    for axis in range(3):
+        f = np.multiply(coef, dr[:, axis], out=scratch).reshape(n_runs, -1)
+        if full is not None:
+            full[:, plan.keep] = f
+            f = full
+        ring[:, :, lo:hi] = f[:, :blocks].reshape(n_runs, shifts, hi - lo)
+        ring[:, :, m + lo:m + hi] = ring[:, :, lo:hi]
+        np.add.reduce(ring[:, :, :m], axis=1, out=owned)
+        half = f[:, blocks:]
+        owned[:, lo:half_hi] += half
+        total = np.subtract.reduce(partners, axis=1)
+        total[:, m // 2 + lo:m // 2 + half_hi] -= half
+        forces_out[charged, axis] += total.ravel()
 
 
 class CoulombForce(Force):
@@ -161,36 +213,53 @@ class CoulombForce(Force):
         return CoulombForce(self.min_distance, owner_range=(lo, hi))
 
     def _plan(
-        self, charged: np.ndarray, movable: np.ndarray, n: int, n_runs: int
+        self,
+        charged: np.ndarray,
+        q: np.ndarray,
+        movable: np.ndarray,
+        n: int,
+        n_runs: int,
     ) -> _RingPlan:
         """The (cached) plan of the ring over one run's ``charged``
-        atoms, repeated over ``n_runs`` runs of ``n`` atoms."""
-        key = (n, n_runs, charged.tobytes(), movable[charged].tobytes())
+        atoms, repeated over ``n_runs`` runs of ``n`` atoms whose
+        charged atoms carry the ``(n_runs, m)`` charges ``q``."""
+        key = (
+            n, n_runs, charged.tobytes(), movable[charged].tobytes(),
+            q.tobytes(),
+        )
         cache = self._plans
         if key in cache:
             cache.move_to_end(key)
             return cache[key]
         m = len(charged)
-        ii, jj = half_shell_pairs(m)
-        gi, gj = charged[ii], charged[jj]
         lo, hi = 0, m
-        owned = np.ones(len(gi), dtype=bool)
         if self.owner_range is not None:
             lo, hi = np.searchsorted(charged, self.owner_range).tolist()
-            owned = (ii >= lo) & (ii < hi)
-        keep = (movable[gi] | movable[gj])[owned]
-        offsets = np.arange(n_runs, dtype=np.int64)[:, None] * n
-        owner = (gi[owned][keep] + offsets).ravel()
-        partner = (gj[owned][keep] + offsets).ravel()
+        half_hi = min(hi, m // 2) if m % 2 == 0 else lo
+        cols = (lo, hi, half_hi)
+        shifts = max((m - 1) // 2, 0)
+        blocks = shifts * (hi - lo)
+        mov = movable[charged][None]
+        keep = np.empty((1, blocks + max(half_hi - lo, 0)), dtype=bool)
+        _ring(np.logical_or, mov, mov, cols, keep)
+        keep = keep[0]
+        qq = np.empty((n_runs, len(keep)))
+        _ring(np.multiply, COULOMB_K * q, q, cols, qq)
+        # pairs each owner column keeps: one per block, one on the half
+        # ring, less the pairs of two fixed atoms
+        owns = np.zeros(m)
+        owns[lo:hi] = keep[:blocks].reshape(shifts, hi - lo).sum(axis=0)
+        owns[lo:half_hi] += keep[blocks:]
+        per_atom = np.zeros((n_runs, n))
+        per_atom[:, charged] = owns
+        every = keep.all()
         plan = _RingPlan(
-            lo=lo,
-            hi=hi,
-            half_hi=min(hi, m // 2) if m % 2 == 0 else lo,
+            cols=cols,
             width=len(keep),
-            keep=None if keep.all() else keep,
+            keep=None if every else keep,
             terms=int(keep.sum()),
-            index=np.concatenate([owner, partner]),
-            per_atom=owner_counts(owner, n_runs * n).reshape(n_runs, n),
+            qq=(qq if every else qq[:, keep]).ravel(),
+            per_atom=per_atom,
         )
         cache[key] = plan
         while len(cache) > RING_CACHE_SIZE:
@@ -209,32 +278,36 @@ class CoulombForce(Force):
         charged atoms of different runs would be wrong physics."""
         n = system.n_atoms // n_runs
         charged = system.charged
-        m = len(charged) // n_runs  # every run shares the charges
-        plan = self._plan(charged[:m], system.movable, n, n_runs)
+        m = len(charged) // n_runs  # every run shares the charged layout
+        q = system.charges[charged].reshape(n_runs, m)
+        plan = self._plan(charged[:m], q, system.movable, n, n_runs)
         if not plan.terms:
             return ForceColumns.empty(n_runs, n)
         pos = system.positions[charged].reshape(n_runs, m, 3)
-        q = system.charges[charged].reshape(n_runs, m)
-        dr = np.empty((n_runs, plan.width, 3))
-        _ring(np.subtract, pos, pos, plan, dr)
-        qq = np.empty((n_runs, plan.width))
-        _ring(np.multiply, COULOMB_K * q, q, plan, qq)
+        # the displacements, r² and r share one block: a freed block
+        # this large keeps the heap mapped between calls (glibc trims
+        # only free space beyond twice the largest block it has freed),
+        # so a steady call touches no fresh pages
+        pairs, kept = n_runs * plan.width, n_runs * plan.terms
+        work = np.empty(3 * pairs + 2 * kept)
+        dr = work[:3 * pairs].reshape(n_runs, plan.width, 3)
+        r2, r = work[3 * pairs:].reshape(2, kept)
+        _ring(np.subtract, pos, pos, plan.cols, dr)
         if plan.keep is not None:
-            dr, qq = dr[:, plan.keep], qq[:, plan.keep]
+            dr = dr[:, plan.keep]
         dr = boundary.displacement(dr.reshape(-1, 3))
-        qq = qq.ravel()
-        r2 = np.einsum("ij,ij->i", dr, dr)
+        np.einsum("ij,ij->i", dr, dr, out=r2)
         np.maximum(r2, self.min_distance**2, out=r2)
-        r = np.sqrt(r2)
-        coef = qq / (r2 * r)  # F/r
-        # (3, 2, T): axis-k force on each owner, then on each partner
-        fvec = np.empty((3, 2, len(coef)))
-        np.multiply(coef, dr.T, out=fvec[:, 0])
-        np.negative(fvec[:, 0], out=fvec[:, 1])
-        scatter_components(forces_out, plan.index, fvec.reshape(3, -1))
+        np.sqrt(r2, out=r)
+        # F/r = qq / (r2·r), in r2's buffer
+        coef = np.divide(plan.qq, np.multiply(r2, r, out=r2), out=r2)
+        energy = segment_sums(
+            np.divide(plan.qq, r, out=r), [plan.terms] * n_runs
+        )
+        _scatter_ring(forces_out, charged, coef, dr, plan, m, scratch=r)
         terms = np.full(n_runs, plan.terms)
         return ForceColumns(
-            energy=segment_sums(qq / r, [plan.terms] * n_runs),
+            energy=energy,
             terms=terms,
             per_atom_work=plan.per_atom.copy(),
             flops=FLOPS_PER_PAIR * terms,

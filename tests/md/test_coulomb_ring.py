@@ -112,6 +112,11 @@ def assert_same(new, old, out_new, out_old):
 @example(0, 2, 0, 0.0, 3, False, False, 12.0)  # the half ring alone
 @example(0, 7, 5, 0.3, 3, True, False, 2.0)  # odd ring, fixed atoms
 @example(0, 80, 9, 0.3, 3, True, True, 2.0)  # even ring, everything
+@example(0, 19, 4, 0.0, 1, False, False, 12.0)  # 9 blocks: more than 8
+@example(0, 20, 5, 0.3, 3, True, True, 2.0)  # 9 blocks and the half ring
+@example(0, 12, 4, 0.3, 8, True, False, 12.0)  # eight runs
+@example(0, 9, 2, 0.0, 1, False, False, 0.0)  # coincident ±ions: -0.0 terms
+@example(1, 30, 6, 0.0, 3, True, False, 12.0)  # 26 of 30 charges own no pair
 def test_property_ring_blocks_match_gather_oracle(
     seed, m, neutral, fixed_share, n_runs, restricted, periodic, spread
 ):
@@ -148,9 +153,48 @@ def test_one_force_object_across_charged_layouts():
         charges[rng.permutation(30)[:21]] = 1.0
         movable = rng.random(30) > 0.4
         systems.append(run_major_system(rng, 30, charges, movable, 1, 10.0))
+    # one charged layout and fixed mask, different charge values: the
+    # cached charge products must not carry over
+    layout = rng.permutation(30)[:21]
+    movable = rng.random(30) > 0.4
+    for values in ([1.0], [-1.0, 1.0], [2.0, -1.0, 1.0]):
+        charges = np.zeros(30)
+        charges[layout] = np.resize(values, 21)
+        systems.append(run_major_system(rng, 30, charges, movable, 1, 10.0))
     for s in systems + systems[::-1]:
         out_new, out_old = np.zeros((30, 3)), np.zeros((30, 3))
         new = force.compute_runs(s, boundary, None, out_new, 1).results()
         old = gather_oracle(force, s, boundary, out_old, 1)
         assert_same(new, old, out_new, out_old)
 
+
+@settings(max_examples=30, deadline=None)
+@given(
+    seed=st.integers(0, 2**31),
+    n_runs=st.sampled_from([1, 3]),
+    restricted=st.booleans(),
+)
+@example(0, 1, False)
+def test_lattice_zero_components_match_gather_oracle_bytes(
+    seed, n_runs, restricted
+):
+    """Ions on an integer lattice share coordinates, so many pair
+    displacements have exactly zero components and opposite charges
+    give -0.0 force terms amid nonzero ones; the forces must match the
+    oracle byte for byte, signed zeros included."""
+    rng = np.random.default_rng(seed)
+    n = 24
+    charges = rng.choice([-1.0, 1.0], size=n)
+    s = AtomSystem(BOX)
+    pos = 14.0 + rng.integers(0, 3, (n_runs * n, 3)).astype(float)
+    s.add_atoms("Na", pos, charges=np.tile(charges, n_runs))
+    force = CoulombForce()
+    if restricted:
+        lo, hi = np.sort(rng.integers(0, n + 1, 2)).tolist()
+        force = force.restrict(lo, hi)
+    boundary = ReflectiveBox(BOX)
+    out_new, out_old = np.zeros((n_runs * n, 3)), np.zeros((n_runs * n, 3))
+    new = force.compute_runs(s, boundary, None, out_new, n_runs).results()
+    old = gather_oracle(force, s, boundary, out_old, n_runs)
+    assert out_new.tobytes() == out_old.tobytes()
+    assert_same(new, old, out_new, out_old)
