@@ -239,7 +239,9 @@ class MachineCostModel:
                     # boundary atoms gathered from neighbor partitions;
                     # remote when a partition is homed on another socket
                     per_other = ghost / len(others)
-                    reads.extend(Traffic(region, per_other) for region in others)
+                    reads += [
+                        Traffic(region, per_other) for region in others
+                    ]
             if regular > 0:
                 for region, frac in overlap:
                     reads.append(Traffic(region, regular * frac))

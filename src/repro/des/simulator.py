@@ -100,8 +100,6 @@ class Simulator:
         self._seq: int = 0
         self._live: set = set()
         self.event_count: int = 0
-        #: high-water mark of the event heap (live entries + tombstones)
-        self.heap_peak: int = 0
         #: cancelled-timer entries still sitting in the heap
         self._tombstones: int = 0
         #: number of wholesale tombstone compactions performed
@@ -192,10 +190,9 @@ class Simulator:
         if delay < 0:
             raise ValueError(f"negative delay: {delay}")
         self._seq += 1
-        heap = self._heap
-        heapq.heappush(heap, (self.now + delay, self._seq, callback, value))
-        if len(heap) > self.heap_peak:
-            self.heap_peak = len(heap)
+        heapq.heappush(
+            self._heap, (self.now + delay, self._seq, callback, value)
+        )
 
     def call_at(self, time: float, callback, value=None) -> None:
         """Schedule ``callback(value)`` at an absolute simulated time."""

@@ -20,7 +20,7 @@ from typing import Tuple
 from repro.machine.cachestate import Region
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Traffic:
     """Bytes moved against one region by one task."""
 
@@ -28,12 +28,23 @@ class Traffic:
     n_bytes: float
     write: bool = False
 
-    def __post_init__(self):
-        if self.n_bytes < 0:
-            raise ValueError(f"negative traffic: {self.n_bytes}")
+    def __init__(self, region: Region, n_bytes: float, write: bool = False):
+        if n_bytes < 0:
+            raise ValueError(f"negative traffic: {n_bytes}")
+        # a cost plan builds tens of thousands of these: fill the slots
+        # through their descriptors, which is what a frozen dataclass's
+        # own __init__ does through object.__setattr__, at half the cost
+        _set_region(self, region)
+        _set_n_bytes(self, n_bytes)
+        _set_write(self, write)
 
 
-@dataclass(frozen=True, slots=True)
+_set_region = Traffic.region.__set__
+_set_n_bytes = Traffic.n_bytes.__set__
+_set_write = Traffic.write.__set__
+
+
+@dataclass(frozen=True, slots=True, init=False)
 class WorkCost:
     """The machine-level cost of one task.
 
@@ -62,20 +73,25 @@ class WorkCost:
     #: precomputed because dispatch installs it on the thread per burst
     _hot_regions: tuple = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self):
-        if self.cycles < 0:
-            raise ValueError(f"negative cycles: {self.cycles}")
-        object.__setattr__(
-            self,
-            "_total_bytes",
-            sum(t.n_bytes for t in self.reads)
-            + sum(t.n_bytes for t in self.writes),
+    def __init__(
+        self,
+        cycles: float = 0.0,
+        reads: Tuple[Traffic, ...] = (),
+        writes: Tuple[Traffic, ...] = (),
+        label: str = "",
+    ):
+        if cycles < 0:
+            raise ValueError(f"negative cycles: {cycles}")
+        hot = tuple([(t.region, t.n_bytes) for t in reads])
+        # slots filled through their descriptors, as in Traffic
+        _set_cycles(self, cycles)
+        _set_reads(self, reads)
+        _set_writes(self, writes)
+        _set_label(self, label)
+        _set_total_bytes(
+            self, sum([n for _r, n in hot]) + sum([t.n_bytes for t in writes])
         )
-        object.__setattr__(
-            self,
-            "_hot_regions",
-            tuple((t.region, t.n_bytes) for t in self.reads),
-        )
+        _set_hot_regions(self, hot)
 
     @property
     def read_bytes(self) -> float:
@@ -121,6 +137,14 @@ class WorkCost:
             writes=self.writes + other.writes,
             label=self.label or other.label,
         )
+
+
+_set_cycles = WorkCost.cycles.__set__
+_set_reads = WorkCost.reads.__set__
+_set_writes = WorkCost.writes.__set__
+_set_label = WorkCost.label.__set__
+_set_total_bytes = WorkCost._total_bytes.__set__
+_set_hot_regions = WorkCost._hot_regions.__set__
 
 
 def compute_only(cycles: float, label: str = "") -> WorkCost:

@@ -210,14 +210,16 @@ class Scheduler:
             return aff[0]
         last = thread.last_pu
         loads = self._loads
-        global_best = min([loads[p] for p in aff])
         roll = self._rng.random()
         wander = roll < self.migrate_prob
+        # an idle last PU keeps the thread unless it wanders; no other
+        # PU's load matters then, so the scan below is skipped
+        if not wander and last in thread.affinity and loads[last] == 0:
+            return last
         # a rarer event models the kernel's idle balancer pulling the
         # thread to any socket; ordinary wander stays within the domain
         rebalance = roll < self.rebalance_prob
-        if last in thread.affinity and loads[last] == 0 and not wander:
-            return last
+        global_best = min([loads[p] for p in aff])
         pool = aff
         best = global_best
         if last is not None and not rebalance:
@@ -264,14 +266,6 @@ class Scheduler:
 
     # -- dispatch loop -------------------------------------------------------
 
-    def _smt_factor(self, pu: int) -> float:
-        """Execution-rate multiplier given SMT sibling activity."""
-        running = self._running
-        for sib in self._smt_other[pu]:
-            if running[sib] is not None:
-                return self.smt_throughput
-        return 1.0
-
     def _dispatch(self, pu: int):
         """Daemon process serving one PU's run queue."""
         sim = self.sim
@@ -314,7 +308,7 @@ class Scheduler:
             remaining = thread.burst_remaining
             while remaining > 1e-12:
                 factor = 1.0
-                for sib in smt_other:  # inlined _smt_factor
+                for sib in smt_other:  # a busy SMT sibling slows this PU
                     if running[sib] is not None:
                         factor = smt_throughput
                         break

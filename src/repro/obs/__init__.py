@@ -38,7 +38,6 @@ CLI: ``python -m repro trace <workload>`` produces the artifacts;
 from repro.obs.attribution import (
     AttributionResult,
     RunObservation,
-    attribute,
     attribute_observations,
     attribution_csv,
     kernel_shares,
@@ -97,7 +96,6 @@ __all__ = [
     "TaskSpan",
     "ToolErrorReport",
     "Tracer",
-    "attribute",
     "attribute_observations",
     "attribution_csv",
     "chrome_trace_events",

@@ -40,17 +40,15 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.costmodel import DEFAULT_COST_PARAMS, CostParams
-from repro.core.simulate import RunResult, SimulatedParallelRun, capture_trace
+from repro.core.simulate import RunResult, SimulatedParallelRun
 from repro.machine.background import LOAD_SCENARIOS
 from repro.machine.machine import SimMachine
-from repro.machine.topology import CORE_I7_920, MachineSpec
+from repro.machine.topology import MachineSpec
 from repro.obs.critical_path import CriticalPath, critical_path
 from repro.obs.tracer import PhaseWindow, Tracer
-from repro.perftools.sampling import GroundTruthTimeline, ThreadState
-from repro.workloads import BUILDERS, resolve_workload
 
 Interval = Tuple[float, float]
 
@@ -128,19 +126,34 @@ def merge_intervals(
 def intersect_intervals(
     a: Sequence[Interval], b: Sequence[Interval]
 ) -> List[Interval]:
-    """Pairwise intersection of two merged interval lists."""
+    """Pairwise intersection of two merged interval lists.
+
+    Each piece is ``(max(a0, b0), min(a1, b1))`` with ``max``/``min``'s
+    tie rules (the first argument wins a tie), spelled out so the walk
+    calls no builtin per step.
+    """
     out: List[Interval] = []
+    na, nb = len(a), len(b)
+    if not na or not nb:
+        return out
     i = j = 0
-    while i < len(a) and j < len(b):
-        s = max(a[i][0], b[j][0])
-        e = min(a[i][1], b[j][1])
+    a0, a1 = a[0]
+    b0, b1 = b[0]
+    while True:
+        s = b0 if b0 > a0 else a0
+        e = b1 if b1 < a1 else a1
         if e > s:
             out.append((s, e))
-        if a[i][1] < b[j][1]:
+        if a1 < b1:
             i += 1
+            if i == na:
+                return out
+            a0, a1 = a[i]
         else:
             j += 1
-    return out
+            if j == nb:
+                return out
+            b0, b1 = b[j]
 
 
 def complement_intervals(
@@ -230,6 +243,70 @@ def _phase_seconds(
     return {p: sum(ps) for p, ps in pieces.items()}
 
 
+def _thread_states(
+    events: Sequence[Tuple[float, str, int, str]],
+    threads: Sequence[str],
+    T: float,
+    by_pu: bool,
+) -> Dict[str, Tuple[
+    List[Interval], List[Interval], List[Interval], Dict[int, List[Interval]]
+]]:
+    """``(running, ready, running ∪ ready, running by PU)`` of each of
+    ``threads``, straight from a scheduler log (time-ordered
+    ``(time, thread, pu, what)`` records).
+
+    A ``run:*`` record starts a RUNNING stretch on its PU, ``ready`` and
+    ``preempt`` a READY one, ``done`` a parked one; other records change
+    nothing, and a thread's last stretch runs to the log's last time.
+    These are :class:`~repro.perftools.sampling.GroundTruthTimeline`'s
+    intervals; since one thread's stretches come in time order, each
+    list is clipped to [0, T] and coalesced as it grows, which gives
+    :func:`merge_intervals`'s lists exactly.  The per-PU lists are
+    filled only when ``by_pu`` is set.
+    """
+    out = {name: ([], [], [], {}) for name in threads}
+    #: thread -> (lists, start, state, pu) of its open stretch; state
+    #: 0 = RUNNING, 1 = READY, None = parked
+    open_: Dict[str, tuple] = {}
+
+    def close(lists, t0, t1, state, pu) -> None:
+        if t1 > T:
+            t1 = T
+        if t1 <= t0:
+            return
+        targets = (lists[state], lists[2])
+        if by_pu and state == 0:
+            targets += (lists[3].setdefault(pu, []),)
+        for lst in targets:
+            if lst and t0 <= lst[-1][1]:
+                if t1 > lst[-1][1]:
+                    lst[-1] = (lst[-1][0], t1)
+            else:
+                lst.append((t0, t1))
+
+    for time, thread, pu, what in events:
+        lists = out.get(thread)
+        if lists is None:
+            continue
+        if what.startswith("run"):
+            state = 0
+        elif what == "ready" or what == "preempt":
+            state = 1
+        elif what == "done":
+            state = None
+        else:  # migrate and other markers carry no state change
+            continue
+        prev = open_.get(thread)
+        if prev is not None and prev[2] is not None and time > prev[1]:
+            close(lists, prev[1], time, prev[2], prev[3])
+        open_[thread] = (lists, time, state, pu)
+    end = events[-1][0] if events else 0.0
+    for lists, t0, state, pu in open_.values():
+        if state is not None:
+            close(lists, t0, end, state, pu)
+    return out
+
+
 # -- one observed run -------------------------------------------------------
 
 
@@ -316,39 +393,30 @@ def observe_run(
     T = result.sim_seconds
     spans = [s for s in tracer.task_spans() if s.complete]
     windows = [w for w in tracer.phase_windows() if w.complete]
-    timeline = GroundTruthTimeline(machine.scheduler.trace.events)
-
-    def state_ivs(thread: str, state: ThreadState) -> List[Interval]:
-        return merge_intervals(
-            [
-                (iv.start, iv.end)
-                for iv in timeline.intervals.get(thread, [])
-                if iv.state == state
-            ],
-            0.0,
-            T,
-        )
-
-    def running_by_pu(thread: str) -> Dict[int, List[Interval]]:
-        by: Dict[int, List[Interval]] = {}
-        for iv in timeline.intervals.get(thread, []):
-            if iv.state == ThreadState.RUNNING and iv.pu is not None:
-                by.setdefault(iv.pu, []).append((iv.start, iv.end))
-        return {
-            pu: merge_intervals(l, 0.0, T) for pu, l in by.items()
-        }
-
-    master_running = state_ivs("master", ThreadState.RUNNING)
+    # the replay master runs one phase window at a time; the phase split
+    # (_phase_seconds) and the span-to-window bisection rely on it
+    assert all(
+        windows[k].end <= windows[k + 1].begin
+        for k in range(len(windows) - 1)
+    ), "phase windows overlap"
+    worker_names = [
+        f"{run.pool.name}-worker-{i}" for i in range(n_threads)
+    ]
+    slow_windows = [
+        (w.detail["pu"], w.detail["factor"], w.start, w.end)
+        for w in result.fault_windows
+        if w.kind == "straggler"
+    ]
+    states = _thread_states(
+        machine.scheduler.trace.events, ["master", *worker_names], T,
+        by_pu=bool(slow_windows),
+    )
+    master_running = states["master"][0]
     gc_ivs = merge_intervals(result.gc_windows, 0.0, T)
     serial_spine = merge_intervals(master_running + gc_ivs, 0.0, T)
 
     # -- fault context (empty unless a fault plan was armed) -------------
     fault_windows = result.fault_windows
-    slow_windows = [
-        (w.detail["pu"], w.detail["factor"], w.start, w.end)
-        for w in fault_windows
-        if w.kind == "straggler"
-    ]
     storm_ivs = merge_intervals(
         [(w.start, w.end) for w in fault_windows if w.kind == "preempt_storm"],
         0.0, T,
@@ -404,14 +472,9 @@ def observe_run(
         for name_, ivs in phase_ivs.items()
     }
 
-    # the replay master runs one phase at a time, so windows of
-    # different phases never overlap; _phase_seconds relies on that
     tagged = sorted(
         (s, e, pname) for pname, pivs in phase_ivs.items() for s, e in pivs
     )
-    assert all(
-        tagged[k][1] <= tagged[k + 1][0] for k in range(len(tagged) - 1)
-    ), "phase windows of different phases overlap"
 
     acc: Dict[str, Dict[str, float]] = {
         cls: {SERIAL_PHASE: 0.0} for cls in CLASSES
@@ -422,7 +485,10 @@ def observe_run(
     ) -> None:
         # scale moves fractional seconds between classes (straggler and
         # GC-amplification compensation use a +s / −s pair, so the
-        # per-worker partition of [0, T] stays exact)
+        # per-worker partition of [0, T] stays exact); no intervals add
+        # nothing, not even a 0.0
+        if not ivs:
+            return
         remaining = interval_seconds(ivs)
         row = acc[cls]
         for pname, t in _phase_seconds(ivs, tagged, phase_ivs).items():
@@ -431,18 +497,15 @@ def observe_run(
             remaining -= t
         row[SERIAL_PHASE] += scale * remaining
 
+    spans_of: Dict[int, list] = {}
+    for s in spans:
+        spans_of.setdefault(s.worker, []).append(s)
     exec_by_uid: Dict[str, float] = {}
-    worker_names = [
-        f"{run.pool.name}-worker-{i}" for i in range(n_threads)
-    ]
     for i, wname in enumerate(worker_names):
-        running = state_ivs(wname, ThreadState.RUNNING)
-        ready = state_ivs(wname, ThreadState.READY)
+        running, ready, active, on_pu = states[wname]
         # anything not recorded as on-core or runnable is parked
-        parked = complement_intervals(
-            merge_intervals(running + ready, 0.0, T), 0.0, T
-        )
-        my_spans = [s for s in spans if s.worker == i]
+        parked = complement_intervals(active, 0.0, T)
+        my_spans = spans_of.get(i, [])
         span_ivs = merge_intervals(
             [(s.started, s.finished) for s in my_spans], 0.0, T
         )
@@ -451,18 +514,15 @@ def observe_run(
         )
         exec_run = intersect_intervals(running, span_ivs)
         attribute_phase("exec", exec_run)
-        if slow_windows:
-            on_pu = running_by_pu(wname)
-            for pu, factor, s0, s1 in slow_windows:
-                slow_exec = intersect_intervals(
-                    intersect_intervals(exec_run, on_pu.get(pu, [])),
-                    [(s0, s1)],
-                )
-                if slow_exec:
-                    # of the on-core seconds inside the slowed window,
-                    # (1−factor) is fault loss, factor is honest work
-                    attribute_phase("fault", slow_exec, scale=1.0 - factor)
-                    attribute_phase("exec", slow_exec, scale=factor - 1.0)
+        for pu, factor, s0, s1 in slow_windows:
+            slow_exec = intersect_intervals(
+                intersect_intervals(exec_run, on_pu.get(pu, [])),
+                [(s0, s1)],
+            )
+            # of the on-core seconds inside the slowed window,
+            # (1−factor) is fault loss, factor is honest work
+            attribute_phase("fault", slow_exec, scale=1.0 - factor)
+            attribute_phase("exec", slow_exec, scale=factor - 1.0)
         off_span = subtract_intervals(running, span_ivs, 0.0, T)
         steal_ivs = merge_intervals(steal_windows.get(wname, []), 0.0, T)
         if steal_ivs:
@@ -473,33 +533,33 @@ def observe_run(
         attribute_phase("pool_overhead", off_span)
         if storm_ivs:
             attribute_phase("fault", intersect_intervals(ready, storm_ivs))
-            attribute_phase(
-                "ready", subtract_intervals(ready, storm_ivs, 0.0, T)
-            )
-        else:
-            attribute_phase("ready", ready)
+            ready = subtract_intervals(ready, storm_ivs, 0.0, T)
+        attribute_phase("ready", ready)
+        # an empty fault or GC set would cut nothing out of ``parked``
         fault_park_src = merge_intervals(
             stall_ivs
             + loss_ivs
             + ([(death_time[i], T)] if i in death_time else []),
             0.0, T,
         )
+        if fault_park_src:
+            attribute_phase(
+                "fault", intersect_intervals(parked, fault_park_src)
+            )
+            parked = subtract_intervals(parked, fault_park_src, 0.0, T)
+        if gc_ivs:
+            gc_park = intersect_intervals(parked, gc_ivs)
+            attribute_phase("gc", gc_park)
+            if gc_mult > 1.0:
+                # the amplified share of the pause is the fault's doing
+                move = 1.0 - 1.0 / gc_mult
+                attribute_phase("fault", gc_park, scale=move)
+                attribute_phase("gc", gc_park, scale=-move)
+            parked = subtract_intervals(parked, gc_ivs, 0.0, T)
         attribute_phase(
-            "fault", intersect_intervals(parked, fault_park_src)
+            "serial_master", intersect_intervals(parked, master_running)
         )
-        parked = subtract_intervals(parked, fault_park_src, 0.0, T)
-        gc_park = intersect_intervals(parked, gc_ivs)
-        attribute_phase("gc", gc_park)
-        if gc_mult > 1.0 and gc_park:
-            # the amplified share of the pause is the fault's doing
-            move = 1.0 - 1.0 / gc_mult
-            attribute_phase("fault", gc_park, scale=move)
-            attribute_phase("gc", gc_park, scale=-move)
-        rem = subtract_intervals(parked, gc_ivs, 0.0, T)
-        attribute_phase(
-            "serial_master", intersect_intervals(rem, master_running)
-        )
-        rem = subtract_intervals(rem, master_running, 0.0, T)
+        rem = subtract_intervals(parked, master_running, 0.0, T)
         attribute_phase("queue_wait", intersect_intervals(rem, queue_ivs))
         attribute_phase(
             "latch_idle", subtract_intervals(rem, queue_ivs, 0.0, T)
@@ -510,14 +570,16 @@ def observe_run(
                 running, running_ends, s.started, s.finished
             )
 
-    window_exec: List[Tuple[PhaseWindow, List[Tuple[str, float]]]] = []
-    for w in windows:
-        tasks = [
-            (s.uid, exec_by_uid.get(s.uid, 0.0))
-            for s in spans
-            if w.begin <= s.started < w.end
-        ]
-        window_exec.append((w, tasks))
+    # windows are sequential, so the one that can hold a start time is
+    # the last to begin at or before it
+    window_exec: List[Tuple[PhaseWindow, List[Tuple[str, float]]]] = [
+        (w, []) for w in windows
+    ]
+    begins = [w.begin for w in windows]
+    for s in spans:
+        k = bisect_right(begins, s.started) - 1
+        if k >= 0 and s.started < windows[k].end:
+            window_exec[k][1].append((s.uid, exec_by_uid.get(s.uid, 0.0)))
 
     return RunObservation(
         workload=workload,
@@ -715,61 +777,6 @@ def attribute_observations(
         ),
         observation=obs,
         baseline=base,
-    )
-
-
-def attribute(
-    workload: Union[str, object],
-    n_threads: int,
-    *,
-    spec: Union[str, MachineSpec] = CORE_I7_920,
-    steps: int = 5,
-    seed: int = 0,
-    trace=None,
-    baseline: Optional[RunObservation] = None,
-    params: Optional[CostParams] = None,
-    fault_plan=None,
-    **run_kwargs,
-) -> AttributionResult:
-    """End-to-end attribution for one workload × thread count.
-
-    Runs the serial physics once (or reuses ``trace``), replays it at 1
-    and at ``n_threads`` workers on fresh simulated machines, and
-    returns the conserved decomposition.  ``baseline`` lets sweeps
-    reuse the 1-thread observation.  A ``fault_plan`` is armed on the
-    ``n_threads`` observation only — the baseline stays fault-free, so
-    the new ``fault_loss`` bucket measures pure injected loss.
-    """
-    if isinstance(spec, str):
-        from repro.machine import MACHINES
-
-        spec = MACHINES[spec]
-    if isinstance(workload, str):
-        wl = BUILDERS[resolve_workload(workload)]()
-    else:
-        wl = workload
-    if trace is None:
-        trace = capture_trace(wl, steps)
-    kwargs = dict(run_kwargs)
-    if params is not None:
-        kwargs["params"] = params
-    if baseline is None:
-        baseline = observe_run(
-            trace, wl.system.n_atoms, spec, 1,
-            seed=seed, name=wl.name, workload=wl.name, **kwargs,
-        )
-    if n_threads == 1 and fault_plan is None:
-        obs = baseline
-    else:
-        obs = observe_run(
-            trace, wl.system.n_atoms, spec, n_threads,
-            seed=seed, name=wl.name, workload=wl.name,
-            fault_plan=fault_plan, **kwargs,
-        )
-    return attribute_observations(
-        obs, baseline, trace,
-        machine=spec.name, params=params,
-        fuse_rebuild=kwargs.get("fuse_rebuild", True),
     )
 
 

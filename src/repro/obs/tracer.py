@@ -161,28 +161,29 @@ class Tracer:
         """Assemble task spans from the ``task.*`` events, in enqueue
         order.  Incomplete spans (task still queued at the end of the
         run) are included with their observed fields."""
+        # a dict keeps its first-insertion order: the enqueue order
         spans: Dict[str, TaskSpan] = {}
-        order: List[str] = []
         for e in self.events:
-            if not e.kind.startswith("task."):
+            kind = e.kind
+            if not kind.startswith("task."):
                 continue
-            span = spans.get(e.subject)
+            uid = e.subject
+            span = spans.get(uid)
             if span is None:
-                span = spans[e.subject] = TaskSpan(e.subject)
-                order.append(e.subject)
-            if e.kind == "task.enqueue":
+                span = spans[uid] = TaskSpan(uid)
+            if kind == "task.enqueue":
                 span.enqueued = e.time
                 span.label = e.arg("label", "") or ""
                 span.queue = e.arg("queue", "") or ""
-            elif e.kind == "task.dequeue":
+            elif kind == "task.dequeue":
                 span.dequeued = e.time
                 span.worker = e.arg("worker")
-            elif e.kind == "task.start":
+            elif kind == "task.start":
                 span.started = e.time
-            elif e.kind == "task.end":
+            elif kind == "task.end":
                 span.finished = e.time
                 span.pu = e.arg("pu")
-        return [spans[uid] for uid in order]
+        return list(spans.values())
 
     def phase_windows(self) -> List[PhaseWindow]:
         """The master's phase executions in begin order, assembled from

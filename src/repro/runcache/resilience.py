@@ -54,6 +54,7 @@ run cannot take its batch-mates down.
 
 from __future__ import annotations
 
+import gc
 import json
 import multiprocessing
 import os
@@ -429,13 +430,29 @@ def _shard_attrs(specs: List[RunSpec], sweep_id, attempt: int) -> dict:
 
 
 def _begin(specs: List[RunSpec], digests: List[str], journal, attempt: int):
-    """Prepare a unit and journal its start."""
+    """Prepare a unit and journal its start.
+
+    The returned ``execute(cache)`` runs the unit with the cyclic
+    collector paused: a unit's objects live until it returns, so
+    collecting them midway only rescans them.  A collector the caller
+    had disabled stays disabled.
+    """
     from repro.runcache.sweep import prepare_unit
 
     execute = prepare_unit(specs)
     for digest in digests:
         journal.started(digest, attempt=attempt)
-    return execute
+
+    def paused(cache) -> List[Any]:
+        if not gc.isenabled():
+            return execute(cache)
+        gc.disable()
+        try:
+            return execute(cache)
+        finally:
+            gc.enable()
+
+    return paused
 
 
 def _pool_worker(args) -> List[str]:

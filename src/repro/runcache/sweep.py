@@ -18,6 +18,7 @@ cache changes wall-clock, never results.
 
 from __future__ import annotations
 
+import gc
 import os
 import tempfile
 from dataclasses import dataclass, field
@@ -628,6 +629,11 @@ def sweep(
       propagates); journaled or resumed sweeps default to the
       supervised :class:`SupervisionPolicy` (bounded retries,
       quarantine instead of raise).
+
+    The caller's heap stays frozen (:func:`gc.freeze`) while the sweep
+    runs, so no collection rescans it and the pool workers forked
+    meanwhile inherit it frozen; a caller that froze objects of its
+    own keeps its freeze as it was.
     """
     if cache is None:
         with tempfile.TemporaryDirectory(prefix="repro-sweep-") as tmp:
@@ -635,6 +641,26 @@ def sweep(
                 specs, RunCache(tmp), jobs,
                 journal=journal, resume=resume, policy=policy,
             )
+    # unfreezing would thaw a caller's own frozen objects too
+    freeze = not gc.get_freeze_count()
+    if freeze:
+        gc.freeze()
+    try:
+        return _sweep(specs, cache, jobs, journal, resume, policy)
+    finally:
+        if freeze:
+            gc.unfreeze()
+
+
+def _sweep(
+    specs: Sequence[RunSpec],
+    cache: RunCache,
+    jobs: Optional[int],
+    journal: Optional[os.PathLike],
+    resume: Optional[os.PathLike],
+    policy: Optional[SupervisionPolicy],
+) -> SweepResult:
+    """:func:`sweep` against a store."""
     if resume is not None and journal is not None and (
         Path(resume) != Path(journal)
     ):
@@ -785,11 +811,11 @@ def attribute_cached(
     cache: Optional[RunCache] = None,
     jobs: Optional[int] = None,
 ):
-    """Cache-backed :func:`repro.obs.attribution.attribute` (defaults
-    only — no fault plan / custom params): capture and both
-    observations come through one :func:`sweep` (``cache=None`` is its
-    throwaway store), the pure decomposition is recomputed fresh.
-    Value-identical to the uncached call."""
+    """Attribution of one workload × thread count against its 1-thread
+    baseline (spec defaults only — no fault plan / custom params):
+    capture and both observations come through one :func:`sweep`
+    (``cache=None`` is its throwaway store), the pure decomposition is
+    recomputed fresh."""
     from repro.obs.attribution import attribute_observations
     from repro.workloads import resolve_workload
 

@@ -100,16 +100,6 @@ def test_step_skips_tombstones():
     assert sim.step() is False
 
 
-def test_heap_peak_tracks_high_water_mark():
-    sim = Simulator()
-    handles = [sim.timer(float(i + 1), lambda v: None) for i in range(10)]
-    assert sim.heap_peak == 10
-    for h in handles:
-        h.cancel()
-    sim.run()
-    assert sim.heap_peak == 10  # high-water mark survives the drain
-
-
 def test_compaction_purges_tombstones_and_preserves_survivors():
     sim = Simulator()
     sim.COMPACT_MIN_TOMBSTONES = 8  # shrink the threshold for the test

@@ -17,8 +17,9 @@ from repro.faults.chaos import (
     run_chaos_case,
 )
 from repro.machine import CORE_I7_920, SimMachine
-from repro.obs import Tracer, attribute
+from repro.obs import Tracer
 from repro.workloads import BUILDERS
+from tests.obs._attribute import attribute
 
 STEPS = 3
 THREADS = 4

@@ -19,13 +19,13 @@ from hypothesis import strategies as st
 from repro.core import capture_trace
 from repro.machine import MACHINES
 from repro.obs import (
-    attribute,
     attribution_csv,
     render_attribution,
     result_to_dict,
 )
 from repro.obs.attribution import BUCKETS, CLASS_TO_BUCKET, CLASSES
 from repro.workloads import BUILDERS
+from tests.obs._attribute import attribute
 
 SPEC = MACHINES["i7-920"]
 

@@ -1,13 +1,17 @@
 """Bit-exact oracle for observe_run's attribution passes.
 
 ``oracle_observe`` is ``observe_run``'s classification as it stood
-before its one-pass rewrite: a full-stream tracer, one
-``intersect_intervals`` per phase in ``attribute_phase``, and one per
-task span for its on-core seconds.  The production pass must produce
+before its one-pass rewrites: a full-stream tracer, thread states from
+``GroundTruthTimeline`` objects, one scan of every span per worker and
+per phase window, one interval intersection per phase in
+``attribute_phase``, one per task span for its on-core seconds, and the
+fault and GC interval algebra run even when those sets are empty.  Its
+intersections are ``builtin_intersect``, the ``max``/``min`` walk that
+``intersect_intervals`` replaced.  The production pass must produce
 ``==`` class/phase seconds and window executions on every case — plain
 replays, a chaos plan with GC amplification, a work-stealing pool and a
-pinned pool.  The two helpers behind the rewrite are also checked
-against the interval algebra on arbitrary inputs.
+pinned pool.  The helpers behind the rewrites are also checked against
+the timeline and the old interval algebra on arbitrary inputs.
 """
 
 from typing import Dict, List, Tuple
@@ -34,17 +38,41 @@ from repro.obs.attribution import (
     SERIAL_PHASE,
     Interval,
     _phase_seconds,
+    _thread_states,
     _window_seconds,
     complement_intervals,
     intersect_intervals,
     interval_seconds,
     merge_intervals,
     observe_run,
-    subtract_intervals,
 )
 from repro.obs.tracer import PhaseWindow, Tracer
 from repro.perftools.sampling import GroundTruthTimeline, ThreadState
 from repro.workloads import BUILDERS
+
+
+def builtin_intersect(
+    a: List[Interval], b: List[Interval]
+) -> List[Interval]:
+    """``intersect_intervals`` before its walk spelled out max/min."""
+    out: List[Interval] = []
+    i = j = 0
+    while i < len(a) and j < len(b):
+        s = max(a[i][0], b[j][0])
+        e = min(a[i][1], b[j][1])
+        if e > s:
+            out.append((s, e))
+        if a[i][1] < b[j][1]:
+            i += 1
+        else:
+            j += 1
+    return out
+
+
+def oracle_subtract(
+    a: List[Interval], b: List[Interval], lo: float, hi: float
+) -> List[Interval]:
+    return builtin_intersect(a, complement_intervals(b, lo, hi))
 
 
 def oracle_observe(
@@ -161,7 +189,7 @@ def oracle_observe(
         # per-worker partition of [0, T] stays exact)
         remaining = interval_seconds(ivs)
         for pname, pivs in phase_ivs.items():
-            t = interval_seconds(intersect_intervals(ivs, pivs))
+            t = interval_seconds(builtin_intersect(ivs, pivs))
             if t:
                 acc[cls][pname] = acc[cls].get(pname, 0.0) + scale * t
             remaining -= t
@@ -185,13 +213,13 @@ def oracle_observe(
         queue_ivs = merge_intervals(
             [(s.enqueued, s.dequeued) for s in my_spans], 0.0, T
         )
-        exec_run = intersect_intervals(running, span_ivs)
+        exec_run = builtin_intersect(running, span_ivs)
         attribute_phase("exec", exec_run)
         if slow_windows:
             on_pu = running_by_pu(wname)
             for pu, factor, s0, s1 in slow_windows:
-                slow_exec = intersect_intervals(
-                    intersect_intervals(exec_run, on_pu.get(pu, [])),
+                slow_exec = builtin_intersect(
+                    builtin_intersect(exec_run, on_pu.get(pu, [])),
                     [(s0, s1)],
                 )
                 if slow_exec:
@@ -199,18 +227,18 @@ def oracle_observe(
                     # (1−factor) is fault loss, factor is honest work
                     attribute_phase("fault", slow_exec, scale=1.0 - factor)
                     attribute_phase("exec", slow_exec, scale=factor - 1.0)
-        off_span = subtract_intervals(running, span_ivs, 0.0, T)
+        off_span = oracle_subtract(running, span_ivs, 0.0, T)
         steal_ivs = merge_intervals(steal_windows.get(wname, []), 0.0, T)
         if steal_ivs:
             attribute_phase(
-                "steal", intersect_intervals(off_span, steal_ivs)
+                "steal", builtin_intersect(off_span, steal_ivs)
             )
-            off_span = subtract_intervals(off_span, steal_ivs, 0.0, T)
+            off_span = oracle_subtract(off_span, steal_ivs, 0.0, T)
         attribute_phase("pool_overhead", off_span)
         if storm_ivs:
-            attribute_phase("fault", intersect_intervals(ready, storm_ivs))
+            attribute_phase("fault", builtin_intersect(ready, storm_ivs))
             attribute_phase(
-                "ready", subtract_intervals(ready, storm_ivs, 0.0, T)
+                "ready", oracle_subtract(ready, storm_ivs, 0.0, T)
             )
         else:
             attribute_phase("ready", ready)
@@ -221,28 +249,28 @@ def oracle_observe(
             0.0, T,
         )
         attribute_phase(
-            "fault", intersect_intervals(parked, fault_park_src)
+            "fault", builtin_intersect(parked, fault_park_src)
         )
-        parked = subtract_intervals(parked, fault_park_src, 0.0, T)
-        gc_park = intersect_intervals(parked, gc_ivs)
+        parked = oracle_subtract(parked, fault_park_src, 0.0, T)
+        gc_park = builtin_intersect(parked, gc_ivs)
         attribute_phase("gc", gc_park)
         if gc_mult > 1.0 and gc_park:
             # the amplified share of the pause is the fault's doing
             move = 1.0 - 1.0 / gc_mult
             attribute_phase("fault", gc_park, scale=move)
             attribute_phase("gc", gc_park, scale=-move)
-        rem = subtract_intervals(parked, gc_ivs, 0.0, T)
+        rem = oracle_subtract(parked, gc_ivs, 0.0, T)
         attribute_phase(
-            "serial_master", intersect_intervals(rem, master_running)
+            "serial_master", builtin_intersect(rem, master_running)
         )
-        rem = subtract_intervals(rem, master_running, 0.0, T)
-        attribute_phase("queue_wait", intersect_intervals(rem, queue_ivs))
+        rem = oracle_subtract(rem, master_running, 0.0, T)
+        attribute_phase("queue_wait", builtin_intersect(rem, queue_ivs))
         attribute_phase(
-            "latch_idle", subtract_intervals(rem, queue_ivs, 0.0, T)
+            "latch_idle", oracle_subtract(rem, queue_ivs, 0.0, T)
         )
         for s in my_spans:
             exec_by_uid[s.uid] = interval_seconds(
-                intersect_intervals(running, [(s.started, s.finished)])
+                builtin_intersect(running, [(s.started, s.finished)])
             )
 
     window_exec: List[Tuple[PhaseWindow, List[Tuple[str, float]]]] = []
@@ -348,7 +376,11 @@ def test_chaos_gc_case_exercises_every_branch():
 # -- the helpers against the interval algebra -------------------------------
 
 _times = st.lists(
-    st.floats(min_value=0.0, max_value=10.0, allow_nan=False),
+    st.one_of(
+        st.floats(min_value=0.0, max_value=10.0, allow_nan=False),
+        # shared endpoints exercise max()/min()'s tie rules
+        st.sampled_from([0.0, 1.0, 2.5, 5.0, 10.0]),
+    ),
     max_size=24,
 )
 
@@ -356,6 +388,15 @@ _times = st.lists(
 def _merged(points: List[float]) -> List[Interval]:
     pts = sorted(points)
     return merge_intervals(list(zip(pts[0::2], pts[1::2])), 0.0, 10.0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(a=_times, b=_times)
+def test_intersect_walk_equals_the_builtin_form(a, b):
+    a, b = _merged(a), _merged(b)
+    assert repr(intersect_intervals(a, b)) == repr(builtin_intersect(a, b))
+    # an empty side gives no pieces
+    assert intersect_intervals(a, []) == [] == intersect_intervals([], b)
 
 
 @settings(max_examples=200, deadline=None)
@@ -370,7 +411,7 @@ def test_phase_seconds_equals_per_phase_intersections(ivs, windows, tags):
     tagged = sorted((s, e, p) for p, ws in phase_ivs.items() for s, e in ws)
     got = _phase_seconds(ivs, tagged, phase_ivs)
     want = {
-        p: interval_seconds(intersect_intervals(ivs, ws))
+        p: interval_seconds(builtin_intersect(ivs, ws))
         for p, ws in phase_ivs.items()
     }
     assert list(got) == list(want)
@@ -387,5 +428,51 @@ def test_window_seconds_equals_intersection(ivs, lo, width):
     ivs = _merged(ivs)
     hi = lo + width
     ends = [e for _s, e in ivs]
-    want = interval_seconds(intersect_intervals(ivs, [(lo, hi)]))
+    want = interval_seconds(builtin_intersect(ivs, [(lo, hi)]))
     assert repr(_window_seconds(ivs, ends, lo, hi)) == repr(want)
+
+
+_records = st.lists(
+    st.tuples(
+        st.floats(min_value=0.0, max_value=1.0, allow_nan=False),
+        st.sampled_from(["a", "b", "c"]),
+        st.integers(0, 2),
+        st.sampled_from(["run:forces", "run:", "ready", "preempt", "done",
+                         "migrate"]),
+    ),
+    max_size=40,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    records=_records,
+    T=st.floats(min_value=0.0, max_value=1.2, allow_nan=False),
+    by_pu=st.booleans(),
+)
+def test_thread_states_equal_the_timeline_intervals(records, T, by_pu):
+    # a scheduler log is time-ordered; repeated times are common
+    events = sorted(records, key=lambda r: r[0])
+    timeline = GroundTruthTimeline(events)
+    got = _thread_states(events, ["a", "b", "master"], T, by_pu)
+    for thread in ("a", "b", "master"):
+        ivs = timeline.intervals.get(thread, [])
+
+        def of(*states):
+            return merge_intervals(
+                [(iv.start, iv.end) for iv in ivs if iv.state in states],
+                0.0, T,
+            )
+
+        running, ready, active, on_pu = got[thread]
+        assert running == of(ThreadState.RUNNING)
+        assert ready == of(ThreadState.READY)
+        assert active == of(ThreadState.RUNNING, ThreadState.READY)
+        by: Dict[int, List[Interval]] = {}
+        for iv in ivs:
+            if iv.state == ThreadState.RUNNING:
+                by.setdefault(iv.pu, []).append((iv.start, iv.end))
+        want = {pu: merge_intervals(l, 0.0, T) for pu, l in by.items()}
+        assert on_pu == (
+            {pu: l for pu, l in want.items() if l} if by_pu else {}
+        )

@@ -66,7 +66,7 @@ def test_empty_window_falls_through_serially():
 
 @pytest.fixture(scope="module")
 def al1000_attr():
-    from repro.obs import attribute
+    from tests.obs._attribute import attribute
 
     return attribute("al1000", 4, steps=3)
 

@@ -2,6 +2,7 @@
 uncached benches, and the byte-identity property behind the whole
 design — a cache hit IS a fresh run."""
 
+import gc
 import importlib
 
 import pytest
@@ -131,11 +132,11 @@ def _uncached_attribution_payload(workloads, threads, *, steps, seed):
     from repro.obs.attribution import (
         BENCH_SCHEMA,
         BUCKETS,
-        attribute,
         observe_run,
         result_to_dict,
     )
     from repro.workloads import BUILDERS, resolve_workload
+    from tests.obs._attribute import attribute
 
     runs = []
     names = [resolve_workload(w) for w in workloads]
@@ -176,8 +177,9 @@ def test_attribution_sweep_payload_matches_uncached_bench(cache):
 
 
 def test_attribute_cached_matches_uncached(cache):
-    from repro.obs import attribute, result_to_dict
+    from repro.obs import result_to_dict
     from repro.runcache import attribute_cached
+    from tests.obs._attribute import attribute
 
     plain = attribute("salt", 2, spec="i7-920", steps=2, seed=0)
     cached = attribute_cached(
@@ -452,3 +454,74 @@ def test_parallel_sweep_computes_each_nested_capture_once(tmp_path):
     assert [dumps_artifact(a) for a in result.artifacts] == [
         dumps_artifact(a) for a in reference.artifacts
     ]
+
+
+# ------------------------------------------------------------ GC hygiene
+
+
+def _gc_state():
+    return gc.isenabled(), gc.get_freeze_count()
+
+
+@pytest.fixture()
+def gc_probe(monkeypatch):
+    """Capture specs whose executor returns the collector state its
+    unit ran under: ``(heap frozen, collector enabled)``."""
+    from repro.runcache.sweep import _EXECUTORS
+
+    def probe(spec, cache):
+        return gc.get_freeze_count() > 0, gc.isenabled()
+
+    monkeypatch.setitem(_EXECUTORS, "capture", probe)
+    # two workloads are two units, so jobs=2 fans them out to the pool
+    return [capture_spec("salt", 1), capture_spec("nanocar", 1)]
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_sweep_runs_units_on_a_frozen_heap_and_restores_gc(
+    gc_probe, tmp_path, jobs
+):
+    before = _gc_state()
+    result = sweep(gc_probe, RunCache(tmp_path / "store"), jobs=jobs)
+    assert _gc_state() == before
+    if jobs == 2 and not result.fanout:  # pragma: no cover - no-pool box
+        pytest.skip("process pool unavailable; sweep fell back to serial")
+    # in-process and in a forked worker alike: the inherited heap is
+    # frozen and the collector is paused while the unit runs
+    assert result.artifacts == [(True, False), (True, False)]
+
+
+def test_sweep_restores_gc_when_a_spec_raises(tmp_path, monkeypatch):
+    from repro.runcache.sweep import _EXECUTORS
+
+    def broken(spec, cache):
+        raise RuntimeError("spec failed")
+
+    monkeypatch.setitem(_EXECUTORS, "capture", broken)
+    before = _gc_state()
+    with pytest.raises(RuntimeError, match="spec failed"):
+        sweep([capture_spec("salt", 1)], RunCache(tmp_path / "s"), jobs=1)
+    assert _gc_state() == before
+
+
+def test_sweep_leaves_a_disabled_collector_disabled(gc_probe, tmp_path):
+    gc.disable()
+    try:
+        before = _gc_state()
+        result = sweep(gc_probe[:1], RunCache(tmp_path / "store"), jobs=1)
+        assert _gc_state() == before == (False, 0)
+    finally:
+        gc.enable()
+    assert result.artifacts == [(True, False)]
+
+
+def test_sweep_leaves_the_callers_own_freeze_alone(gc_probe, tmp_path):
+    assert gc.get_freeze_count() == 0
+    gc.freeze()
+    try:
+        before = _gc_state()
+        result = sweep(gc_probe[:1], RunCache(tmp_path / "store"), jobs=1)
+        assert _gc_state() == before and before[1] > 0
+    finally:
+        gc.unfreeze()
+    assert result.artifacts == [(True, False)]
