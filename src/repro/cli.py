@@ -573,18 +573,15 @@ def cmd_attribute(args) -> None:
         result_to_dict,
         write_folded_stacks,
     )
-    from repro.runcache import attribute_cached
+    from repro.runcache import attribute_grid, attribution_specs, sweep
 
     _machine_spec(args.machine)  # validate before digesting
-    res = attribute_cached(
-        _workload_name(args.workload),
-        args.threads,
-        spec=args.machine,
-        steps=args.steps,
-        seed=args.seed,
-        cache=_run_cache(args),
-        jobs=args.jobs,
+    specs = attribution_specs(
+        [_workload_name(args.workload)], [args.threads], args.machine,
+        steps=args.steps, seed=args.seed,
     )
+    result = sweep(specs, _run_cache(args), jobs=args.jobs)
+    (res,) = attribute_grid(result.specs, result.artifacts, [args.threads])
     print(render_attribution(res))
     if args.out:
         _ensure_outdir(args.out)
@@ -694,9 +691,7 @@ def cmd_report(args) -> None:
     from repro.telemetry.report import write_report
 
     try:
-        paths = write_report(
-            args.run_dir, args.out, machine=args.machine
-        )
+        paths = write_report(args.run_dir, args.out)
     except ValueError as exc:
         _die(str(exc))
     for key in ("merged", "trace", "metrics", "json", "html"):
@@ -1097,17 +1092,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "run_dir",
         help="telemetry run directory (the --telemetry DIR of a "
-        "previous command, or a bench script's sweep dir)",
+        "previous command); speedups, attribution and leaderboard "
+        "are read back from the cache entries its sweeps recorded",
     )
     p.add_argument(
         "--out", default=None,
         help="write the artifacts here instead of into the run "
         "directory itself",
-    )
-    p.add_argument(
-        "--machine", default=None,
-        help="machine label for the report header (default: taken "
-        "from bench.json or the run manifest)",
     )
     p.set_defaults(fn=cmd_report)
 

@@ -32,7 +32,7 @@ leaderboard run is served warm from the cache.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.analysis.report import format_table
@@ -362,7 +362,27 @@ def leaderboard(
     ]
     result = sweep(specs, cache, jobs=jobs)
     cells = list(result.artifacts)
+    rows, extras = rank_tools(cells)
+    return LeaderboardResult(
+        rows=rows,
+        cells=cells,
+        workloads=names,
+        machines=machine_keys,
+        threads=threads,
+        steps=steps,
+        seed=seed,
+        hit_rate=result.hit_rate,
+        jobs=result.jobs,
+        extras=extras,
+    )
 
+
+def rank_tools(
+    cells: Sequence[dict],
+) -> Tuple[List[LeaderboardRow], Dict[str, dict]]:
+    """Rank the tools by mean error over ``cells`` (summed in cell
+    order; ties by name), plus the extras: the JXPerf showcase and each
+    timer placement's mean distortion."""
     per_tool: Dict[str, List[float]] = {}
     metric: Dict[str, str] = {}
     for cell in cells:
@@ -397,19 +417,7 @@ def leaderboard(
     extras["timers"] = {
         v: _mean(d) for v, d in sorted(timer_means.items())
     }
-
-    return LeaderboardResult(
-        rows=rows,
-        cells=cells,
-        workloads=names,
-        machines=machine_keys,
-        threads=threads,
-        steps=steps,
-        seed=seed,
-        hit_rate=result.hit_rate,
-        jobs=result.jobs,
-        extras=extras,
-    )
+    return rows, extras
 
 
 def _mean(values: Sequence[float]) -> float:
@@ -670,17 +678,7 @@ def leaderboard_payload(result: LeaderboardResult) -> dict:
         "steps": result.steps,
         "seed": result.seed,
         "tools": [r.tool for r in result.rows],
-        "leaderboard": [
-            {
-                "rank": r.rank,
-                "tool": r.tool,
-                "mean_error": r.mean_error,
-                "worst_error": r.worst_error,
-                "metric": r.metric,
-                "cells": r.cells,
-            }
-            for r in result.rows
-        ],
+        "leaderboard": [asdict(r) for r in result.rows],
         "runs": runs,
         "jxperf": dict(result.extras.get("jxperf", {})),
         "timers": dict(result.extras.get("timers", {})),

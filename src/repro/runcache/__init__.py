@@ -43,7 +43,8 @@ from repro.runcache.store import (
 )
 from repro.runcache.sweep import (
     SweepResult,
-    attribute_cached,
+    attribute_grid,
+    attribution_specs,
     attribution_sweep,
     cached_capture,
     capture_spec,
@@ -70,7 +71,8 @@ __all__ = [
     "SweepJournal",
     "SweepResult",
     "VerifyReport",
-    "attribute_cached",
+    "attribute_grid",
+    "attribution_specs",
     "attribution_sweep",
     "cached_capture",
     "capture_spec",

@@ -69,7 +69,7 @@ from concurrent.futures import (
     wait,
 )
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Deque, Dict, List, Optional, Set, Tuple
 
@@ -78,12 +78,6 @@ from repro.telemetry import runtime as telemetry_runtime
 
 JOURNAL_SCHEMA = "repro.sweepjournal/1"
 JOURNAL_NAME = "sweep-journal.jsonl"
-
-#: journal record kinds, in lifecycle order
-JOURNAL_KINDS = (
-    "begin", "submitted", "started", "finished", "failed",
-    "quarantined", "end",
-)
 
 
 # -- the journal -------------------------------------------------------------
@@ -329,13 +323,7 @@ class Quarantined:
     carried: bool = False
 
     def to_dict(self) -> dict:
-        return {
-            "digest": self.digest,
-            "label": self.label,
-            "attempts": self.attempts,
-            "error": self.error,
-            "carried": self.carried,
-        }
+        return asdict(self)
 
 
 # -- the supervisor ----------------------------------------------------------
@@ -762,11 +750,10 @@ class _Supervisor:
         self._retry(unit, message)
 
     def _finished(self, unit: Unit, result: List[Any], pooled: bool) -> None:
-        # a pool worker returns digests: reload what it published, in
-        # one lookup pass
-        artifacts = self.cache._lookup(unit.specs) if pooled else result
+        if pooled:  # a worker returns digests: read back, uncounted
+            result = [self.cache.read(key) for key, _ in unit.items]
         lost = []
-        for (key, spec), artifact in zip(unit.items, artifacts):
+        for (key, spec), artifact in zip(unit.items, result):
             if artifact is None:
                 lost.append((key, spec))
                 continue

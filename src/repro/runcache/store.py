@@ -43,7 +43,8 @@ Guarantees:
   stamp); sizes are whole files, headers included;
 * **one lookup pass** — a sweep looks up all its specs in one pass
   (``get`` is that pass over one spec): one ``cache.lookup`` event and
-  one session count per spec, one counter record per pass;
+  one session count per spec, one counter record per pass.  Its
+  uncounted step, ``read`` by digest, re-reads what a pass counted;
 * **lossless counters** — each record is one ``os.write`` to an
   ``O_APPEND`` descriptor (the sweep journal's and telemetry's idiom),
   so concurrent handles and processes never lose an update; ``stats``
@@ -294,14 +295,17 @@ class RunCache:
 
     # -- lookups ---------------------------------------------------------
 
-    def _load(self, path: Path) -> Optional[bytes]:
-        """Artifact bytes of the entry at ``path``, or None.
+    def read(self, digest: str, raw: bool = False) -> Optional[Any]:
+        """The unpickled artifact stored under ``digest`` (its bytes
+        when ``raw``), or None: uncounted, no event.
 
         A missing file is a clean miss.  An entry that exists but is
         unreadable — no header, a header without the length, a body
-        whose length differs from it — is deleted and reported as a
-        miss; a sound entry gets its LRU stamp refreshed.
+        whose length differs from it, a body that does not unpickle —
+        is deleted and reported as a miss; a sound entry gets its LRU
+        stamp refreshed.
         """
+        path = self._path(digest)
         try:
             with open(path, "rb") as fh:
                 header = fh.readline()
@@ -322,31 +326,29 @@ class RunCache:
             os.utime(path)  # LRU stamp
         except OSError:
             pass
-        return data
+        if raw:
+            return data
+        try:
+            return pickle.loads(data)
+        except Exception:
+            self._drop(path)
+            return None
 
     def _lookup(
         self, specs: Sequence[RunSpec], raw: bool = False
     ) -> List[Optional[Any]]:
-        """The lookup pass: each spec's unpickled artifact (its bytes
-        when ``raw``), or None on a miss, in ``specs`` order.
+        """The lookup pass: :meth:`read` of each spec, in ``specs``
+        order.
 
         Every spec gets its session count and ``cache.lookup`` event;
-        the pass appends its totals as one counter record.  An entry
-        whose body does not unpickle is deleted and counts as a miss.
+        the pass appends its totals as one counter record.
         """
         emitter = telemetry_runtime.current()
         out: List[Optional[Any]] = []
         hits = 0
         for spec in specs:
             digest = self.digest(spec)
-            path = self._path(digest)
-            value = data = self._load(path)
-            if data is not None and not raw:
-                try:
-                    value = pickle.loads(data)
-                except Exception:
-                    self._drop(path)
-                    value = None
+            value = self.read(digest, raw)
             hit = value is not None
             hits += hit
             emitter.event(

@@ -9,16 +9,17 @@ cache, and hands the misses to the supervisor
 (:func:`repro.runcache.resilience.supervise`), the one executor every
 sweep uses — in-process, or across a process pool of ``jobs`` workers.
 
-On top sit two sweep assemblers: :func:`attribution_sweep` (the
-``repro.attribution.bench/1`` payload of the paper grid) and the chaos
-harness hooks consumed by :func:`repro.faults.chaos.chaos_sweep`.  Both
-produce payloads value-identical to their uncached counterparts — the
-cache changes wall-clock, never results.
+On top sit the assemblers: :func:`attribute_grid` (a swept grid's
+attributions; :func:`attribution_sweep`'s payload, ``repro attribute``
+and ``repro report`` use it) and the chaos harness hooks of
+:func:`repro.faults.chaos.chaos_sweep`.  The cache changes wall-clock,
+never results.
 """
 
 from __future__ import annotations
 
 import gc
+import json
 import os
 import tempfile
 from dataclasses import dataclass, field
@@ -35,9 +36,6 @@ from repro.runcache.resilience import (
 )
 from repro.runcache.store import RunCache, dumps_artifacts
 from repro.telemetry import runtime as telemetry_runtime
-
-#: artifact schema stamp stored alongside trace-kind artifacts
-TRACE_ARTIFACT_KEYS = ("files", "summary", "n_trace_events")
 
 
 # -- spec builders -----------------------------------------------------------
@@ -730,18 +728,15 @@ def _sweep(
                     hit_by_key[key] = False
                     misses.append((key, spec))
 
-            jrnl.begin(
-                [
-                    {
-                        "digest": key,
-                        "label": spec.label(),
-                        "spec": spec.canonical(),
-                    }
-                    for key, spec in unique.items()
-                ],
-                jobs=jobs,
-                resumed=resume is not None,
-            )
+            entries = [
+                {
+                    "digest": key,
+                    "label": spec.label(),
+                    "spec": spec.canonical(),
+                }
+                for key, spec in unique.items()
+            ]
+            jrnl.begin(entries, jobs=jobs, resumed=resume is not None)
 
             outcome = (
                 resilience.supervise(
@@ -780,6 +775,9 @@ def _sweep(
                     resumed_hits=resumed,
                     ensemble_batches=result.ensemble_batches,
                     ensemble_runs=result.ensemble_runs,
+                    # what was swept, and where: ``repro report``'s input
+                    store=str(cache.root),
+                    specs=json.dumps(entries, separators=(",", ":")),
                 )
         jrnl.end(
             executed=len(result.executed), quarantined=len(quarantined),
@@ -801,39 +799,53 @@ def sweep_seconds(
     return [obs.result.sim_seconds for obs in sweep(specs, cache).artifacts]
 
 
-def attribute_cached(
-    workload: str,
-    n_threads: int,
+def attribution_specs(
+    workloads: Sequence[str],
+    threads: Sequence[int],
+    machine: str,
     *,
-    spec: Union[str, object] = "i7-920",
-    steps: int = 5,
+    steps: int,
     seed: int = 0,
-    cache: Optional[RunCache] = None,
-    jobs: Optional[int] = None,
-):
-    """Attribution of one workload × thread count against its 1-thread
-    baseline (spec defaults only — no fault plan / custom params):
-    capture and both observations come through one :func:`sweep`
-    (``cache=None`` is its throwaway store), the pure decomposition is
-    recomputed fresh."""
-    from repro.obs.attribution import attribute_observations
-    from repro.workloads import resolve_workload
+) -> List[RunSpec]:
+    """An attribution grid: per workload, its capture and an observe at
+    1 thread (the baseline) and at each of ``threads``."""
+    specs: List[RunSpec] = []
+    for name in workloads:
+        specs.append(capture_spec(name, steps))
+        for n in dict.fromkeys([1, *threads]):
+            specs.append(observe_spec(name, steps, n, machine, seed=seed))
+    return specs
 
-    key = machine_key(spec)
-    machine_spec = _machine_spec(key)
-    name = resolve_workload(workload)
-    specs = [
-        capture_spec(name, steps),
-        observe_spec(name, steps, 1, key, seed=seed),
+
+def attribute_grid(
+    specs: Sequence[RunSpec],
+    artifacts: Sequence[Any],
+    threads: Optional[Sequence[int]] = None,
+) -> list:
+    """Attribute each workload x thread count (default: every count
+    observed) of a swept grid against the workload's 1-thread
+    observation.  ``specs`` and ``artifacts`` are parallel; the observe
+    specs differ only in workload and threads, and a capture's artifact
+    gives its workload's kernel shares."""
+    from repro.obs.attribution import attribute_observations
+
+    traces, observed = {}, {}
+    for spec, artifact in zip(specs, artifacts):
+        if spec.kind == "capture":
+            traces[spec.workload] = artifact
+        else:
+            observed[spec.workload, spec.threads] = artifact
+            machine = _machine_spec(spec.machine).name
+    if threads is None:
+        threads = sorted({n for _, n in observed})
+    return [
+        attribute_observations(
+            observed[name, n], observed[name, 1], traces.get(name),
+            machine=machine,
+        )
+        for name in dict.fromkeys(name for name, _ in observed)
+        for n in threads
     ]
-    if n_threads != 1:
-        specs.append(observe_spec(name, steps, n_threads, key, seed=seed))
-    result = sweep(specs, cache, jobs=jobs)
-    trace, baseline = result.artifacts[0], result.artifacts[1]
-    obs = baseline if n_threads == 1 else result.artifacts[2]
-    return attribute_observations(
-        obs, baseline, trace, machine=machine_spec.name
-    )
 
 
 def attribution_sweep(
@@ -855,48 +867,22 @@ def attribution_sweep(
     misses), and the attribution arithmetic (cheap, pure) is recomputed
     fresh — while the :class:`SweepResult` carries the hit/miss stats.
     """
-    from repro.obs.attribution import (
-        BENCH_SCHEMA,
-        BUCKETS,
-        attribute_observations,
-        result_to_dict,
-    )
+    from repro.obs.attribution import BENCH_SCHEMA, BUCKETS, result_to_dict
     from repro.workloads import resolve_workload
 
     key = machine_key(spec)
-    machine_spec = _machine_spec(key)
     names = [resolve_workload(w) for w in workloads]
-
-    specs: List[RunSpec] = []
-    for name in names:
-        specs.append(capture_spec(name, steps))
-        for n in dict.fromkeys([1, *threads]):
-            specs.append(
-                observe_spec(name, steps, n, key, seed=seed)
-            )
-    result = sweep(specs, cache, jobs=jobs)
-
-    runs: List[dict] = []
-    for name in names:
-        trace = result.artifact_for(capture_spec(name, steps))
-        baseline = result.artifact_for(
-            observe_spec(name, steps, 1, key, seed=seed)
-        )
-        for n in threads:
-            obs = (
-                baseline
-                if n == 1
-                else result.artifact_for(
-                    observe_spec(name, steps, n, key, seed=seed)
-                )
-            )
-            res = attribute_observations(
-                obs, baseline, trace, machine=machine_spec.name
-            )
-            runs.append(result_to_dict(res))
+    result = sweep(
+        attribution_specs(names, threads, key, steps=steps, seed=seed),
+        cache, jobs=jobs,
+    )
+    runs = [
+        result_to_dict(res)
+        for res in attribute_grid(result.specs, result.artifacts, threads)
+    ]
     payload = {
         "schema": BENCH_SCHEMA,
-        "machine": machine_spec.name,
+        "machine": _machine_spec(key).name,
         "steps": steps,
         "seed": seed,
         "workloads": names,

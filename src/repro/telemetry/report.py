@@ -1,13 +1,17 @@
 """Self-contained HTML sweep reports from merged runtime telemetry.
 
 ``build_report`` folds a telemetry run directory (per-process JSONL
-files, plus an optional ``bench.json`` attribution payload from
-``runcache.attribution_sweep``) into the ``repro.report/1`` JSON document, and
+files) into the ``repro.report/1`` JSON document.  Each ``sweep`` span
+records its store root and swept ``{digest, spec}`` entries; the report
+reads those artifacts back by digest, executing nothing, into its
+speedup, attribution and leaderboard blocks.  The one side file is the
+tuner's ``autotune.json``: its rungs and winner are decisions that no
+cached spec holds.
+
 ``render_html`` turns that document into a single self-contained HTML
 file — inline CSS, inline SVG charts, no external scripts, styles,
-fonts, or images — the artifact shape the future sweep service will
-serve straight over HTTP (SHARP's launcher → runlogs → report
-pipeline is the exemplar).
+fonts, or images (SHARP's launcher → runlogs → report pipeline is the
+exemplar).
 
 ``write_report`` is the ``repro report`` command body: it writes the
 merged timeline, the Perfetto-loadable orchestration trace, the
@@ -27,8 +31,10 @@ from __future__ import annotations
 import html
 import json
 import os
+from collections import Counter
+from dataclasses import asdict
 from pathlib import Path
-from typing import Dict, List, Optional, Union
+from typing import Any, Dict, List, Optional, Tuple, Union
 
 from repro.telemetry.chrome import write_orchestration_trace
 from repro.telemetry.merge import (
@@ -44,8 +50,6 @@ from repro.telemetry.merge import (
 from repro.telemetry.prom import write_prometheus
 from repro.telemetry.schema import REPORT_SCHEMA
 
-BENCH_NAME = "bench.json"
-LEADERBOARD_NAME = "leaderboard.json"
 AUTOTUNE_NAME = "autotune.json"
 
 #: fixed categorical slot order (light, dark) — validated palette
@@ -62,32 +66,95 @@ _SERIES = (
 # -- building the report document -------------------------------------------
 
 
-def _load_bench(run_dir: Path) -> Optional[dict]:
-    path = run_dir / BENCH_NAME
-    try:
-        payload = json.loads(path.read_text(encoding="utf-8"))
-    except (OSError, ValueError):
-        return None
-    return payload if isinstance(payload, dict) else None
+def _sweeps(records: List[dict]) -> List[Tuple[str, List[dict]]]:
+    """Each recorded sweep's store root and ``{digest, spec}`` entries,
+    in the order the sweeps ended."""
+    return [
+        (r["attrs"]["store"], json.loads(r["attrs"]["specs"]))
+        for r in spans(records)
+        if r["name"] == "sweep" and "specs" in r["attrs"]
+    ]
 
 
-def _leaderboard_block(run_dir: Path) -> Optional[dict]:
-    """The ``repro.toolerror/1`` leaderboard, when a
-    ``leaderboard.json`` lies next to the telemetry."""
-    path = run_dir / LEADERBOARD_NAME
-    try:
-        payload = json.loads(path.read_text(encoding="utf-8"))
-    except (OSError, ValueError):
+def _read(root: str, entries: List[dict]) -> List[Any]:
+    """The entries' stored artifacts (None where one is gone): reads
+    by digest, executes nothing."""
+    from repro.runcache import RunCache
+
+    cache = RunCache(root)
+    return [cache.read(e["digest"]) for e in entries]
+
+
+def _grid(entries: List[dict]) -> Optional[List[dict]]:
+    """The observe entries of a fault-free attribution grid (captures
+    aside, observes alike but for workload and threads, each workload
+    with its 1-thread baseline), or None."""
+    observes = [e for e in entries if e["spec"]["kind"] != "capture"]
+    specs = [e["spec"] for e in observes]
+    shapes = {
+        json.dumps({**s, "workload": 0, "threads": 0}, sort_keys=True)
+        for s in specs
+    }
+    unbased = {s["workload"] for s in specs} - {
+        s["workload"] for s in specs if s["threads"] == 1
+    }
+    if (len(shapes) != 1 or unbased or specs[0]["kind"] != "observe"
+            or specs[0]["fault_plan"]):
         return None
-    if not isinstance(payload, dict) or not payload.get("leaderboard"):
+    return observes
+
+
+def _attribution_payload(sweeps) -> Optional[dict]:
+    """The runs of the last fault-free observe grid the run swept,
+    attributed afresh from its stored observations (as in
+    ``attribution_sweep``'s payload, without kernel shares); None when
+    there is no such grid or an entry of it is gone."""
+    for root, entries in reversed(sweeps):
+        grid = _grid(entries)
+        if grid:
+            break
+    else:
         return None
+    artifacts = _read(root, grid)
+    if any(a is None for a in artifacts):
+        return None
+    from repro.obs.attribution import BUCKETS, result_to_dict
+    from repro.runcache import attribute_grid, spec_from_canonical
+
+    results = attribute_grid(
+        [spec_from_canonical(e["spec"]) for e in grid], artifacts
+    )
     return {
-        "rows": payload["leaderboard"],
-        "workloads": payload.get("workloads", []),
-        "machines": payload.get("machines", []),
-        "threads": payload.get("threads"),
-        "jxperf": payload.get("jxperf") or {},
-        "timers": payload.get("timers") or {},
+        "workloads": list(dict.fromkeys(r.workload for r in results)),
+        "buckets": list(BUCKETS),
+        "runs": [result_to_dict(r) for r in results],
+    }
+
+
+def _leaderboard_block(sweeps) -> Optional[dict]:
+    """The tool ranking over the fault-free ``toolerror`` cells the run
+    swept and still stores, in first-swept order."""
+    from repro.obs.leaderboard import rank_tools
+
+    cells: Dict[str, Any] = {}
+    for root, entries in sweeps:
+        wanted = [e for e in entries if e["spec"]["kind"] == "toolerror"
+                  and e["spec"]["fault_plan"] is None]
+        for entry, cell in zip(wanted, _read(root, wanted)):
+            if cell is not None:
+                cells.setdefault(entry["digest"], cell)
+    if not cells:
+        return None
+    swept = list(cells.values())
+    rows, extras = rank_tools(swept)
+    threads = sorted({c["threads"] for c in swept})
+    return {
+        "rows": [asdict(r) for r in rows],
+        "workloads": list(dict.fromkeys(c["workload"] for c in swept)),
+        "machines": list(dict.fromkeys(c["machine"] for c in swept)),
+        "threads": threads[0] if len(threads) == 1 else threads,
+        "jxperf": extras.get("jxperf") or {},
+        "timers": extras["timers"],
     }
 
 
@@ -101,16 +168,9 @@ def _autotune_block(run_dir: Path) -> Optional[dict]:
         return None
     if not isinstance(payload, dict) or not payload.get("trials"):
         return None
-    return {
-        "workload": payload.get("workload"),
-        "machine": payload.get("machine"),
-        "threads": payload.get("threads"),
-        "rungs": payload.get("rungs", []),
-        "trials": payload["trials"],
-        "baseline": payload.get("baseline") or {},
-        "winner": payload.get("winner") or {},
-        "diff": payload.get("diff") or {},
-    }
+    keys = ("workload", "machine", "threads", "rungs", "trials",
+            "baseline", "winner", "diff")
+    return {key: payload.get(key) for key in keys}
 
 
 def _process_runs(records: List[dict]) -> List[dict]:
@@ -163,47 +223,32 @@ def _process_runs(records: List[dict]) -> List[dict]:
     return runs
 
 
-def _speedup_block(bench: Optional[dict]) -> Optional[dict]:
-    if not bench or not bench.get("runs"):
-        return None
-    threads = sorted(
-        {r["threads"] for r in bench["runs"] if "threads" in r}
-    )
-    curves: Dict[str, List[Optional[float]]] = {}
-    for name in bench.get("workloads", []):
-        by_n = {
-            r["threads"]: r.get("speedup")
-            for r in bench["runs"]
-            if r.get("workload") == name
-        }
-        curves[name] = [by_n.get(n) for n in threads]
-    if not threads or not curves:
-        return None
+def _speedup_block(bench: dict) -> dict:
+    """Speedup vs threads per workload of an attribution payload."""
+    runs = bench["runs"]
+    threads = sorted({r["threads"] for r in runs})
+    speedups = {(r["workload"], r["threads"]): r["speedup"] for r in runs}
+    curves = {
+        name: [speedups.get((name, n)) for n in threads]
+        for name in bench["workloads"]
+    }
     return {"threads": threads, "curves": curves}
 
 
-def _attribution_block(bench: Optional[dict]) -> Optional[dict]:
-    if not bench or "buckets" not in bench or not bench.get("runs"):
-        return None
-    buckets = list(bench["buckets"])
-    by_workload: Dict[str, Dict[str, float]] = {}
-    peak_threads: Dict[str, int] = {}
+def _attribution_block(bench: dict) -> dict:
+    """Each workload's loss buckets at its peak thread count."""
+    peak: Dict[str, dict] = {}
     for run in bench["runs"]:
-        name = run.get("workload")
-        run_buckets = run.get("buckets")
-        if name is None or not isinstance(run_buckets, dict):
-            continue
-        if run.get("threads", 0) >= peak_threads.get(name, 0):
-            peak_threads[name] = run["threads"]
-            by_workload[name] = {
-                b: float(run_buckets.get(b, 0.0)) for b in buckets
-            }
-    if not by_workload:
-        return None
+        if run["threads"] >= peak.get(run["workload"], run)["threads"]:
+            peak[run["workload"]] = run
     return {
-        "buckets": buckets,
-        "threads": peak_threads,
-        "by_workload": by_workload,
+        "buckets": list(bench["buckets"]),
+        "threads": {name: run["threads"] for name, run in peak.items()},
+        "by_workload": {
+            name: {b: float(run["buckets"].get(b, 0.0))
+                   for b in bench["buckets"]}
+            for name, run in peak.items()
+        },
     }
 
 
@@ -247,47 +292,43 @@ def _chaos_block(records: List[dict]) -> Optional[dict]:
     return {"cases": len(cases), "ok": ok, "failed": len(cases) - ok}
 
 
-def build_report(
-    run_dir: Union[str, os.PathLike],
-    *,
-    machine: Optional[str] = None,
-) -> dict:
-    """Fold one telemetry run directory into ``repro.report/1``."""
-    root = Path(run_dir)
+def _load(root: Path) -> tuple:
     records, skipped = load_records(root)
     if not records:
         raise ValueError(
             f"no telemetry records under {root} "
             f"(expected telemetry-*.jsonl files)"
         )
+    return records, skipped
+
+
+def build_report(run_dir: Union[str, os.PathLike]) -> dict:
+    """Fold one telemetry run directory into ``repro.report/1``."""
+    return _fold(Path(run_dir), *_load(Path(run_dir)))
+
+
+def _fold(root: Path, records: List[dict], skipped: int) -> dict:
     manifest = run_manifest(root)
-    bench = _load_bench(root)
+    sweeps = _sweeps(records)
+    payload = _attribution_payload(sweeps)
+    # the machines the specs name, in first-swept order
+    machines = dict.fromkeys(
+        e["spec"]["machine"] for _root, entries in sweeps for e in entries
+        if e["spec"]["machine"]
+    )
     runs = _process_runs(records)
+    workers = [r for r in runs if r["role"] == "worker"]
     tally = cache_event_tally(records)
-    worker_hits = sum(
-        r["hits"] for r in runs if r["role"] == "worker"
-    )
-    worker_misses = sum(
-        r["misses"] for r in runs if r["role"] == "worker"
-    )
     lookups = tally["lookups"]
     span_records = spans(records)
-    span_names: Dict[str, int] = {}
-    for record in span_records:
-        span_names[record["name"]] = span_names.get(record["name"], 0) + 1
+    span_names = dict(Counter(r["name"] for r in span_records))
     shards = [r for r in span_records if r["name"] == "shard"]
     wall = max(r["ts"] for r in records) - min(
         r["start"] if r["kind"] == "span" else r["ts"] for r in records
     )
-    flamegraphs = sorted(
-        p.name for p in root.glob("*.folded")
-    )
     return {
         "schema": REPORT_SCHEMA,
-        "machine": machine
-        or (bench or {}).get("machine")
-        or manifest.label
-        or "unknown",
+        "machine": ", ".join(machines) or "unknown",
         "label": manifest.label,
         "trace_id": manifest.trace_id,
         "generated_from": str(root),
@@ -300,8 +341,8 @@ def build_report(
             "hit_rate": tally["hits"] / lookups if lookups else 0.0,
             "puts": tally["puts"],
             "evictions": tally["evictions"],
-            "worker_hits": worker_hits,
-            "worker_misses": worker_misses,
+            "worker_hits": sum(r["hits"] for r in workers),
+            "worker_misses": sum(r["misses"] for r in workers),
         },
         "trace": {
             "n_records": len(records),
@@ -312,13 +353,13 @@ def build_report(
             "skipped_lines": skipped,
             "span_names": span_names,
         },
-        "speedup": _speedup_block(bench),
-        "attribution": _attribution_block(bench),
+        "speedup": payload and _speedup_block(payload),
+        "attribution": payload and _attribution_block(payload),
         "chaos": _chaos_block(records),
         "resilience": _resilience_block(records),
-        "leaderboard": _leaderboard_block(root),
+        "leaderboard": _leaderboard_block(sweeps),
         "autotune": _autotune_block(root),
-        "flamegraphs": flamegraphs,
+        "flamegraphs": sorted(p.name for p in root.glob("*.folded")),
     }
 
 
@@ -934,25 +975,18 @@ def render_html(report: dict) -> str:
 def write_report(
     run_dir: Union[str, os.PathLike],
     out_dir: Optional[Union[str, os.PathLike]] = None,
-    *,
-    machine: Optional[str] = None,
 ) -> Dict[str, str]:
     """Merge, export, and render one run directory; returns the paths."""
     root = Path(run_dir)
     out = Path(out_dir) if out_dir is not None else root
     out.mkdir(parents=True, exist_ok=True)
-    records, _skipped = load_records(root)
-    if not records:
-        raise ValueError(
-            f"no telemetry records under {root} "
-            f"(expected telemetry-*.jsonl files)"
-        )
+    records, skipped = _load(root)
     merged = write_merged(out, records)
     trace_path = out / "trace.json"
     write_orchestration_trace(trace_path, records)
     prom_path = out / "metrics.prom"
     write_prometheus(prom_path, registry_from_samples(records))
-    report = build_report(root, machine=machine)
+    report = _fold(root, records, skipped)
     json_path = out / "report.json"
     with open(json_path, "w", encoding="utf-8") as fh:
         json.dump(report, fh, indent=1)

@@ -3,8 +3,10 @@ truth over the 3 x 3 workload x machine grid (4 threads, 4 steps), run
 cold and then warm through one cache.  At least 8 tools rank with
 consistent mean errors, JXPerf's top wasteful-op site is the
 ``Vector3`` temporary churn (§V-B), timer placement measurably distorts
-phase times, and the warm grid is served from the cache.  The payload
-and its rendered report go under ``benchmarks/out/test_leaderboard``."""
+phase times, and the warm grid is served from the cache.  The report
+rendered from the traced sweeps goes under
+``benchmarks/out/test_leaderboard``; its leaderboard block ranks the
+cells those sweeps recorded exactly as the payload does."""
 
 import json
 import math
@@ -19,7 +21,7 @@ from repro.targets import (
     LEADERBOARD_TOP_CLASS,
 )
 from repro.telemetry import runtime as telemetry_runtime
-from repro.telemetry.report import LEADERBOARD_NAME, write_report
+from repro.telemetry.report import write_report
 from tests.gates._checks import assert_envelope, finite_nonnegative, missing
 
 
@@ -32,10 +34,15 @@ def test_leaderboard(shipped_dir, tmp_path):
     finally:
         telemetry_runtime.deactivate()
     payload = leaderboard_payload(warm)
-    (shipped_dir / LEADERBOARD_NAME).write_text(
-        json.dumps(payload, indent=1) + "\n", encoding="utf-8"
-    )
+    # the report ranks the cells the traced sweeps recorded
     write_report(shipped_dir)
+    block = json.loads(
+        (shipped_dir / "report.json").read_text(encoding="utf-8")
+    )["leaderboard"]
+    assert block is not None
+    assert block["rows"] == payload["leaderboard"]
+    assert block["jxperf"] == payload["jxperf"]
+    assert block["timers"] == payload["timers"]
 
     assert_envelope(payload, "repro.toolerror/")
     runs = payload["runs"]

@@ -23,7 +23,7 @@ from repro.runcache import (
     resilience,
     sweep,
 )
-from repro.runcache.key import RunSpec
+from repro.runcache.key import KINDS, RunSpec
 from repro.runcache.resilience import (
     JOURNAL_NAME,
     JOURNAL_SCHEMA,
@@ -119,13 +119,47 @@ def test_load_journal_missing_dir_is_none(tmp_path):
     assert load_journal(tmp_path / "never-swept") is None
 
 
+def _every_kind():
+    """One spec of every kind, between them setting every optional
+    field: params, fault plan, affinities, master affinity, options
+    (``load`` included)."""
+    from repro.core.costmodel import CostParams
+    from repro.faults.plan import FaultPlan, Straggler
+    from repro.runcache.sweep import toolerror_spec, trace_spec
+
+    plan = FaultPlan(name="slow", faults=(Straggler(0.0, 1e-3, 1, 0.5),))
+    chaos = dict(
+        workload="salt", steps=2, seed=1, threads=2, machine="i7-920",
+    )
+    return [
+        capture_spec("salt", 2, seed=3),
+        observe_spec(
+            "nanocar", 2, 4, "x7560x4", seed=2,
+            params=CostParams(cycles_per_flop=2.0), fault_plan=plan,
+            affinities=[[0], [1], [2], [3]], master_affinity=[0],
+            queue_mode="per-thread", load="table3", chunk_factor=2,
+            steal_cost_cycles=300.0,
+        ),
+        trace_spec("salt", 2, 2, "i7-920", seed=1),
+        RunSpec(kind="chaos_ref", options={"gc_model": "chaos"}, **chaos),
+        RunSpec(
+            kind="chaos_case", fault_plan=plan.to_dict(),
+            options={"gc_model": "chaos", "phase_timeout_factor": 20.0},
+            **chaos,
+        ),
+        toolerror_spec("Al-1000", 2, 4, "e5450x2", fault_plan=plan),
+    ]
+
+
 def test_specs_rebuild_from_canonical_journal_entries(tmp_path, cache):
     specs = _specs(2)
     # canonical() normalizes (params expanded, options filled), so the
     # roundtrip contract is digest identity, not dataclass equality
-    assert [
-        cache.digest(spec_from_canonical(s.canonical())) for s in specs
-    ] == [cache.digest(s) for s in specs]
+    assert {s.kind for s in _every_kind()} == set(KINDS)
+    for spec in specs + _every_kind():
+        rebuilt = spec_from_canonical(spec.canonical())
+        assert cache.digest(rebuilt) == cache.digest(spec), spec.label()
+        assert rebuilt.canonical() == spec.canonical(), spec.label()
 
     sweep(specs, cache, jobs=1, journal=tmp_path / "journal")
     state = load_journal(tmp_path / "journal")

@@ -178,13 +178,13 @@ def test_attribution_sweep_payload_matches_uncached_bench(cache):
 
 def test_attribute_cached_matches_uncached(cache):
     from repro.obs import result_to_dict
-    from repro.runcache import attribute_cached
+    from repro.runcache import attribute_grid, attribution_specs
     from tests.obs._attribute import attribute
 
     plain = attribute("salt", 2, spec="i7-920", steps=2, seed=0)
-    cached = attribute_cached(
-        "salt", 2, spec="i7-920", steps=2, seed=0, cache=cache, jobs=1
-    )
+    specs = attribution_specs(["salt"], [2], "i7-920", steps=2, seed=0)
+    result = sweep(specs, cache, jobs=1)
+    (cached,) = attribute_grid(result.specs, result.artifacts, [2])
     assert result_to_dict(cached) == result_to_dict(plain)
 
 
@@ -218,6 +218,33 @@ def test_parallel_sweep_captures_the_nested_capture_once(cache):
     assert warm.hit_rate == 1.0
     assert warm.fanout is False
     assert cache.stats().misses == len(specs) + 1
+
+
+def test_pooled_sweep_reads_its_units_back_uncounted(cache, tmp_path):
+    """The parent reads a pool unit's published artifacts back by
+    digest, uncounted: a cold sweep scores no hit, and the parent's
+    only ``cache.lookup`` events are its lookup pass's."""
+    import os
+
+    from repro.telemetry import runtime as telemetry_runtime
+    from repro.telemetry.merge import events, load_records
+
+    specs = [observe_spec(w, 1, 2, "i7-920") for w in ("salt", "gas-8")]
+    telemetry_runtime.activate(tmp_path / "run")
+    try:
+        result = sweep(specs, cache, jobs=2)
+    finally:
+        telemetry_runtime.deactivate()
+    if not result.fanout:  # pragma: no cover - single-CPU / no-pool box
+        pytest.skip("process pool unavailable; sweep fell back to serial")
+    assert result.hits == 0
+    assert cache.stats().hits == 0
+    records, _ = load_records(tmp_path / "run")
+    lookups = [
+        e for e in events(records)
+        if e["name"] == "cache.lookup" and e["pid"] == os.getpid()
+    ]
+    assert len(lookups) == len(specs)
 
 
 def test_pooled_sweep_without_telemetry_stays_untraced(

@@ -2,11 +2,28 @@
 
 import json
 import re
+import shutil
 
 import pytest
 
+from repro.runcache import (
+    RunCache,
+    attribution_sweep,
+    capture_spec,
+    observe_spec,
+    sweep,
+    toolerror_spec,
+)
+from repro.telemetry import runtime as telemetry_runtime
 from repro.telemetry.emit import FILE_PREFIX, TelemetryRun
-from repro.telemetry.report import build_report, render_html, write_report
+from repro.telemetry.report import (
+    _attribution_block,
+    _grid,
+    _speedup_block,
+    build_report,
+    render_html,
+    write_report,
+)
 from repro.telemetry.schema import REPORT_SCHEMA, TELEMETRY_SCHEMA, encode_line
 
 TRACE_ID = "f" * 32
@@ -38,6 +55,27 @@ def _metric(pid, seq, ts, name, value, **labels):
     }
 
 
+#: an attribution-payload-shaped grid (``attribution_sweep``'s runs)
+PAYLOAD = {
+    "workloads": ["lj", "al1000"],
+    "buckets": ["work_inflation", "lock_contention", "scheduling"],
+    "runs": [
+        {"workload": "lj", "threads": 1, "speedup": 1.0,
+         "buckets": {"work_inflation": 0.0, "lock_contention": 0.0,
+                     "scheduling": 0.0}},
+        {"workload": "lj", "threads": 4, "speedup": 3.1,
+         "buckets": {"work_inflation": 0.004, "lock_contention": 0.001,
+                     "scheduling": 0.002}},
+        {"workload": "al1000", "threads": 1, "speedup": 1.0,
+         "buckets": {"work_inflation": 0.0, "lock_contention": 0.0,
+                     "scheduling": 0.0}},
+        {"workload": "al1000", "threads": 4, "speedup": 1.9,
+         "buckets": {"work_inflation": 0.02, "lock_contention": 0.003,
+                     "scheduling": 0.001}},
+    ],
+}
+
+
 @pytest.fixture()
 def run_dir(tmp_path):
     """A hand-built two-process run: one parent, one shard worker."""
@@ -65,26 +103,6 @@ def run_dir(tmp_path):
     (root / f"{FILE_PREFIX}200.jsonl").write_text(
         "".join(encode_line(r) for r in worker)
     )
-    (root / "bench.json").write_text(json.dumps({
-        "machine": "paper-8core",
-        "workloads": ["lj", "al1000"],
-        "threads": [1, 4],
-        "buckets": ["work_inflation", "lock_contention", "scheduling"],
-        "runs": [
-            {"workload": "lj", "threads": 1, "speedup": 1.0,
-             "buckets": {"work_inflation": 0.0, "lock_contention": 0.0,
-                         "scheduling": 0.0}},
-            {"workload": "lj", "threads": 4, "speedup": 3.1,
-             "buckets": {"work_inflation": 0.004, "lock_contention": 0.001,
-                         "scheduling": 0.002}},
-            {"workload": "al1000", "threads": 1, "speedup": 1.0,
-             "buckets": {"work_inflation": 0.0, "lock_contention": 0.0,
-                         "scheduling": 0.0}},
-            {"workload": "al1000", "threads": 4, "speedup": 1.9,
-             "buckets": {"work_inflation": 0.02, "lock_contention": 0.003,
-                         "scheduling": 0.001}},
-        ],
-    }))
     (root / "al1000.folded").write_text("main;force 10\n")
     return root
 
@@ -92,7 +110,7 @@ def run_dir(tmp_path):
 def test_build_report_document(run_dir):
     report = build_report(run_dir)
     assert report["schema"] == REPORT_SCHEMA
-    assert report["machine"] == "paper-8core"  # bench wins over label
+    assert report["machine"] == "unknown"  # no spec record, no machine
     assert report["trace_id"] == TRACE_ID
 
     roles = {r["pid"]: r["role"] for r in report["runs"]}
@@ -114,19 +132,100 @@ def test_build_report_document(run_dir):
     assert trace["skipped_lines"] == 0
     assert trace["span_names"] == {"sweep": 1, "shard": 1}
 
-    assert report["speedup"]["threads"] == [1, 4]
-    assert report["speedup"]["curves"]["lj"] == [1.0, 3.1]
-    attribution = report["attribution"]
-    assert attribution["threads"] == {"lj": 4, "al1000": 4}
-    assert attribution["by_workload"]["al1000"]["work_inflation"] == 0.02
+    # the sweep span records no specs: nothing to read back
+    assert report["speedup"] is None
+    assert report["attribution"] is None
+    assert report["leaderboard"] is None
     assert report["chaos"] == {"cases": 2, "ok": 1, "failed": 1}
     assert report["flamegraphs"] == ["al1000.folded"]
 
 
-def test_build_report_machine_fallbacks(run_dir):
-    assert build_report(run_dir, machine="override")["machine"] == "override"
-    (run_dir / "bench.json").unlink()
-    assert build_report(run_dir)["machine"] == "synthetic"  # run label
+def _sweep_record(pid, seq, specs, store):
+    """A ``sweep`` span recording ``specs`` and their store."""
+    entries = [{"digest": f"{i:064x}", "spec": s.canonical()}
+               for i, s in enumerate(specs)]
+    return _span(pid, seq, "sweep", 10.0 + seq, 11.0 + seq, f"64.{seq}",
+                 store=str(store), specs=json.dumps(entries))
+
+
+def test_blocks_fold_an_attribution_payload():
+    speedup = _speedup_block(PAYLOAD)
+    assert speedup["threads"] == [1, 4]
+    assert speedup["curves"]["lj"] == [1.0, 3.1]
+    attribution = _attribution_block(PAYLOAD)
+    assert attribution["threads"] == {"lj": 4, "al1000": 4}
+    assert attribution["by_workload"]["al1000"]["work_inflation"] == 0.02
+
+
+def test_build_report_machine_fallbacks(run_dir, tmp_path):
+    # the run label ("synthetic") never stands in for the machine
+    assert build_report(run_dir)["machine"] == "unknown"
+    records = [
+        _sweep_record(100, 6, [capture_spec("salt", 1),
+                               observe_spec("salt", 1, 2, "i7-920")],
+                      tmp_path / "gone"),
+        _sweep_record(100, 7, [observe_spec("salt", 1, 4, "x7560x4"),
+                               observe_spec("salt", 1, 2, "i7-920")],
+                      tmp_path / "gone"),
+    ]
+    with open(run_dir / f"{FILE_PREFIX}100.jsonl", "a") as fh:
+        fh.write("".join(encode_line(r) for r in records))
+    report = build_report(run_dir)
+    assert report["machine"] == "i7-920, x7560x4"  # first-swept order
+    assert report["speedup"] is None  # store gone: nothing to read
+
+
+def _entries(*specs):
+    return [{"digest": str(i), "spec": s.canonical()}
+            for i, s in enumerate(specs)]
+
+
+def test_grid_is_a_fault_free_observe_grid():
+    from repro.faults import FaultPlan, Straggler
+
+    base = [capture_spec("salt", 1)] + [
+        observe_spec(w, 1, n, "i7-920") for w in ("salt", "gas-8")
+        for n in (1, 2)
+    ]
+    assert len(_grid(_entries(*base))) == 4  # captures aside
+    plan = FaultPlan(name="s", faults=(Straggler(0.0, 1.0, 1, 0.5),))
+    for odd in (
+        observe_spec("salt", 1, 4, "i7-920", fault_plan=plan),
+        observe_spec("salt", 1, 4, "i7-920", queue_mode="per-thread"),
+        observe_spec("salt", 2, 4, "i7-920"),
+        observe_spec("al1000", 1, 4, "i7-920"),  # no 1-thread baseline
+        toolerror_spec("salt", 1, 4, "i7-920"),
+    ):
+        assert _grid(_entries(*base, odd)) is None, odd.label()
+    assert _grid(_entries(capture_spec("salt", 1))) is None
+
+
+def test_report_reads_the_swept_grid_back_from_the_store(tmp_path):
+    store = tmp_path / "store"
+    specs = [observe_spec("salt", 1, n, "i7-920") for n in (1, 2)]
+    telemetry_runtime.activate(tmp_path / "run", label="sweep")
+    try:
+        sweep(specs, RunCache(store), jobs=1)
+    finally:
+        telemetry_runtime.deactivate()
+    payload, _ = attribution_sweep(
+        ["salt"], [1, 2], steps=1, cache=RunCache(store), jobs=1
+    )
+
+    report = build_report(tmp_path / "run")
+    assert report["machine"] == "i7-920"
+    assert report["speedup"]["threads"] == [1, 2]
+    assert report["speedup"] == _speedup_block(payload)
+    assert report["attribution"] == _attribution_block(payload)
+
+    # a store removed after the sweep: the blocks go, the report builds
+    shutil.rmtree(store)
+    write_report(tmp_path / "run")
+    report = json.loads((tmp_path / "run" / "report.json").read_text())
+    assert report["speedup"] is None
+    assert report["attribution"] is None
+    assert report["leaderboard"] is None
+    assert report["machine"] == "i7-920"
 
 
 def test_build_report_empty_run_raises(tmp_path):
@@ -135,7 +234,11 @@ def test_build_report_empty_run_raises(tmp_path):
 
 
 def test_html_is_self_contained(run_dir):
-    page = render_html(build_report(run_dir))
+    page = render_html({
+        **build_report(run_dir),
+        "speedup": _speedup_block(PAYLOAD),
+        "attribution": _attribution_block(PAYLOAD),
+    })
     assert "<svg" in page and "<style>" in page
     assert "<script" not in page
     # the only absolute URL is the Perfetto hyperlink (an anchor, not a

@@ -407,6 +407,10 @@ def test_report_command_end_to_end(capsys, tmp_path):
     report = json.loads(open(os.path.join(tel, "report.json")).read())
     assert report["schema"].startswith("repro.report/")
     assert report["cache"]["lookups"] >= 1
+    # read back from the cache entries the attribute sweep recorded
+    assert report["speedup"]["threads"] == [1, 2]
+    assert report["attribution"]["threads"] == {"salt": 2}
+    assert report["machine"] == "i7-920"
     html = open(os.path.join(tel, "report.html")).read()
     assert "<svg" in html and "<script" not in html
 
