@@ -25,8 +25,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
-import numpy as np
-
 from repro.machine.cachestate import Region
 from repro.machine.cost import Traffic, WorkCost
 from repro.md.engine import PhaseWork, StepReport
@@ -161,16 +159,20 @@ class MachineCostModel:
 
     def _share(
         self, work: PhaseWork, ranges: Optional[Sequence[Range]] = None
-    ) -> np.ndarray:
-        """Fraction of the phase's work owned by each task range."""
+    ) -> List[float]:
+        """Fraction of the phase's work owned by each task range.
+
+        Plain floats: every byte and cycle count priced from a share
+        inherits its type, and the burst loop runs much faster on
+        Python floats than on numpy scalars.  ``float(sum) / total`` is
+        the same IEEE division numpy performs, so each value is the
+        same double it was as an ``np.float64``."""
         ranges = self.ranges if ranges is None else ranges
         per_atom = work.per_atom
         total = float(per_atom.sum())
         if total <= 0:
-            return np.zeros(len(ranges))
-        return np.array(
-            [per_atom[lo:hi].sum() / total for lo, hi in ranges]
-        )
+            return [0.0] * len(ranges)
+        return [float(per_atom[lo:hi].sum()) / total for lo, hi in ranges]
 
     def _part_overlap(self, lo: int, hi: int) -> List[Tuple[int, float]]:
         """(thread index, fraction of [lo, hi)) for each thread

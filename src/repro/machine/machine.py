@@ -162,6 +162,11 @@ class SimMachine:
         self._socket_of_pu = tuple(
             self.topology.socket_of(p) for p in range(n_pus)
         )
+        #: per PU, every LLC but its own: a write invalidates these
+        self._other_llcs_of_pu = tuple(
+            tuple(o for o in self.llc_states if o is not llc)
+            for llc in self._llc_of_pu
+        )
         #: region name -> socket that last wrote it (home for remote reads)
         self.region_home: Dict[str, int] = {}
         self.overlap = overlap
@@ -222,26 +227,34 @@ class SimMachine:
         missed bytes move at the controller's rate.  That rate is
         sampled once per burst, counting the burst itself as one extra
         stream: nothing begins or ends a stream while a burst is
-        priced.  Shared regions homed on another socket pay the remote
-        penalty.  Writes then install into the LLC, re-home their
-        region and invalidate every other LLC's copy.
+        priced, so it is the rate :meth:`MemoryController.transfer_time`
+        would sample for every read and write.  Shared regions homed on
+        another socket pay the remote penalty.  Writes then install
+        into the LLC, re-home their region, invalidate every other
+        LLC's copy and write back at that rate.
+
+        Byte counts are used as given: a Python float or int prices to
+        the same doubles that :meth:`LlcState.touch`'s ``float()`` cast
+        gives (the cost model's plans carry floats); only a read larger
+        than its region is clamped, to ``float(size)``.
         """
         compute = cost.cycles / self.spec.freq_hz
-        llc = self._llc_of_pu[pu]
-        ctrl = self._ctrl_of_pu[pu]
-        socket = self._socket_of_pu[pu]
-        region_home = self.region_home
-        transfer_time = ctrl.transfer_time
         mem = 0.0
         reads = cost.reads
+        writes = cost.writes
+        if reads or writes:
+            llc = self._llc_of_pu[pu]
+            ctrl = self._ctrl_of_pu[pu]
+            socket = self._socket_of_pu[pu]
+            region_home = self.region_home
+            rate = ctrl.effective_rate(1)
+            served = ctrl.bytes_served
         if reads:
-            rate = ctrl.effective_rate(extra_streams=1)
             remote_rate = rate / ctrl.remote_penalty
             resident = llc._resident
             capacity = llc.capacity
             bytes_hit = llc.bytes_hit
             bytes_missed = llc.bytes_missed
-            served = ctrl.bytes_served
             served_remote = ctrl.bytes_remote
             for t in reads:
                 region = t.region
@@ -249,7 +262,8 @@ class SimMachine:
                 n_bytes = t.n_bytes
                 if n_bytes <= 0 or size == 0:
                     continue
-                n_bytes = float(n_bytes) if n_bytes <= size else float(size)
+                if not n_bytes <= size:  # touch()'s clamp, NaN included
+                    n_bytes = float(size)
                 name = region.name
                 entry = resident.get(name)
                 prev = entry[1] if entry else 0.0
@@ -272,23 +286,31 @@ class SimMachine:
                     else:
                         mem += miss / rate
                     served += miss
-                if name in resident:
-                    resident.move_to_end(name)
+                # always resident here: a miss just stored it (and the
+                # overflow eviction keeps it), and no miss means it
+                # was resident already (a cold region misses n_bytes)
+                resident.move_to_end(name)
             llc.bytes_hit = bytes_hit
             llc.bytes_missed = bytes_missed
-            ctrl.bytes_served = served
             ctrl.bytes_remote = served_remote
-        for t in cost.writes:
-            llc.install(t.region, t.n_bytes)
-            region_home[t.region.name] = socket
-            # coherence: writing invalidates every other cache's copy,
-            # so a thread that migrates away finds its data gone
-            for other in self.llc_states:
-                if other is not llc:
-                    other.evict_region(t.region)
-            mem += transfer_time(
-                t.n_bytes * self.writeback_fraction, extra_streams=1
-            )
+        if writes:
+            writeback = self.writeback_fraction
+            others = self._other_llcs_of_pu[pu]
+            for t in writes:
+                region = t.region
+                name = region.name
+                llc.install(region, t.n_bytes)
+                region_home[name] = socket
+                # coherence: writing invalidates every other cache's
+                # copy, so a thread that migrates away finds its data gone
+                for other in others:
+                    other.evict_region(region)
+                wb = t.n_bytes * writeback
+                if wb > 0:
+                    served += wb
+                    mem += wb / rate
+        if reads or writes:
+            ctrl.bytes_served = served
         if compute <= mem:
             return mem + self.overlap * compute
         return compute + self.overlap * mem

@@ -58,7 +58,7 @@ class MemoryController:
             )
         self._active -= 1
 
-    def effective_rate(self, *, extra_streams: int = 0) -> float:
+    def effective_rate(self, extra_streams: int = 0) -> float:
         """Bytes/s one stream receives right now.
 
         ``extra_streams`` lets a caller include itself before it has

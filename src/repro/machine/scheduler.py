@@ -143,7 +143,8 @@ class Scheduler:
         #: incrementally maintained per-PU load index: ``_loads[p] ==
         #: load(p)`` at every placement.  Every change to a load input
         #: (run-queue depth, pending count, running flag, busy-sibling
-        #: count) re-indexes that PU through _index_load()
+        #: count) re-indexes that PU through _index_load(), except a
+        #: dispatch, whose two changes cancel
         self._loads: List[float] = [0.0] * n
         #: (queue + pending + running, busy siblings) -> load, filled by
         #: load()'s own repeated ``+= 0.45`` so each value is its float
@@ -294,9 +295,11 @@ class Scheduler:
             thread = yield rq.get()
             if thread is None:
                 return
+            # no re-index: one fewer pending and one more running leave
+            # load() at the same integer-valued float (a thread reaches
+            # a dispatcher only while it is pending and the PU is idle)
             pending[pu] -= 1
             running[pu] = thread
-            index_load(pu)
             dispatches[thread.name] += 1
             cost = thread.pending_cost
             label = cost.label if cost is not None else ""
@@ -320,8 +323,10 @@ class Scheduler:
                 need = remaining / factor
                 slice_wall = quantum if quantum < need else need
                 t0 = sim.now
-                # float() mirrors Timeout.__init__'s cast: burst math can
-                # carry numpy scalars, and the sim clock must stay float
+                # float() mirrors Timeout.__init__'s cast and is a guard:
+                # the replay's cost plans carry Python floats, but a
+                # WorkCost built elsewhere (user code, tests) may carry
+                # numpy scalars, and the sim clock must stay float
                 slice_timeout.delay = float(slice_wall)
                 yield slice_timeout
                 dt = sim.now - t0

@@ -48,22 +48,14 @@ from repro.machine.background import LOAD_SCENARIOS
 from repro.machine.machine import SimMachine
 from repro.machine.topology import MachineSpec
 from repro.obs.critical_path import CriticalPath, critical_path
-from repro.obs.tracer import PhaseWindow, Tracer
+# OBSERVED_KINDS is re-exported: callers filter a Tracer by it
+from repro.obs.tracer import OBSERVED_KINDS, PhaseWindow, SpanBuilder  # noqa: F401
 
 Interval = Tuple[float, float]
 
 #: pseudo-phase for time outside every phase window (master serial
 #: sections, GC pauses at step boundaries, startup/shutdown slack)
 SERIAL_PHASE = "serial"
-
-#: the trace-bus kinds :func:`observe_run` reads; its tracer subscribes
-#: to these alone, so the replay never builds the events it would drop
-OBSERVED_KINDS = frozenset({
-    "task.enqueue", "task.dequeue", "task.start", "task.end",
-    "phase.begin", "phase.end",
-    "worker.death", "fault.inject", "task.reissue",
-    "steal.attempt", "steal.success", "steal.miss",
-})
 
 #: fine-grained per-instant classes (each worker instant gets exactly one)
 CLASSES = (
@@ -364,12 +356,13 @@ def observe_run(
     (:data:`repro.machine.background.LOAD_SCENARIOS`) started on the
     fresh machine before the replay.
 
-    The tracer subscribes only to :data:`OBSERVED_KINDS` — the task
-    lifecycle, the phase markers, and the fault and steal events the
-    classification reads — so the bus builds no event that would be
-    dropped; thread states come from the scheduler's own ground-truth
-    log.  Each class's seconds are split over phases in one pass
-    against all phase windows.
+    A :class:`~repro.obs.tracer.SpanBuilder` subscribes only to
+    :data:`OBSERVED_KINDS` — the task lifecycle, the phase markers,
+    and the fault and steal events the classification reads — and
+    builds spans, phase windows and fault/steal marks as the events
+    arrive, keeping no stream; thread states come from the scheduler's
+    own ground-truth log.  Each class's seconds are split over phases
+    in one pass against all phase windows.
 
     The classification is a partition: running time splits into task
     execution vs pool overhead, and parked time is attributed — in
@@ -384,15 +377,15 @@ def observe_run(
     machine = SimMachine(spec, seed=seed)
     if load is not None:
         LOAD_SCENARIOS[load](machine)
-    tracer = Tracer(kinds=OBSERVED_KINDS).attach(machine.sim)
+    built = SpanBuilder().attach(machine.sim)
     run = SimulatedParallelRun(
         trace, n_atoms, machine, n_threads, name=name, **run_kwargs
     )
     result = run.run()
-    tracer.detach()
+    built.detach()
     T = result.sim_seconds
-    spans = [s for s in tracer.task_spans() if s.complete]
-    windows = [w for w in tracer.phase_windows() if w.complete]
+    spans = [s for s in built.spans() if s.complete]
+    windows = [w for w in built.windows if w.complete]
     # the replay master runs one phase window at a time; the phase split
     # (_phase_seconds) and the span-to-window bisection rely on it
     assert all(
@@ -425,38 +418,16 @@ def observe_run(
         [(w.start, w.end) for w in fault_windows if w.kind == "lock_stall"],
         0.0, T,
     )
-    death_time: Dict[int, float] = {}
-    loss_start: Dict[str, float] = {}
-    loss_ivs: List[Interval] = []
-    steal_open: Dict[str, float] = {}
-    steal_windows: Dict[str, List[Interval]] = {}
-    for e in tracer.events:
-        if e.kind == "worker.death":
-            death_time[int(e.subject.rsplit("-", 1)[1])] = e.time
-        elif e.kind == "fault.inject" and e.subject == "task_loss":
-            uid = e.arg("uid", "")
-            if uid:
-                loss_start[uid] = e.time
-        elif e.kind == "task.reissue":
-            t_lost = loss_start.pop(e.subject, None)
-            if t_lost is not None:
-                # the pool idled on the vanished task until the watchdog
-                # re-issued it: that whole window is the fault's doing
-                loss_ivs.append((t_lost, e.time))
-        elif e.kind == "steal.attempt":
-            steal_open[e.subject] = e.time
-        elif e.kind in ("steal.success", "steal.miss"):
-            t0 = steal_open.pop(e.subject, None)
-            if t0 is not None:
-                steal_windows.setdefault(e.subject, []).append(
-                    (t0, e.time)
-                )
+    death_time = built.death_time
+    steal_windows = built.steal_windows
     # a worker interrupted mid-probe leaves its attempt open; its
     # on-core tail up to the crash was still steal work
-    for subject, t0 in steal_open.items():
+    for subject, t0 in built.steal_open.items():
         steal_windows.setdefault(subject, []).append((t0, T))
-    loss_ivs.extend((t, T) for t in loss_start.values())
-    loss_ivs = merge_intervals(loss_ivs, 0.0, T)
+    loss_ivs = merge_intervals(
+        built.loss_windows + [(t, T) for t in built.loss_start.values()],
+        0.0, T,
+    )
     gc_mult = (
         run.injector.active.gc_multiplier
         if run.injector is not None

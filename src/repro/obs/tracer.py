@@ -9,6 +9,11 @@ enqueue → dequeue → run → complete lifecycle of every
 and queue-wait breakdown — which is exactly the ground truth none of
 the paper's tools (JaMON, VisualVM, VTune) could record without
 perturbing the program.
+
+Spans and phase windows are assembled by one :class:`SpanBuilder`.
+Attribution attaches it to the bus directly, so spans grow as the
+events arrive and no stream is kept; :class:`Tracer` feeds it its
+recorded stream.
 """
 
 from __future__ import annotations
@@ -18,6 +23,18 @@ from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.des.trace import TraceEvent, serialize_events
+
+Interval = Tuple[float, float]
+
+#: the trace-bus kinds a :class:`SpanBuilder` reads: the task
+#: lifecycle, the phase markers, and the fault and steal events
+#: attribution classifies (none is a firehose kind)
+OBSERVED_KINDS = frozenset({
+    "task.enqueue", "task.dequeue", "task.start", "task.end",
+    "phase.begin", "phase.end",
+    "worker.death", "fault.inject", "task.reissue",
+    "steal.attempt", "steal.success", "steal.miss",
+})
 
 
 @dataclass(slots=True)
@@ -98,6 +115,150 @@ class TaskSpan:
         )
 
 
+class SpanBuilder:
+    """Task spans, phase windows and fault/steal marks, built as the
+    :data:`OBSERVED_KINDS` events arrive.
+
+    :meth:`attach` subscribes one handler per kind, so the bus hands
+    each event straight to its handler and keeps nothing else;
+    :meth:`feed` takes one recorded event (how :class:`Tracer` builds
+    spans from its buffer; a ``task.*`` kind without a handler still
+    opens its subject's span).  After the run:
+
+    * :meth:`spans` — every task's span in enqueue order (first
+      ``task.*`` event per uid), incomplete ones included;
+    * :attr:`windows` — phase windows in begin order, from
+      ``phase.begin`` / ``phase.end`` pairs (an unpaired begin keeps
+      ``end is None``);
+    * :attr:`death_time` — worker index → time of its ``worker.death``;
+    * :attr:`loss_windows` — (lost, re-issued) time of each task a
+      ``task_loss`` fault dropped and the watchdog re-issued, in
+      re-issue order; :attr:`loss_start` the ones never re-issued;
+    * :attr:`steal_windows` — probing worker → (attempt, outcome)
+      windows; :attr:`steal_open` the attempts with no outcome yet.
+    """
+
+    def __init__(self):
+        # a dict keeps its first-insertion order: the enqueue order
+        self._spans: Dict[str, TaskSpan] = {}
+        self.windows: List[PhaseWindow] = []
+        self._open_windows: Dict[str, PhaseWindow] = {}
+        self.death_time: Dict[int, float] = {}
+        self.loss_start: Dict[str, float] = {}
+        self.loss_windows: List[Interval] = []
+        self.steal_open: Dict[str, float] = {}
+        self.steal_windows: Dict[str, List[Interval]] = {}
+        self._handlers = {
+            "task.enqueue": self._enqueue,
+            "task.dequeue": self._dequeue,
+            "task.start": self._start,
+            "task.end": self._end,
+            "task.reissue": self._reissue,
+            "phase.begin": self._phase_begin,
+            "phase.end": self._phase_end,
+            "worker.death": self._death,
+            "fault.inject": self._fault,
+            "steal.attempt": self._steal_attempt,
+            "steal.success": self._steal_outcome,
+            "steal.miss": self._steal_outcome,
+        }
+        self._sim = None
+
+    # -- subscription ----------------------------------------------------
+
+    def attach(self, sim) -> "SpanBuilder":
+        """Subscribe each handler to its kind; returns self."""
+        if self._sim is not None:
+            raise ValueError("span builder already attached")
+        for kind, fn in self._handlers.items():
+            sim.subscribe(fn, kinds=(kind,))
+        self._sim = sim
+        return self
+
+    def detach(self) -> None:
+        """Unsubscribe every handler (what was built is kept)."""
+        if self._sim is not None:
+            for fn in self._handlers.values():
+                self._sim.unsubscribe(fn)
+            self._sim = None
+
+    def feed(self, event: TraceEvent) -> None:
+        """Take one event of any kind; kinds not read are ignored."""
+        fn = self._handlers.get(event.kind)
+        if fn is not None:
+            fn(event)
+        elif event.kind.startswith("task."):
+            self._span(event.subject)
+
+    def spans(self) -> List[TaskSpan]:
+        """Every span so far, in enqueue order."""
+        return list(self._spans.values())
+
+    # -- handlers --------------------------------------------------------
+
+    def _span(self, uid: str) -> TaskSpan:
+        span = self._spans.get(uid)
+        if span is None:
+            span = self._spans[uid] = TaskSpan(uid)
+        return span
+
+    def _enqueue(self, e: TraceEvent) -> None:
+        span = self._span(e.subject)
+        span.enqueued = e.time
+        span.label = e.arg("label", "") or ""
+        span.queue = e.arg("queue", "") or ""
+
+    def _dequeue(self, e: TraceEvent) -> None:
+        span = self._span(e.subject)
+        span.dequeued = e.time
+        span.worker = e.arg("worker")
+
+    def _start(self, e: TraceEvent) -> None:
+        self._span(e.subject).started = e.time
+
+    def _end(self, e: TraceEvent) -> None:
+        span = self._span(e.subject)
+        span.finished = e.time
+        span.pu = e.arg("pu")
+
+    def _reissue(self, e: TraceEvent) -> None:
+        self._span(e.subject)
+        t_lost = self.loss_start.pop(e.subject, None)
+        if t_lost is not None:
+            self.loss_windows.append((t_lost, e.time))
+
+    def _phase_begin(self, e: TraceEvent) -> None:
+        w = PhaseWindow(
+            name=e.subject, step=int(e.arg("step", -1)), begin=e.time
+        )
+        self.windows.append(w)
+        self._open_windows[e.subject] = w
+
+    def _phase_end(self, e: TraceEvent) -> None:
+        w = self._open_windows.pop(e.subject, None)
+        if w is not None:
+            w.end = e.time
+
+    def _death(self, e: TraceEvent) -> None:
+        self.death_time[int(e.subject.rsplit("-", 1)[1])] = e.time
+
+    def _fault(self, e: TraceEvent) -> None:
+        if e.subject == "task_loss":
+            uid = e.arg("uid", "")
+            if uid:
+                self.loss_start[uid] = e.time
+
+    def _steal_attempt(self, e: TraceEvent) -> None:
+        self.steal_open[e.subject] = e.time
+
+    def _steal_outcome(self, e: TraceEvent) -> None:
+        t0 = self.steal_open.pop(e.subject, None)
+        if t0 is not None:
+            self.steal_windows.setdefault(e.subject, []).append(
+                (t0, e.time)
+            )
+
+
 class Tracer:
     """Passive subscriber that records a simulator's event stream.
 
@@ -157,54 +318,24 @@ class Tracer:
         """Canonical byte encoding of the stream (determinism checks)."""
         return serialize_events(self.events)
 
+    def _built(self) -> SpanBuilder:
+        builder = SpanBuilder()
+        feed = builder.feed
+        for e in self.events:
+            feed(e)
+        return builder
+
     def task_spans(self) -> List[TaskSpan]:
         """Assemble task spans from the ``task.*`` events, in enqueue
         order.  Incomplete spans (task still queued at the end of the
         run) are included with their observed fields."""
-        # a dict keeps its first-insertion order: the enqueue order
-        spans: Dict[str, TaskSpan] = {}
-        for e in self.events:
-            kind = e.kind
-            if not kind.startswith("task."):
-                continue
-            uid = e.subject
-            span = spans.get(uid)
-            if span is None:
-                span = spans[uid] = TaskSpan(uid)
-            if kind == "task.enqueue":
-                span.enqueued = e.time
-                span.label = e.arg("label", "") or ""
-                span.queue = e.arg("queue", "") or ""
-            elif kind == "task.dequeue":
-                span.dequeued = e.time
-                span.worker = e.arg("worker")
-            elif kind == "task.start":
-                span.started = e.time
-            elif kind == "task.end":
-                span.finished = e.time
-                span.pu = e.arg("pu")
-        return list(spans.values())
+        return self._built().spans()
 
     def phase_windows(self) -> List[PhaseWindow]:
         """The master's phase executions in begin order, assembled from
         the ``phase.begin`` / ``phase.end`` marker pairs the replay
         emits around every submit → latch-trip window."""
-        windows: List[PhaseWindow] = []
-        open_by_name: Dict[str, PhaseWindow] = {}
-        for e in self.events:
-            if e.kind == "phase.begin":
-                w = PhaseWindow(
-                    name=e.subject,
-                    step=int(e.arg("step", -1)),
-                    begin=e.time,
-                )
-                windows.append(w)
-                open_by_name[e.subject] = w
-            elif e.kind == "phase.end":
-                w = open_by_name.pop(e.subject, None)
-                if w is not None:
-                    w.end = e.time
-        return windows
+        return self._built().windows
 
     def fault_windows(self) -> List[dict]:
         """Realized faults from the ``fault.*`` bus events, in injection

@@ -39,6 +39,18 @@ def new_trace_id() -> str:
     return uuid.uuid4().hex
 
 
+def read_manifest(root: Union[str, os.PathLike]) -> Optional[dict]:
+    """A run directory's manifest, or None when it has no readable one
+    with a trace id.  Reads only: nothing is created."""
+    try:
+        doc = json.loads((Path(root) / MANIFEST_NAME).read_text())
+    except (OSError, ValueError):
+        return None
+    if isinstance(doc, dict) and doc.get("trace_id"):
+        return doc
+    return None
+
+
 class TelemetryRun:
     """A telemetry run directory (manifest + per-process JSONL files).
 
@@ -57,12 +69,8 @@ class TelemetryRun:
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
         manifest = self.root / MANIFEST_NAME
-        doc = None
-        try:
-            doc = json.loads(manifest.read_text())
-        except (OSError, ValueError):
-            pass
-        if isinstance(doc, dict) and doc.get("trace_id"):
+        doc = read_manifest(self.root)
+        if doc is not None:
             self.trace_id = str(doc["trace_id"])
             self.label = str(doc.get("label", ""))
         else:
@@ -89,11 +97,8 @@ class TelemetryRun:
             try:
                 os.link(tmp, manifest)
             except FileExistsError:
-                try:
-                    doc = json.loads(manifest.read_text())
-                except (OSError, ValueError):
-                    doc = None
-                if isinstance(doc, dict) and doc.get("trace_id"):
+                doc = read_manifest(self.root)
+                if doc is not None:
                     self.trace_id = str(doc["trace_id"])
                     self.label = str(doc.get("label", ""))
             except OSError:

@@ -18,9 +18,9 @@ from __future__ import annotations
 
 import os
 from pathlib import Path
-from typing import Dict, List, Tuple, Union
+from typing import Dict, List, NamedTuple, Sequence, Tuple, Union
 
-from repro.telemetry.emit import FILE_PREFIX, TelemetryRun
+from repro.telemetry.emit import FILE_PREFIX, read_manifest
 from repro.telemetry.schema import decode_line, encode_line
 
 MERGED_NAME = "merged.jsonl"
@@ -127,6 +127,26 @@ def cache_event_tally(records: List[dict]) -> Dict[str, int]:
     return tally
 
 
-def run_manifest(run_dir: Union[str, os.PathLike]) -> TelemetryRun:
-    """Open (never create fresh state in) a run directory's manifest."""
-    return TelemetryRun(run_dir)
+class RunManifest(NamedTuple):
+    """The identity of a run as the report shows it."""
+
+    trace_id: str
+    label: str
+
+
+def run_manifest(
+    run_dir: Union[str, os.PathLike], records: Sequence[dict]
+) -> RunManifest:
+    """Read a run directory's manifest without writing to it.
+
+    A directory without a readable ``run.json`` (say, a copy of a run's
+    ``telemetry-*.jsonl`` files alone) takes its trace id from the
+    first of ``records`` that carries one, in merge order, and has no
+    label; with no such record the trace id is empty."""
+    doc = read_manifest(run_dir)
+    if doc is not None:
+        return RunManifest(str(doc["trace_id"]), str(doc.get("label", "")))
+    trace_id = next(
+        (r["trace_id"] for r in records if r.get("trace_id")), ""
+    )
+    return RunManifest(trace_id, "")

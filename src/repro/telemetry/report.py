@@ -308,7 +308,7 @@ def build_report(run_dir: Union[str, os.PathLike]) -> dict:
 
 
 def _fold(root: Path, records: List[dict], skipped: int) -> dict:
-    manifest = run_manifest(root)
+    manifest = run_manifest(root, records)
     sweeps = _sweeps(records)
     payload = _attribution_payload(sweeps)
     # the machines the specs name, in first-swept order

@@ -4,6 +4,7 @@ design — a cache hit IS a fresh run."""
 
 import gc
 import importlib
+import threading
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -542,7 +543,26 @@ def test_sweep_leaves_a_disabled_collector_disabled(gc_probe, tmp_path):
     assert result.artifacts == [(True, False)]
 
 
-def test_sweep_leaves_the_callers_own_freeze_alone(gc_probe, tmp_path):
+@pytest.fixture()
+def settled_pool_threads():
+    """Wait out the process-pool threads an earlier pooled sweep left
+    winding down.  A sweep shuts its pool down without waiting, so the
+    executor's manager thread (and the call queue's feeder thread) may
+    still be running; when one ends, the objects it held die, frozen
+    ones included, and a freeze count taken before would move."""
+    from concurrent.futures.process import _ExecutorManagerThread
+
+    for thread in threading.enumerate():
+        if isinstance(thread, _ExecutorManagerThread) or (
+            thread.name.startswith("QueueFeederThread")
+        ):
+            thread.join(timeout=30)
+            assert not thread.is_alive(), thread.name
+
+
+def test_sweep_leaves_the_callers_own_freeze_alone(
+    gc_probe, tmp_path, settled_pool_threads
+):
     assert gc.get_freeze_count() == 0
     gc.freeze()
     try:

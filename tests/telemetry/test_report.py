@@ -228,6 +228,37 @@ def test_report_reads_the_swept_grid_back_from_the_store(tmp_path):
     assert report["machine"] == "i7-920"
 
 
+def test_report_over_copied_records_writes_nothing_into_them(tmp_path):
+    """A run's record files copied without ``run.json``: the report
+    (rendered elsewhere) creates no manifest in its input, and its
+    trace id is the one the records carry."""
+    run = tmp_path / "run"
+    telemetry_runtime.activate(run, label="sweep")
+    try:
+        sweep([capture_spec("salt", 1)], RunCache(tmp_path / "store"), jobs=1)
+    finally:
+        telemetry_runtime.deactivate()
+    copy = tmp_path / "copy"
+    copy.mkdir()
+    for path in run.glob(f"{FILE_PREFIX}*.jsonl"):
+        shutil.copy(path, copy / path.name)
+    before = sorted(p.name for p in copy.iterdir())
+    records = [
+        json.loads(line)
+        for name in before
+        for line in (copy / name).read_text().splitlines()
+    ]
+    ids = {r["trace_id"] for r in records if r.get("trace_id")}
+
+    write_report(copy, tmp_path / "out")
+
+    assert sorted(p.name for p in copy.iterdir()) == before
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert ids == {report["trace_id"]}
+    assert report["trace_id"] == TelemetryRun(run).trace_id
+    assert report["label"] == ""
+
+
 def test_build_report_empty_run_raises(tmp_path):
     with pytest.raises(ValueError, match="no telemetry records"):
         build_report(tmp_path)
