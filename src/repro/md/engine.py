@@ -141,15 +141,18 @@ class _RunStack:
 class _RunPairs(NeighborList):
     """The runs' Verlet lists spliced with run offsets, presented
     through the :class:`NeighborList` interface the kernels consume
-    (``built`` and :meth:`pairs_within`).  Never built itself:
-    :meth:`refresh` re-splices after any run's list rebuilds."""
+    (``built``, the pairs and their ``generation``).  Never built
+    itself: :meth:`refresh` re-splices, under a new generation, after
+    any run's list rebuilds."""
 
     def refresh(self, nlists: Sequence[NeighborList], n_atoms: int):
-        self.pairs_i = np.concatenate(
-            [nl.pairs_i + r * n_atoms for r, nl in enumerate(nlists)]
-        )
-        self.pairs_j = np.concatenate(
-            [nl.pairs_j + r * n_atoms for r, nl in enumerate(nlists)]
+        self._set_pairs(
+            np.concatenate(
+                [nl.pairs_i + r * n_atoms for r, nl in enumerate(nlists)]
+            ),
+            np.concatenate(
+                [nl.pairs_j + r * n_atoms for r, nl in enumerate(nlists)]
+            ),
         )
         self._ref_positions = self.pairs_i  # non-None ⇒ ``built``
 

@@ -161,11 +161,17 @@ def split_runs(
 
 
 def scatter_forces(forces_out, indices, vectors) -> None:
+    """:func:`scatter_axes` of ``(P, 3)`` row-per-term force blocks."""
+    scatter_axes(forces_out, indices, [v.T for v in vectors])
+
+
+def scatter_axes(forces_out, indices, vectors) -> None:
     """Accumulate per-term force vectors onto their atoms.
 
     ``indices``/``vectors`` are sequences of equal-length blocks — one
     block per role in the term (e.g. ``(i, j)`` with ``(fvec, -fvec)``
-    for a pair force, four blocks for a torsion).  Equivalent to one
+    for a pair force, four blocks for a torsion); a vector block is a
+    ``(3, P)`` array whose row k holds axis k.  Equivalent to one
     ``np.add.at`` per block, but runs as a single ``np.bincount`` per
     axis over the concatenated blocks: per atom the contributions
     accumulate in exactly the same sequence (block by block, term
@@ -177,10 +183,10 @@ def scatter_forces(forces_out, indices, vectors) -> None:
     because run-offset indices keep each run's additions in their own
     bins and in the same order."""
     idx = indices[0] if len(indices) == 1 else np.concatenate(indices)
-    vec = vectors[0] if len(vectors) == 1 else np.concatenate(vectors)
+    vec = vectors[0] if len(vectors) == 1 else np.concatenate(vectors, 1)
     n = len(forces_out)
     for k in range(3):
-        forces_out[:, k] += np.bincount(idx, weights=vec[:, k], minlength=n)
+        forces_out[:, k] += np.bincount(idx, weights=vec[k], minlength=n)
 
 
 class Force(abc.ABC):

@@ -22,10 +22,10 @@ from repro.md.boundary import Boundary
 from repro.md.forces.base import (
     Force,
     ForceColumns,
-    scatter_forces,
+    scatter_axes,
     split_runs,
 )
-from repro.md.neighbors import NeighborList
+from repro.md.neighbors import NeighborList, dot3, pair_displacements
 from repro.md.system import AtomSystem
 
 RADIAL_FLOPS = 250.0
@@ -138,13 +138,13 @@ class RadialBondForce(_BondedForce):
         only through ``self.bonds``, so a :meth:`replicate` copy serves
         every run of a run-major system in one call."""
         a, b = self.bonds[:, 0], self.bonds[:, 1]
-        dr = boundary.displacement(system.positions[a] - system.positions[b])
-        r = np.sqrt(np.einsum("ij,ij->i", dr, dr))
+        dr = pair_displacements(system.positions, a, b, boundary)
+        r = np.sqrt(dot3(dr, dr))
         r_safe = np.where(r > 1e-12, r, 1.0)
         stretch = r - self.r0
         # F_a = -k (r - r0) r̂
-        fvec = (-self.k * stretch / r_safe)[:, None] * dr
-        scatter_forces(forces_out, (a, b), (fvec, -fvec))
+        fvec = (-self.k * stretch / r_safe) * dr
+        scatter_axes(forces_out, (a, b), (fvec, -fvec))
         return a, 0.5 * self.k * stretch * stretch
 
 
@@ -175,25 +175,25 @@ class AngularBondForce(_BondedForce):
         a = self.triples[:, 0]
         b = self.triples[:, 1]  # vertex
         c = self.triples[:, 2]
-        u = boundary.displacement(system.positions[a] - system.positions[b])
-        v = boundary.displacement(system.positions[c] - system.positions[b])
-        lu = np.sqrt(np.einsum("ij,ij->i", u, u))
-        lv = np.sqrt(np.einsum("ij,ij->i", v, v))
+        u = pair_displacements(system.positions, a, b, boundary)
+        v = pair_displacements(system.positions, c, b, boundary)
+        lu = np.sqrt(dot3(u, u))
+        lv = np.sqrt(dot3(v, v))
         lu = np.where(lu > 1e-12, lu, 1.0)
         lv = np.where(lv > 1e-12, lv, 1.0)
-        cos_t = np.einsum("ij,ij->i", u, v) / (lu * lv)
+        cos_t = dot3(u, v) / (lu * lv)
         np.clip(cos_t, -1.0, 1.0, out=cos_t)
         theta = np.arccos(cos_t)
         sin_t = np.sqrt(np.maximum(1.0 - cos_t * cos_t, 1e-12))
         du = self.k * (theta - self.theta0)  # dU/dθ
         # ∂cosθ/∂a and ∂cosθ/∂c
-        dcos_da = v / (lu * lv)[:, None] - (cos_t / (lu * lu))[:, None] * u
-        dcos_dc = u / (lu * lv)[:, None] - (cos_t / (lv * lv))[:, None] * v
+        dcos_da = v / (lu * lv) - (cos_t / (lu * lu)) * u
+        dcos_dc = u / (lu * lv) - (cos_t / (lv * lv)) * v
         # F = -∂U/∂x = (dU/dθ / sinθ) ∂cosθ/∂x
-        fa = (du / sin_t)[:, None] * dcos_da
-        fc = (du / sin_t)[:, None] * dcos_dc
+        fa = (du / sin_t) * dcos_da
+        fc = (du / sin_t) * dcos_dc
         fb = -fa - fc
-        scatter_forces(forces_out, (a, b, c), (fa, fb, fc))
+        scatter_axes(forces_out, (a, b, c), (fa, fb, fc))
         dtheta = theta - self.theta0
         return a, 0.5 * self.k * dtheta * dtheta
 
@@ -223,19 +223,19 @@ class TorsionalBondForce(_BondedForce):
         :meth:`RadialBondForce._bundle`)."""
         pos = system.positions
         q = self.quads
-        b1 = boundary.displacement(pos[q[:, 1]] - pos[q[:, 0]])
-        b2 = boundary.displacement(pos[q[:, 2]] - pos[q[:, 1]])
-        b3 = boundary.displacement(pos[q[:, 3]] - pos[q[:, 2]])
-        n1 = np.cross(b1, b2)
-        n2 = np.cross(b2, b3)
-        n1sq = np.einsum("ij,ij->i", n1, n1)
-        n2sq = np.einsum("ij,ij->i", n2, n2)
-        lb2 = np.sqrt(np.einsum("ij,ij->i", b2, b2))
+        b1 = pair_displacements(pos, q[:, 1], q[:, 0], boundary)
+        b2 = pair_displacements(pos, q[:, 2], q[:, 1], boundary)
+        b3 = pair_displacements(pos, q[:, 3], q[:, 2], boundary)
+        n1 = np.cross(b1, b2, axis=0)
+        n2 = np.cross(b2, b3, axis=0)
+        n1sq = dot3(n1, n1)
+        n2sq = dot3(n2, n2)
+        lb2 = np.sqrt(dot3(b2, b2))
         # near-collinear quads have |n|->0 and a 1/|n| force singularity;
         # treat them as torsion-free well before numerics explode
         ok = (n1sq > 1e-4) & (n2sq > 1e-4) & (lb2 > 1e-6)
-        x = np.einsum("ij,ij->i", n1, n2)
-        y = np.einsum("ij,ij->i", np.cross(n1, n2), b2) / np.where(
+        x = dot3(n1, n2)
+        y = dot3(np.cross(n1, n2, axis=0), b2) / np.where(
             lb2 > 1e-12, lb2, 1.0
         )
         phi = np.arctan2(y, x)
@@ -246,14 +246,14 @@ class TorsionalBondForce(_BondedForce):
         du = np.where(ok, du, 0.0)
         n1sq_s = np.where(ok, n1sq, 1.0)
         n2sq_s = np.where(ok, n2sq, 1.0)
-        fa = (du * lb2 / n1sq_s)[:, None] * n1
-        fd = (-du * lb2 / n2sq_s)[:, None] * n2
+        fa = (du * lb2 / n1sq_s) * n1
+        fd = (-du * lb2 / n2sq_s) * n2
         lb2sq = np.where(ok, lb2 * lb2, 1.0)
-        t1 = (np.einsum("ij,ij->i", b1, b2) / lb2sq)[:, None]
-        t2 = (np.einsum("ij,ij->i", b3, b2) / lb2sq)[:, None]
+        t1 = dot3(b1, b2) / lb2sq
+        t2 = dot3(b3, b2) / lb2sq
         fb = -(1.0 + t1) * fa + t2 * fd
         fc = -(fa + fb + fd)  # net force is exactly zero
-        scatter_forces(
+        scatter_axes(
             forces_out,
             (q[:, 0], q[:, 1], q[:, 2], q[:, 3]),
             (fa, fb, fc, fd),

@@ -45,7 +45,7 @@ from repro.md.forces.base import (
     ForceColumns,
     segment_sums,
 )
-from repro.md.neighbors import NeighborList
+from repro.md.neighbors import NeighborList, axis_displacements, dot3
 from repro.md.system import AtomSystem
 from repro.md.units import COULOMB_K
 
@@ -145,17 +145,20 @@ def _scatter_ring(
     by axis, summed in the order a scatter of the owner-then-partner
     pair index would add them: the atom's owner terms k = 1..S, its
     half-ring owner term, its partner terms k = 1..S, then its half-ring
-    partner term (S = ⌊(m-1)/2⌋).
+    partner term (S = ⌊(m-1)/2⌋).  ``dr`` holds the kept pairs'
+    displacements as ``(3, pairs)`` axis rows.
 
     Rows 1..S of one ``(R, S+1, 2m)`` buffer hold ``[F_k | F_k]``, block
-    k's force on each owner column, laid end to end twice.  An add
-    reduction over k gives the owner sums, kept in row 0's right half;
-    a subtract reduction over the skewed view whose row k reads
-    ``F_k[(j-k) mod m]`` then takes off the partner terms.  A reduction
-    over a non-inner axis adds row by row, in order.  Columns outside
-    the owner range and pairs of two fixed atoms are +0.0 entries, which
-    leave every sum as it was: a sum starts at +0.0 and ``forces_out``
-    never holds -0.0."""
+    k's force on each owner column, laid end to end twice: each axis's
+    forces are multiplied straight into the right half, and only its
+    last S columns, all the skewed view below reads of the left half,
+    are copied there.  An add reduction over k gives the owner sums,
+    kept in row 0's right half; a subtract reduction over the skewed
+    view whose row k reads ``F_k[(j-k) mod m]`` then takes off the
+    partner terms.  A reduction over a non-inner axis adds row by row,
+    in order.  Columns outside the owner range and pairs of two fixed
+    atoms are +0.0 entries, which leave every sum as it was: a sum
+    starts at +0.0 and ``forces_out`` never holds -0.0."""
     n_runs = len(charged) // m
     shifts = (m - 1) // 2
     lo, hi, half_hi = plan.cols
@@ -171,16 +174,27 @@ def _scatter_ring(
         strides=(run, row - elem, elem),
         writeable=False,
     )
+    blocked = (n_runs, shifts, hi - lo)
     full = None if plan.keep is None else np.zeros((n_runs, plan.width))
+    coef = coef.reshape(n_runs, -1)
+    scratch = scratch.reshape(n_runs, -1)
     for axis in range(3):
-        f = np.multiply(coef, dr[:, axis], out=scratch).reshape(n_runs, -1)
-        if full is not None:
-            full[:, plan.keep] = f
-            f = full
-        ring[:, :, lo:hi] = f[:, :blocks].reshape(n_runs, shifts, hi - lo)
-        ring[:, :, m + lo:m + hi] = ring[:, :, lo:hi]
-        np.add.reduce(ring[:, :, :m], axis=1, out=owned)
-        half = f[:, blocks:]
+        d = dr[axis].reshape(n_runs, -1)
+        if full is None:
+            np.multiply(
+                coef[:, :blocks].reshape(blocked),
+                d[:, :blocks].reshape(blocked),
+                out=ring[:, :, m + lo:m + hi],
+            )
+            half = np.multiply(
+                coef[:, blocks:], d[:, blocks:], out=scratch[:, blocks:]
+            )
+        else:
+            full[:, plan.keep] = np.multiply(coef, d, out=scratch)
+            ring[:, :, m + lo:m + hi] = full[:, :blocks].reshape(blocked)
+            half = full[:, blocks:]
+        ring[:, :, m - shifts:m] = ring[:, :, 2 * m - shifts:]
+        np.add.reduce(ring[:, :, m:], axis=1, out=owned)
         owned[:, lo:half_hi] += half
         total = np.subtract.reduce(partners, axis=1)
         total[:, m // 2 + lo:m // 2 + half_hi] -= half
@@ -283,20 +297,22 @@ class CoulombForce(Force):
         plan = self._plan(charged[:m], q, system.movable, n, n_runs)
         if not plan.terms:
             return ForceColumns.empty(n_runs, n)
-        pos = system.positions[charged].reshape(n_runs, m, 3)
+        # axis-major rows: row k·R + r is run r's charged coordinates
+        # on axis k, so one ring pass forms every axis's displacements
+        pos = system.positions[charged].T.reshape(3 * n_runs, m)
         # the displacements, r² and r share one block: a freed block
         # this large keeps the heap mapped between calls (glibc trims
         # only free space beyond twice the largest block it has freed),
         # so a steady call touches no fresh pages
         pairs, kept = n_runs * plan.width, n_runs * plan.terms
         work = np.empty(3 * pairs + 2 * kept)
-        dr = work[:3 * pairs].reshape(n_runs, plan.width, 3)
+        dr = work[:3 * pairs].reshape(3 * n_runs, plan.width)
         r2, r = work[3 * pairs:].reshape(2, kept)
         _ring(np.subtract, pos, pos, plan.cols, dr)
         if plan.keep is not None:
             dr = dr[:, plan.keep]
-        dr = boundary.displacement(dr.reshape(-1, 3))
-        np.einsum("ij,ij->i", dr, dr, out=r2)
+        dr = axis_displacements(boundary, dr.reshape(3, kept))
+        dot3(dr, dr, out=r2, tmp=r)
         np.maximum(r2, self.min_distance**2, out=r2)
         np.sqrt(r2, out=r)
         # F/r = qq / (r2·r), in r2's buffer

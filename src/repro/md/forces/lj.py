@@ -13,7 +13,7 @@ simulation space, though not necessarily near one another in memory"
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -22,10 +22,10 @@ from repro.md.forces.base import (
     NO_TERMS,
     Force,
     ForceColumns,
-    scatter_forces,
+    scatter_axes,
     split_runs,
 )
-from repro.md.neighbors import NeighborList
+from repro.md.neighbors import NeighborList, dot3, pair_displacements
 from repro.md.system import AtomSystem
 
 #: flops per evaluated LJ pair (distance, mixing, r^-6/r^-12, force vec)
@@ -35,6 +35,19 @@ FLOPS_PER_PAIR = 70.0
 IRREGULAR_BYTES_PER_PAIR = 2 * 64.0
 #: bytes streamed per owned atom (own position/params, force row)
 REGULAR_BYTES_PER_ATOM = 96.0
+
+
+class _PairTable(NamedTuple):
+    """What :meth:`LennardJonesForce._pair_table` keeps per list
+    generation: the pairs the force can evaluate and, per pair, the
+    mixed σ², ε and squared cutoff."""
+
+    generation: int
+    i: np.ndarray
+    j: np.ndarray
+    sig2: np.ndarray
+    eps: np.ndarray
+    cutoff2: np.ndarray
 
 
 class LennardJonesForce(Force):
@@ -75,6 +88,7 @@ class LennardJonesForce(Force):
             lo = np.minimum(self.exclusions[:, 0], self.exclusions[:, 1])
             hi = np.maximum(self.exclusions[:, 0], self.exclusions[:, 1])
             self._exclusion_keys = np.unique(lo << 32 | hi)
+        self._table: Optional[_PairTable] = None
 
     def restrict(self, lo: int, hi: int) -> "LennardJonesForce":
         """A copy computing only pairs owned (lower index) in [lo, hi)."""
@@ -113,6 +127,44 @@ class LennardJonesForce(Force):
     def uses_neighbor_list(self) -> bool:
         return True
 
+    def _pair_table(
+        self, system: AtomSystem, neighbors: NeighborList
+    ) -> _PairTable:
+        """The step-invariant part of every pair of ``neighbors``,
+        computed once per list generation (rebuild or splice): the
+        pairs this force can ever evaluate — the owner range, the
+        fixed-pair rule and the exclusions drop the rest — with their
+        mixed σ², ε and squared cutoff, the smaller of the list's and
+        this force's per-pair one.  Reads the system's σ, ε and
+        movable flags as they are at that generation."""
+        table = self._table
+        if table is not None and table.generation == neighbors.generation:
+            return table
+        i, j = neighbors.pairs_i, neighbors.pairs_j
+        keep = None
+        if self.owner_range is not None:
+            lo, hi = self.owner_range
+            keep = (i >= lo) & (i < hi)
+        if self.skip_fixed_pairs and not system.movable.all():
+            free = system.movable[i] | system.movable[j]
+            keep = free if keep is None else keep & free
+        if self._exclusion_keys is not None:
+            bonded = np.isin(i << 32 | j, self._exclusion_keys)
+            keep = ~bonded if keep is None else keep & ~bonded
+        if keep is not None and not keep.all():
+            i, j = i[keep], j[keep]
+        sig = 0.5 * (system.sigma[i] + system.sigma[j])
+        cutoff2 = neighbors.cutoff * neighbors.cutoff
+        self._table = table = _PairTable(
+            generation=neighbors.generation,
+            i=i,
+            j=j,
+            sig2=sig * sig,
+            eps=np.sqrt(system.epsilon[i] * system.epsilon[j]),
+            cutoff2=np.minimum((self.cutoff_factor * sig) ** 2, cutoff2),
+        )
+        return table
+
     def _bundle(
         self,
         system: AtomSystem,
@@ -125,42 +177,37 @@ class LennardJonesForce(Force):
         ``(owner, e_terms)`` — the owning atom index and shifted energy
         of every evaluated pair — or ``None`` when no pair survives.
         Index-agnostic, so one call serves every run of a run-major
-        system with a run-offset pair list."""
+        system with a run-offset pair list.
+
+        A step gathers the table's pairs axis by axis, takes r² once
+        and compresses once, to the pairs inside their cutoff."""
         if neighbors is None or not neighbors.built:
             raise RuntimeError("LJ force requires a built neighbor list")
-        i, j, dr = neighbors.pairs_within(system.positions, boundary)
-        if self.owner_range is not None and len(i):
-            lo, hi = self.owner_range
-            keep = (i >= lo) & (i < hi)
-            i, j, dr = i[keep], j[keep], dr[keep]
-        if self.skip_fixed_pairs and len(i) and not system.movable.all():
-            keep = system.movable[i] | system.movable[j]
-            i, j, dr = i[keep], j[keep], dr[keep]
-        if self._exclusion_keys is not None and len(i):
-            keys = i << 32 | j
-            keep = ~np.isin(keys, self._exclusion_keys, assume_unique=False)
-            i, j, dr = i[keep], j[keep], dr[keep]
+        t = self._pair_table(system, neighbors)
+        i, j, sig2, eps = t.i, t.j, t.sig2, t.eps
         if len(i) == 0:
             return None
+        dr = pair_displacements(system.positions, i, j, boundary)
+        r2 = dot3(dr, dr)
+        inside = r2 <= t.cutoff2
+        if not inside.all():  # all() skips the no-op filtered copies
+            # one index serves all six gathers: a take is a fraction of
+            # a boolean compress, which rescans the mask each time
+            k = np.flatnonzero(inside)
+            if len(k) == 0:
+                return None
+            i, j, sig2, eps, r2 = (
+                i.take(k), j.take(k), sig2.take(k), eps.take(k), r2.take(k)
+            )
+            dr = dr.take(k, axis=1)
 
-        sig = 0.5 * (system.sigma[i] + system.sigma[j])
-        eps = np.sqrt(system.epsilon[i] * system.epsilon[j])
-        r2 = np.einsum("ij,ij->i", dr, dr)
-        rc2 = (self.cutoff_factor * sig) ** 2
-        inside = r2 <= rc2
-        if not inside.all():  # all() skips six no-op filtered copies
-            i, j, dr = i[inside], j[inside], dr[inside]
-            sig, eps, r2 = sig[inside], eps[inside], r2[inside]
-        if len(i) == 0:
-            return None
-
-        inv2 = (sig * sig) / r2
+        inv2 = sig2 / r2
         inv6 = inv2 * inv2 * inv2
         inv12 = inv6 * inv6
         # F(r)/r = 24 eps (2 (sig/r)^12 - (sig/r)^6) / r^2
         coef = 24.0 * eps * (2.0 * inv12 - inv6) / r2
-        fvec = coef[:, None] * dr
-        scatter_forces(forces_out, (i, j), (fvec, -fvec))
+        fvec = np.multiply(coef, dr, out=dr)
+        scatter_axes(forces_out, (i, j), (fvec, -fvec))
         # energy terms, shifted so U(rc)=0 (avoids cutoff discontinuity)
         inv2c = 1.0 / (self.cutoff_factor * self.cutoff_factor)
         inv6c = inv2c**3

@@ -16,16 +16,72 @@ asymmetric per-atom work for the load-balance experiments.
 a box, periodicity, cutoff and skin go through one stacked linked-cell
 pass, one distance filter and one sort.  :meth:`NeighborList.build` is
 its one-run case, so there is one build path.
+
+Pair kernels read coordinates one axis at a time:
+:func:`pair_displacements` gathers ``positions[i] - positions[j]`` as a
+``(3, P)`` array, row k holding axis k, with three 1-D ``take``s
+instead of one 2-D fancy index, and :func:`dot3` sums per-axis
+products in the order ``np.einsum("ij,ij->i")`` adds the three lanes
+of a row, so the columns give the same bits as the rows did.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+import itertools
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
 from repro.md.boundary import Boundary
 from repro.md.cells import LinkedCellGrid
+
+#: source of :attr:`NeighborList.generation`: one number per build or
+#: splice across every list of the process, so a table keyed on it can
+#: never be mistaken for another list's or an older build's
+_GENERATIONS = itertools.count(1)
+
+
+def pair_displacements(
+    positions: np.ndarray, i: np.ndarray, j: np.ndarray, boundary: Boundary
+) -> np.ndarray:
+    """``boundary``'s displacements ``positions[i] - positions[j]`` of
+    the pairs ``(i, j)``, as a ``(3, P)`` array whose row k is axis k:
+    each axis is one contiguous column gathered by two 1-D ``take``s."""
+    d = np.empty((3, len(i)))
+    for k in range(3):
+        col = positions[:, k]
+        np.subtract(col.take(i), col.take(j), out=d[k])
+    return axis_displacements(boundary, d)
+
+
+def axis_displacements(boundary: Boundary, d: np.ndarray) -> np.ndarray:
+    """``boundary.displacement`` of ``(3, P)`` axis rows: the boundary
+    maps ``(P, 3)`` rows elementwise, so the transposed view gives the
+    same bits and the result keeps the row-per-axis layout."""
+    return boundary.displacement(d.T).T
+
+
+def dot3(
+    a: np.ndarray,
+    b: np.ndarray,
+    out: Optional[np.ndarray] = None,
+    tmp: Optional[np.ndarray] = None,
+) -> np.ndarray:
+    """Per-pair dot products of ``(3, P)`` axis rows, ``(a0·b0 + a2·b2)
+    + a1·b1``: the order in which ``np.einsum("ij,ij->i")`` sums a
+    C-contiguous ``(P, 3)`` row (numpy's baseline SIMD loads a row as
+    lanes [0, 1] and [2, 0] and adds the lanes at the end), so the
+    result is that einsum's bit for bit.  ``out`` and ``tmp`` (P
+    floats each) may be given for the result and a product."""
+    out = np.multiply(a[0], b[0], out=out)
+    tmp = np.multiply(a[2], b[2], out=tmp)
+    out += tmp
+    out += np.multiply(a[1], b[1], out=tmp)
+    if a is not b:
+        # einsum's lanes start from +0.0, so its sums never end at
+        # -0.0; a sum of squares never does either
+        out += 0.0
+    return out
 
 
 class NeighborList:
@@ -50,6 +106,16 @@ class NeighborList:
         self._ref_positions: Optional[np.ndarray] = None
         self.rebuild_count = 0
         self.last_candidates = 0
+        #: changes with every build (and every splice of a run-offset
+        #: list), never repeating: per-pair tables derived from the list
+        #: key on it
+        self.generation = 0
+
+    def _set_pairs(self, pairs_i: np.ndarray, pairs_j: np.ndarray) -> None:
+        """Install a new pair list under a fresh :attr:`generation`."""
+        self.pairs_i = pairs_i
+        self.pairs_j = pairs_j
+        self.generation = next(_GENERATIONS)
 
     @property
     def n_pairs(self) -> int:
@@ -83,22 +149,6 @@ class NeighborList:
         fwd = self.pairs_j[self.pairs_i == atom]
         bwd = self.pairs_i[self.pairs_j == atom]
         return np.concatenate([fwd, bwd])
-
-    def pairs_within(
-        self, positions: np.ndarray, boundary: Boundary
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Pairs currently inside the true cutoff, with displacement
-        vectors (i-j).  Returns (i, j, dr)."""
-        if not self.built:
-            raise RuntimeError("neighbor list not built")
-        dr = positions[self.pairs_i]
-        dr -= positions[self.pairs_j]
-        dr = boundary.displacement(dr)
-        r2 = np.einsum("ij,ij->i", dr, dr)
-        keep = r2 <= self.cutoff * self.cutoff
-        if keep.all():  # skip the no-op filtered copies
-            return self.pairs_i, self.pairs_j, dr
-        return self.pairs_i[keep], self.pairs_j[keep], dr[keep]
 
 
 def build_lists(
@@ -146,23 +196,19 @@ def _build_group(
     # every pair lies within one run, so its run follows from i
     run_of = np.repeat(np.arange(len(sizes)), sizes)
     candidates = np.bincount(run_of[ci], minlength=len(sizes))
-    if len(ci):
-        dr = boundary.displacement(flat[ci] - flat[cj])
-        r2 = np.einsum("ij,ij->i", dr, dr)
-        keep = r2 <= reach * reach
-        ci, cj = ci[keep], cj[keep]
     # sort by owner for CSR-style per-atom iteration; the global sort
-    # leaves each run's pairs contiguous and in run order
-    order = np.lexsort((cj, ci))
-    ci, cj = ci[order], cj[order]
+    # leaves each run's pairs contiguous and in run order.  Pairs are
+    # unique, so sorting the packed key i·n + j orders them exactly as
+    # a lexsort on (i, j) would
+    n = int(offsets[-1])
+    d = pair_displacements(flat, ci, cj, boundary)
+    key = (ci * n + cj)[dot3(d, d) <= reach * reach]
+    key.sort()
+    ci, cj = np.divmod(key, n)
     cuts = np.searchsorted(ci, offsets).tolist()
-    shift = offsets[run_of[ci]]
-    ci -= shift
-    cj -= shift
     for r, nl in enumerate(nlists):
-        lo, hi = cuts[r], cuts[r + 1]
-        nl.pairs_i = ci[lo:hi]
-        nl.pairs_j = cj[lo:hi]
+        lo, hi, base = cuts[r], cuts[r + 1], offsets[r]
+        nl._set_pairs(ci[lo:hi] - base, cj[lo:hi] - base)
         nl._ref_positions = flat[offsets[r]:offsets[r + 1]]
         nl.last_candidates = int(candidates[r])
         nl.rebuild_count += 1

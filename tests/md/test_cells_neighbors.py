@@ -6,9 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.md import AtomSystem, LennardJonesForce
 from repro.md.boundary import PeriodicBox, ReflectiveBox
 from repro.md.cells import LinkedCellGrid
-from repro.md.neighbors import NeighborList
+from repro.md.neighbors import NeighborList, dot3, pair_displacements
 
 
 def brute_force_pairs(positions, cutoff, boundary):
@@ -121,8 +122,10 @@ def test_neighbor_list_matches_brute_force():
     nl.build(pos, boundary)
     # the list keeps pairs out to cutoff+skin
     assert nlist_pairs(nl) == brute_force_pairs(pos, 5.0, boundary)
-    # pairs_within filters to the true cutoff
-    i, j, dr = nl.pairs_within(pos, boundary)
+    # filtered to the true cutoff, the list holds exactly its pairs
+    d = pair_displacements(pos, nl.pairs_i, nl.pairs_j, boundary)
+    inside = dot3(d, d) <= 4.0 * 4.0
+    i, j = nl.pairs_i[inside], nl.pairs_j[inside]
     assert set(zip(i.tolist(), j.tolist())) == brute_force_pairs(
         pos, 4.0, boundary
     )
@@ -186,8 +189,11 @@ def test_neighbor_list_validation():
         NeighborList(cutoff=0.0)
     with pytest.raises(ValueError):
         NeighborList(cutoff=1.0, skin=-0.1)
+    # a list that was never built cannot feed a pair kernel
     nl = NeighborList(cutoff=1.0)
+    system = AtomSystem(np.array([1.0, 1, 1]))
+    system.add_atoms("Al", np.zeros((2, 3)))
     with pytest.raises(RuntimeError):
-        nl.pairs_within(
-            np.zeros((2, 3)), ReflectiveBox(np.array([1.0, 1, 1]))
+        LennardJonesForce().compute(
+            system, ReflectiveBox(system.box), nl, np.zeros((2, 3))
         )
