@@ -13,6 +13,11 @@ the ``shard`` spans; the only thing that varies is where a unit runs:
 * **in a** ``ProcessPoolExecutor`` **worker** otherwise.  A worker
   publishes into the shared cache and the parent reloads the artifact;
   an artifact missing on reload is a failed attempt re-run in-process.
+  Workers start warm: the parent imports what the units' executors
+  import before it forks (:func:`repro.runcache.sweep.import_executors`),
+  and each worker fixes glibc's allocator thresholds
+  (:func:`_pin_malloc_thresholds`), so a unit costs in a worker what it
+  costs in a warm process.
 
 In-process units run through an executor that hands back completed
 futures, so both placements share the same ``wait()`` loop.
@@ -54,6 +59,7 @@ run cannot take its batch-mates down.
 
 from __future__ import annotations
 
+import ctypes
 import gc
 import json
 import multiprocessing
@@ -62,6 +68,7 @@ import random
 import threading
 import time
 from collections import deque
+from contextlib import contextmanager
 from concurrent.futures import (
     FIRST_COMPLETED,
     Future,
@@ -75,6 +82,11 @@ from typing import Any, Callable, Deque, Dict, List, Optional, Set, Tuple
 
 from repro.runcache.key import RunSpec
 from repro.telemetry import runtime as telemetry_runtime
+
+try:
+    import resource
+except ImportError:  # not POSIX: shard spans carry no rusage deltas
+    resource = None
 
 JOURNAL_SCHEMA = "repro.sweepjournal/1"
 JOURNAL_NAME = "sweep-journal.jsonl"
@@ -443,6 +455,66 @@ def _begin(specs: List[RunSpec], digests: List[str], journal, attempt: int):
     return paused
 
 
+@contextmanager
+def _shard_span(emitter, attrs: dict):
+    """The ``shard`` span around one unit's execution.  With telemetry
+    on it records the unit's minor page faults (``minflt``) and system
+    CPU seconds (``sys_s``): ``getrusage`` deltas of the process that
+    ran it, so what a unit costs a pool worker beyond its own work
+    shows in ``repro report``."""
+    with emitter.span("shard", **attrs) as span:
+        if span.span_id is None or resource is None:
+            yield
+            return
+        before = resource.getrusage(resource.RUSAGE_SELF)
+        try:
+            yield
+        finally:
+            after = resource.getrusage(resource.RUSAGE_SELF)
+            span.attrs.update(
+                minflt=after.ru_minflt - before.ru_minflt,
+                sys_s=after.ru_stime - before.ru_stime,
+            )
+
+
+#: ``mallopt`` parameter numbers (glibc ``<malloc.h>``)
+M_TRIM_THRESHOLD = -1
+M_MMAP_THRESHOLD = -3
+#: a pool worker's fixed allocator thresholds (see
+#: :func:`_pin_malloc_thresholds`)
+WORKER_MMAP_THRESHOLD = 32 * 2**20
+WORKER_TRIM_THRESHOLD = 128 * 2**20
+
+
+def _pin_malloc_thresholds() -> None:
+    """Pool-worker initializer: fix glibc's mmap and trim thresholds.
+
+    glibc serves a block above its mmap threshold with a fresh mapping
+    and unmaps it on free, and gives the heap top back to the kernel
+    past its trim threshold.  Both start low and only rise as large
+    blocks are freed, which a warm process has long done and a freshly
+    forked worker has not: there every capture maps and faults in its
+    large work arrays again (~9,500 minor faults per Al-1000 capture,
+    against ~20 once the thresholds are fixed).  32 MiB, the largest
+    mmap threshold glibc accepts on a 64-bit host, keeps every
+    per-unit block on the heap (the largest are salt's 12.8 MB Coulomb
+    work block and its 5.1 MB ring buffer); a trim threshold of four
+    times that keeps a freed heap top for the next unit.  Setting them
+    also turns off glibc's own adjustment.
+
+    Runs only in workers, never in the caller's process.  Without
+    glibc's ``mallopt`` (another libc or platform) it does nothing.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError):
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(M_MMAP_THRESHOLD, WORKER_MMAP_THRESHOLD)
+    mallopt(M_TRIM_THRESHOLD, WORKER_TRIM_THRESHOLD)
+
+
 def _pool_worker(args) -> List[str]:
     """Run one unit in a pool worker, publishing into the shared
     on-disk cache; returns the digests the parent reloads.
@@ -472,8 +544,9 @@ def _pool_worker(args) -> List[str]:
             return digests
         emitter = telemetry_runtime.activate(tel_root, parent_id=sweep_id)
         try:
-            attrs = _shard_attrs(specs, sweep_id, attempt)
-            with emitter.span("shard", **attrs):
+            with _shard_span(
+                emitter, _shard_attrs(specs, sweep_id, attempt)
+            ):
                 execute(cache)
             worker = str(os.getpid())
             emitter.counter(
@@ -552,6 +625,7 @@ class _Supervisor:
             self.pool = ProcessPoolExecutor(
                 max_workers=self.workers,
                 mp_context=multiprocessing.get_context("fork"),
+                initializer=_pin_malloc_thresholds,
             )
         except (OSError, PermissionError, ValueError):
             self._degrade()
@@ -599,10 +673,8 @@ class _Supervisor:
         execute = _begin(
             unit.specs, [key for key, _ in unit.items], self.journal, attempt
         )
-        with self.emitter.span(
-            "shard", serial=True,
-            **_shard_attrs(unit.specs, self.sweep_id, attempt),
-        ):
+        attrs = _shard_attrs(unit.specs, self.sweep_id, attempt)
+        with _shard_span(self.emitter, dict(serial=True, **attrs)):
             return execute(self.cache)
 
     def _needs(self, unit: Unit) -> List[Tuple[str, RunSpec]]:
@@ -879,6 +951,10 @@ def supervise(
     if workers < 2:
         sup.run(units)
     else:
+        from repro.runcache.sweep import import_executors
+
+        # once per process, not once per worker per sweep
+        import_executors({spec.kind for _, spec in misses})
         if telemetry_runtime.active():
             sup.tel_root = str(emitter.run.root)
         with emitter.span(

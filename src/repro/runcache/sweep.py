@@ -19,6 +19,7 @@ never results.
 from __future__ import annotations
 
 import gc
+import importlib
 import json
 import os
 import tempfile
@@ -443,6 +444,33 @@ _EXECUTORS = {
     "chaos_case": _execute_chaos_case,
     "toolerror": _execute_toolerror,
 }
+
+
+#: what the executors import on first use that this module has not: a
+#: pool's parent imports it before it forks (:func:`import_executors`).
+#: Every kind may compute a capture: the builders' ``default_rng``
+#: loads ``numpy.random``, ``np.unique`` in the LJ set-up loads
+#: ``numpy.ma``, and a batch runs through :mod:`repro.ensemble`
+_CAPTURE_IMPORTS = (
+    "numpy.random", "numpy.ma", "repro.core.simulate", "repro.ensemble",
+    "repro.workloads",
+)
+#: the replay kinds also load the observation, attribution and tool
+#: layers (:mod:`repro.obs`) and the fault plans (:mod:`repro.faults`)
+_REPLAY_IMPORTS = ("repro.obs", "repro.faults")
+
+
+def import_executors(kinds) -> None:
+    """Import what executing specs of ``kinds`` would import.
+
+    A forked pool worker inherits every module its parent has loaded,
+    and pays for any other one itself, in every worker of every sweep;
+    imported here, in the parent, it is paid once per process."""
+    names = _CAPTURE_IMPORTS
+    if set(kinds) - {"capture"}:
+        names += _REPLAY_IMPORTS
+    for name in names:
+        importlib.import_module(name)
 
 
 def execute_spec(spec: RunSpec, cache: Optional[RunCache] = None):

@@ -174,7 +174,9 @@ def _autotune_block(run_dir: Path) -> Optional[dict]:
 
 
 def _process_runs(records: List[dict]) -> List[dict]:
-    """One entry per emitting process: role, window, span/cache tallies."""
+    """One entry per emitting process: role, window, span/cache tallies,
+    and the minor page faults and system CPU seconds its ``shard`` spans
+    recorded (the units it executed)."""
     by_pid: Dict[int, dict] = {}
     for record in records:
         entry = by_pid.setdefault(
@@ -188,6 +190,8 @@ def _process_runs(records: List[dict]) -> List[dict]:
                 "n_events": 0,
                 "hits": 0,
                 "misses": 0,
+                "minflt": 0,
+                "sys_s": 0.0,
                 "span_names": [],
                 "_root_span": False,
             },
@@ -200,6 +204,9 @@ def _process_runs(records: List[dict]) -> List[dict]:
                 entry["span_names"].append(record["name"])
             if record["parent_id"] is None:
                 entry["_root_span"] = True
+            if record["name"] == "shard":
+                entry["minflt"] += record["attrs"].get("minflt", 0)
+                entry["sys_s"] += record["attrs"].get("sys_s", 0.0)
         elif record["kind"] == "event":
             entry["n_events"] += 1
             if record["name"] == "cache.lookup":
@@ -918,6 +925,8 @@ def render_html(report: dict) -> str:
         f'<td class="num">{r["n_events"]}</td>'
         f'<td class="num">{r["hits"]}</td>'
         f'<td class="num">{r["misses"]}</td>'
+        f'<td class="num">{r["minflt"]}</td>'
+        f'<td class="num">{r["sys_s"]:.3f}</td>'
         f"<td>{_esc(', '.join(r['span_names']))}</td></tr>"
         for r in runs
     )
@@ -926,7 +935,8 @@ def render_html(report: dict) -> str:
         "<tr><th>pid</th><th>role</th>"
         '<th class="num">seconds</th><th class="num">spans</th>'
         '<th class="num">events</th><th class="num">hits</th>'
-        '<th class="num">misses</th><th>spans seen</th></tr>'
+        '<th class="num">misses</th><th class="num">unit minor faults</th>'
+        '<th class="num">unit sys s</th><th>spans seen</th></tr>'
         f"{rows}</table>"
     )
 

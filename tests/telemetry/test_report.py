@@ -362,3 +362,25 @@ def test_resilience_block_absent_when_nothing_happened(run_dir):
     report = build_report(run_dir)
     assert report["resilience"] is None
     assert "Resilience" not in render_html(report)
+
+
+def test_report_shows_the_faults_and_system_time_of_each_units_process(
+    tmp_path,
+):
+    """Each ``shard`` span records its unit's minor page faults and
+    system CPU seconds; the report sums them per process."""
+    run = tmp_path / "run"
+    specs = [capture_spec("salt", 1), capture_spec("nanocar", 1)]
+    telemetry_runtime.activate(run, label="sweep")
+    try:
+        result = sweep(specs, RunCache(tmp_path / "store"), jobs=2)
+    finally:
+        telemetry_runtime.deactivate()
+    report = build_report(run)
+    units = [r for r in report["runs"] if "shard" in r["span_names"]]
+    assert units and len(units) <= 2
+    assert sum(r["minflt"] for r in units) > 0
+    assert all(r["sys_s"] >= 0 for r in report["runs"])
+    if result.fanout and not result.degraded:
+        assert {r["role"] for r in units} == {"worker"}
+    assert "unit minor faults" in render_html(report)
